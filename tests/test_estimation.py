@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from localscores import (
+    BlockNeighborhood,
     BlockSystem,
     BoltzmannModel,
     ConditionalModel,
     FitConfig,
     HypercubeNeighborhood,
     InputError,
+    LocalPotentialFamily,
     NonFiniteObjectiveError,
     RngStream,
     SampleSpace,
@@ -18,11 +22,13 @@ from localscores import (
     classify,
     classify_batch,
     composite_likelihood,
+    custom_additive,
     density_power,
     empirical_score,
     exact_log_z,
     exact_sample,
     fit,
+    graph_from_edges,
     label_band_graph,
     mle_fit,
     negative_log_loss,
@@ -33,6 +39,8 @@ from localscores import (
     pseudo_spherical,
     ratio_matching,
     score,
+    score_and_logf_gradient,
+    standard_cl_score,
 )
 from localscores import test_error as error_rate
 
@@ -170,6 +178,99 @@ class TestGradientAssembly:
                         name,
                         type(model).__name__,
                     )
+
+
+@st.composite
+def objective_cases(draw):
+    """A family, a model and a sample list on a small hypercube, covering
+    ragged-degree graphs, active subsets and uneven block systems."""
+    dim = draw(st.integers(2, 4))
+    space = SampleSpace.hypercube(dim)
+    size = space.size
+    kind = draw(st.sampled_from(("pl", "rm", "dp", "ps", "mcl", "cl", "custom")))
+    # the per-state objective stacks the neighborhoods of standard CL and
+    # of the neighbors of ps/mcl states, which fails on ragged graphs
+    uniform_only = kind in ("ps", "mcl", "cl")
+    shape = draw(st.sampled_from(("hamming", "blocks") if uniform_only else ("ragged", "hamming", "blocks")))
+    system = None
+    if shape == "ragged":
+        # a path through every point keeps each degree positive
+        order = draw(st.permutations(range(size)))
+        extra = draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(
+                lambda e: e[0] != e[1]),
+            max_size=2 * size,
+        ))
+        graph = graph_from_edges(space, list(zip(order, order[1:])) + extra)
+    elif shape == "hamming":
+        graph = HypercubeNeighborhood(dim, draw(st.integers(1, 2)))
+    else:
+        coords = st.sets(st.integers(1, dim), min_size=1, max_size=dim)
+        system = BlockSystem.of(dim, *draw(st.lists(coords, min_size=1, max_size=3)))
+        graph = BlockNeighborhood(system)
+    standard_cl = kind == "cl"
+    active = None
+    if not standard_cl and draw(st.booleans()):
+        active = draw(st.sets(st.integers(0, size - 1), min_size=1))
+    gamma = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    if kind in ("mcl", "cl"):
+        fam = composite_likelihood(system if system is not None else graph, active=active)
+    elif kind == "custom":
+        fam = custom_additive(graph, lambda t: 0.5 * t * t, lambda t: t, lambda t: 1.0,
+                              active=active)
+    else:
+        fam = LocalPotentialFamily(kind, graph, gamma=gamma if kind in ("dp", "ps") else None,
+                                   active=active)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        model = BoltzmannModel(dim=dim, upper=rng.normal(size=dim * (dim - 1) // 2) * 0.5)
+    else:
+        model = TabularModel(space=space, eta=rng.normal(size=size) * 0.5)
+    samples = rng.integers(0, size, size=draw(st.integers(1, 25)))
+    return fam, standard_cl, model, samples
+
+
+def _per_state_reference(fam, standard_cl, model, samples):
+    """Mean score and its parameter gradient, one state at a time through the
+    public point routes."""
+    size = model.space.size
+    logs = model.log_f_batch(np.arange(size))
+    n = len(samples)
+    value = 0.0
+    dj = np.zeros(size)
+    for y in samples:
+        y = int(y)
+        if standard_cl:
+            value += standard_cl_score(fam, y, logs) / n
+            for block in fam.block_lists(y):
+                members = np.append(block, y)
+                lse = logsumexp(logs[members])
+                dj[members] += np.exp(logs[members] - lse) / n
+                dj[y] -= 1.0 / n
+        else:
+            value += score(fam, y, logs) / n
+            _, idx, partials = score_and_logf_gradient(fam, y, logs)
+            dj[idx] += partials / n
+    if isinstance(model, BoltzmannModel):
+        return value, model.pair_features(np.arange(size)).T @ dj
+    return value, dj
+
+
+class TestScoreObjectiveProperties:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(objective_cases())
+    def test_batched_objective_matches_per_state_routes(self, case):
+        from localscores.estimation import _ScoreObjective
+
+        fam, standard_cl, model, samples = case
+        obj = _ScoreObjective(fam, model, samples, standard_cl=standard_cl)
+        ref_value, ref_grad = _per_state_reference(fam, standard_cl, model, samples)
+        x = np.array(obj.x0)
+        value, grad = obj.value_and_grad(x)
+        assert obj.value(x) == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
+        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
+        scale = max(1.0, float(np.max(np.abs(ref_grad))))
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10 * scale)
 
 
 class TestMle:
