@@ -7,9 +7,17 @@ the score's partials with respect to log f through each model's feature map;
 finite differences only appear in tests.
 
 Unconditional objectives aggregate duplicate samples by frequency and touch
-only the union of the sampled points' neighborhoods, so fitting never
-enumerates the space. Conditional (per-feature-vector) objectives work on
-dense (n, labels) matrices since label sets are small.
+only the union of the sampled points' neighborhoods (the universe), so
+fitting never enumerates the space. They compile once into padded index
+arrays built in batch from the neighborhoods: an (n, degree) neighbor matrix
+for additive kinds, with masks for ragged degree and active sets, and for ps
+and cl a ball table: one row per distinct set whose normalizer the score
+reads (b(z) for ps, n_l(z) = b_l(z) + {z} per block for cl). Each ball's
+log-normalizer and softmax are computed once per evaluation, states gather
+from the table, and gradients accumulate per ball. Value-only evaluations
+(line-search trial steps, `empirical_score`) skip the gradient. Conditional
+(per-feature-vector) objectives work on dense (n, labels) matrices since
+label sets are small.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from scipy.special import logsumexp
 from .errors import InputError
 from .models import BoltzmannModel, ConditionalModel, TabularModel
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec
-from .scoring import score_and_logf_gradient
 
 STEP_FLOOR = 1e-20
 
@@ -35,7 +42,6 @@ class FitConfig:
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     l2_penalty: float = 0.0
-    deterministic_reduction: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -123,8 +129,77 @@ class _ParamMap:
         return TabularModel(space=self.template.space, eta=x)
 
 
+class _Balls:
+    """The sets whose normalizers non-additive scores read, one row per
+    distinct set: b(z) for ps, n_l(z) = b_l(z) + {z} for each block l for cl.
+
+    `members` holds universe positions with short rows padded (`valid` masks
+    the padding, None when no row is short); `center` is the position of z.
+    For member logs l_w the relative log-normalizer is
+    s = log sum_w exp(scale * (l_w - l_z)), so log ||f over the set||_scale
+    = s / scale + l_z."""
+
+    def __init__(self, members, valid, center, scale):
+        self.members = members
+        self.valid = valid
+        self.center = center
+        self.scale = scale
+
+    def log_norms(self, logs):
+        """(s, a): relative log-normalizers and the scaled, center-shifted
+        member logs (-inf at padding) they came from."""
+        a = self.scale * (logs[self.members] - logs[self.center][:, None])
+        if self.valid is not None:
+            a = np.where(self.valid, a, -np.inf)
+        # every set has a real member, so each row's max is finite unless
+        # log f overflowed (then the value is non-finite either way)
+        top = a.max(axis=1)
+        return top + np.log(np.exp(a - top[:, None]).sum(axis=1)), a
+
+    def pullback(self, coef, s, a, n_u):
+        """Gradient over the universe of sum_sets coef * (s / scale + l_z),
+        the weighted absolute log-normalizers: coef times each set's softmax.
+        Terms in the relative s alone also owe -coef at each center."""
+        soft = np.exp(a - s[:, None])
+        return np.bincount(
+            self.members.ravel(), weights=(coef[:, None] * soft).ravel(), minlength=n_u
+        )
+
+
+def _real_and_active(points, valid, active):
+    """Mask of the padded neighbor entries that are real and active, or None
+    when all are."""
+    mask = np.ones(points.shape, dtype=bool) if valid is None else valid
+    if active is not None:
+        mask = mask & np.isin(points, active)
+    return None if mask.all() else mask
+
+
+def _masked(values, mask):
+    return values if mask is None else np.where(mask, values, 0.0)
+
+
+def _stack_balls(parts):
+    """Concatenate per-block (members, valid, centers) row sets, padding every
+    row to the widest block with its own center."""
+    width = max(m.shape[1] for m, _, _ in parts)
+    members, valid = [], []
+    for m, v, c in parts:
+        pad = width - m.shape[1]
+        members.append(np.concatenate([m, np.repeat(c[:, None], pad, axis=1)], axis=1))
+        v = np.ones(m.shape, dtype=bool) if v is None else v
+        valid.append(np.concatenate([v, np.zeros((len(c), pad), dtype=bool)], axis=1))
+    valid = np.concatenate(valid)
+    return np.concatenate(members), None if valid.all() else valid
+
+
 class _ScoreObjective:
-    """Mean score over sampled states, aggregated by state frequency."""
+    """Mean score over sampled states, aggregated by state frequency.
+
+    Compilation turns the family's neighborhoods into padded position arrays
+    over the universe (the sorted points whose log f the score reads); every
+    evaluation is then a fixed sequence of array operations.
+    """
 
     def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0):
         samples = np.asarray(samples, dtype=np.int64).reshape(-1)
@@ -137,6 +212,8 @@ class _ScoreObjective:
             )
         if samples.min() < 0 or samples.max() >= family.space.size:
             raise InputError("sample index outside the space")
+        if standard_cl and family.active is not None:
+            raise InputError("standard CL objectives assume the whole-space active set")
         if weights is None:
             states, counts = np.unique(samples, return_counts=True)
             w = counts / counts.sum()
@@ -154,47 +231,80 @@ class _ScoreObjective:
     def _compile(self):
         fam = self.family
         states = self.states
-        if self.standard_cl:
-            blocks = [fam.block_lists(int(y)) for y in states]
-            pts = [states] + [
-                np.concatenate([b[i] for b in blocks]) for i in range(len(blocks[0]))
-            ]
-            flat = np.concatenate(pts)
+        active = None if fam.active is None else fam.active_indices()
+        if fam.additive:
+            nbrs, valid = fam.neighbor_matrix(states)
+            self.edge_mask = _real_and_active(nbrs, valid, active)
+            if active is not None:
+                own = np.broadcast_to(states[:, None], nbrs.shape)
+                self.own_edge = _real_and_active(own, valid, active)
+            points = [states, nbrs]
+        elif fam.kind == "ps":
+            nbrs, valid = fam.neighbor_matrix(states)
+            self.nbr_reach = _real_and_active(nbrs, valid, active)
+            centers = np.unique(nbrs if self.nbr_reach is None else nbrs[self.nbr_reach])
+            members, mvalid = fam.neighbor_matrix(centers)
+            self.nbr_ids = np.minimum(np.searchsorted(centers, nbrs), max(len(centers) - 1, 0))
+            points = [states, nbrs, members]
         else:
-            nbrs = [fam.neighbors(int(y)) for y in states]
-            pieces = [states, np.concatenate(nbrs)]
-            if not fam.additive:
-                for bn in nbrs:
-                    pieces.append(np.concatenate([fam.neighbors(int(z)) for z in bn]))
-            flat = np.concatenate(pieces)
-        self.universe = np.unique(flat)
+            members, mvalid, centers = self._compile_cl(active)
+            points = [states, members]
+        self.universe = np.unique(np.concatenate([np.ravel(p) for p in points]))
         self.params.bind(self.universe)
-        self._slot = dict(zip(self.universe.tolist(), range(len(self.universe))))
-        self.ypos = np.array([self._slot[int(y)] for y in states], dtype=np.int64)
-        degs = {len(fam.neighbors(int(y))) for y in states}
-        self._uniform_degree = len(degs) == 1 and fam.active is None
-        if self.standard_cl and fam.active is not None:
-            raise InputError("standard CL objectives assume the whole-space active set")
-        if self.standard_cl:
-            self._nblocks = [
-                np.stack([
-                    np.array([self._slot[int(z)] for z in fam.block_lists(int(y))[i]])
-                    for y in states
-                ])
-                for i in range(len(fam.block_lists(int(states[0]))))
-            ]
-        elif self._uniform_degree:
-            self.nbpos = np.stack(
-                [np.array([self._slot[int(z)] for z in fam.neighbors(int(y))]) for y in states]
+        self.ypos = np.searchsorted(self.universe, states)
+        if fam.additive:
+            self.nbpos = np.searchsorted(self.universe, nbrs)
+        else:
+            scale = 1.0 + fam.gamma if fam.kind == "ps" else 1.0
+            self.balls = _Balls(
+                np.searchsorted(self.universe, members), mvalid,
+                np.searchsorted(self.universe, centers), scale,
             )
-            if not fam.additive:
-                inner = []
-                for y in states:
-                    rows = []
-                    for z in fam.neighbors(int(y)):
-                        rows.append([self._slot[int(wpt)] for wpt in fam.neighbors(int(z))])
-                    inner.append(rows)
-                self.inner = np.array(inner, dtype=np.int64)
+
+    def _compile_cl(self, active):
+        """Ball table of the n_l(z) a cl score reads; returns its (members,
+        valid, centers) over point indices. Block relations are symmetric
+        (z in b_l(y) iff y in b_l(z)), as on every hypercube block system and
+        single-block graph."""
+        fam, states = self.family, self.states
+        own_ids, nbr_ids, nbr_reach, parts = [], [], [], []
+        offset = 0
+        for block in range(fam.num_blocks):
+            nbrs, valid = fam.block_matrix(states, block)
+            if self.standard_cl:
+                centers = np.unique(states)
+            else:
+                reach = _real_and_active(nbrs, valid, active)
+                centers = np.unique(
+                    np.concatenate([states, nbrs.ravel() if reach is None else nbrs[reach]])
+                )
+                nbr_ids.append(offset + np.minimum(np.searchsorted(centers, nbrs), len(centers) - 1))
+                nbr_reach.append(np.ones(nbrs.shape, dtype=bool) if reach is None else reach)
+            cm, cvalid = fam.block_matrix(centers, block)
+            if cvalid is not None:
+                cvalid = np.concatenate([cvalid, np.ones((len(centers), 1), dtype=bool)], axis=1)
+            parts.append((np.concatenate([cm, centers[:, None]], axis=1), cvalid, centers))
+            own_ids.append(offset + np.searchsorted(centers, states))
+            offset += len(centers)
+        self.own_ids = np.stack(own_ids, axis=1)
+        own_weights = self.weights
+        self.own_mask = _real_and_active(states, None, active)
+        if self.own_mask is not None:
+            own_weights = np.where(self.own_mask, own_weights, 0.0)
+        # per-ball weights of the -log q(y | n_l(y)) terms and of the q terms
+        self.ball_log_weight = np.bincount(
+            self.own_ids.ravel(), weights=np.repeat(own_weights, fam.num_blocks), minlength=offset
+        )
+        if not self.standard_cl:
+            self.nbr_ids = np.concatenate(nbr_ids, axis=1)
+            reach = np.concatenate(nbr_reach, axis=1)
+            self.nbr_reach = None if reach.all() else reach
+            self.ball_q_weight = self.ball_log_weight + np.bincount(
+                self.nbr_ids.ravel(), weights=(reach * self.weights[:, None]).ravel(),
+                minlength=offset,
+            )
+        members, valid = _stack_balls(parts)
+        return members, valid, np.concatenate([c for _, _, c in parts])
 
     @property
     def x0(self):
@@ -203,71 +313,85 @@ class _ScoreObjective:
     def model(self, x):
         return self.params.model(x)
 
-    def _score_terms(self, logs):
-        """(per-state scores, dJ/d logs) for the current log values."""
+    def _score_terms(self, logs, grad=True):
+        """(per-state scores, dJ/d logs over the universe or None)."""
+        if self.family.additive:
+            return self._additive_terms(logs, grad)
+        if self.family.kind == "ps":
+            return self._ps_terms(logs, grad)
+        return self._cl_terms(logs, grad)
+
+    def _additive_terms(self, logs, grad):
         fam = self.family
         n_u = len(self.universe)
-        if self.standard_cl:
-            return self._standard_cl_terms(logs, n_u)
-        if not self._uniform_degree:
-            return self._ragged_terms(logs, n_u)
         ly = logs[self.ypos]
-        if fam.additive:
-            value_term, grad_term = fam.edge_terms()
-            d = logs[self.nbpos] - ly[:, None]
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                vals = np.sum(value_term(d), axis=1)
-                g = grad_term(d)
-            dj = np.bincount(
-                self.nbpos.ravel(), weights=(g * self.weights[:, None]).ravel(), minlength=n_u
-            )
-            dj -= np.bincount(self.ypos, weights=g.sum(axis=1) * self.weights, minlength=n_u)
-            return vals, dj
-        if fam.kind == "ps":
-            return self._ps_terms(logs, n_u)
-        return self._ragged_terms(logs, n_u)
-
-    def _ps_terms(self, logs, n_u):
-        gamma = self.family.gamma
-        ly = logs[self.ypos]
-        lz = logs[self.nbpos]
-        lw = logs[self.inner]
+        d = logs[self.nbpos] - ly[:, None]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            log_norm = logsumexp((1.0 + gamma) * (lw - lz[:, :, None]), axis=2) / (1.0 + gamma)
-            log_norm = log_norm + lz  # log ||f over b(z)|| in absolute scale
-            t = np.exp(gamma * (ly[:, None] - log_norm))
-            vals = -t.sum(axis=1)
-            p = np.exp((1.0 + gamma) * (lw - log_norm[:, :, None]))
-            contrib = gamma * t[:, :, None] * p * self.weights[:, None, None]
-        dj = np.bincount(self.inner.ravel(), weights=contrib.ravel(), minlength=n_u)
-        dj -= np.bincount(
-            self.ypos, weights=gamma * t.sum(axis=1) * self.weights, minlength=n_u
+            if fam.active is None:
+                value_term, grad_term = fam.edge_terms()
+                vals = np.sum(_masked(value_term(d), self.edge_mask), axis=1)
+                g = _masked(grad_term(d), self.edge_mask) if grad else None
+            else:
+                # y's own local potential and its active neighbors' potentials
+                f0, f1, f2 = fam.scalar_terms()
+                r, s = np.exp(d), np.exp(-d)
+                vals = np.sum(
+                    _masked(r * f1(r) - f0(r), self.own_edge) - _masked(f1(s), self.edge_mask),
+                    axis=1,
+                )
+                if grad:
+                    g = _masked(r * r * f2(r), self.own_edge) + _masked(s * f2(s), self.edge_mask)
+        if not grad:
+            return vals, None
+        dj = np.bincount(
+            self.nbpos.ravel(), weights=(g * self.weights[:, None]).ravel(), minlength=n_u
         )
+        dj -= np.bincount(self.ypos, weights=g.sum(axis=1) * self.weights, minlength=n_u)
         return vals, dj
 
-    def _standard_cl_terms(self, logs, n_u):
+    def _ps_terms(self, logs, grad):
+        # score(y) = -sum over active z in b(y) of (f_y / ||f over b(z)||_{1+gamma})^gamma
+        gamma = self.family.gamma
+        n_u = len(self.universe)
+        balls = self.balls
+        if not len(balls.center):  # no sampled state has an active neighbor
+            return np.zeros(len(self.states)), np.zeros(n_u) if grad else None
+        s, a = balls.log_norms(logs)
+        log_norm = s / balls.scale + logs[balls.center]
         ly = logs[self.ypos]
-        vals = np.zeros(len(self.states))
-        dj = np.zeros(n_u)
-        for nb in self._nblocks:
-            lblk = logs[nb]
-            lse = logsumexp(np.concatenate([lblk, ly[:, None]], axis=1), axis=1)
-            vals += lse - ly
-            soft = np.exp(lblk - lse[:, None])
-            dj += np.bincount(nb.ravel(), weights=(soft * self.weights[:, None]).ravel(), minlength=n_u)
-            dj += np.bincount(self.ypos, weights=(np.exp(ly - lse) - 1.0) * self.weights, minlength=n_u)
+        t = _masked(np.exp(gamma * (ly[:, None] - log_norm[self.nbr_ids])), self.nbr_reach)
+        vals = -t.sum(axis=1)
+        if not grad:
+            return vals, None
+        tw = gamma * t * self.weights[:, None]
+        coef = np.bincount(self.nbr_ids.ravel(), weights=tw.ravel(), minlength=len(s))
+        dj = balls.pullback(coef, s, a, n_u)
+        dj -= np.bincount(self.ypos, weights=tw.sum(axis=1), minlength=n_u)
         return vals, dj
 
-    def _ragged_terms(self, logs, n_u):
-        slot = self._slot
-        logf = lambda i: logs[slot[int(i)]]
-        vals = np.zeros(len(self.states))
-        dj = np.zeros(n_u)
-        for k, y in enumerate(self.states):
-            value, idx, grad = score_and_logf_gradient(self.family, int(y), logf)
-            vals[k] = value
-            for i, g in zip(idx, grad):
-                dj[slot[int(i)]] += self.weights[k] * g
+    def _cl_terms(self, logs, grad):
+        # per block, with q_l(z) = f_z / sum over n_l(z) of f = exp(-s):
+        # standard CL scores -log q_l(y); the gradient (mCL) score adds
+        # q_l(y) - 1 for active y and q_l(z) for each active z in b_l(y)
+        balls = self.balls
+        s, a = balls.log_norms(logs)
+        own = s[self.own_ids]
+        if self.standard_cl:
+            vals = own.sum(axis=1)
+            coef = self.ball_log_weight
+        else:
+            q = np.exp(-s)
+            own = own - 1.0 + q[self.own_ids]
+            if self.own_mask is not None:
+                own = np.where(self.own_mask[:, None], own, 0.0)
+            vals = own.sum(axis=1) + _masked(q[self.nbr_ids], self.nbr_reach).sum(axis=1)
+            if grad:
+                coef = self.ball_log_weight - self.ball_q_weight * q
+        if not grad:
+            return vals, None
+        n_u = len(self.universe)
+        dj = balls.pullback(coef, s, a, n_u)
+        dj -= np.bincount(balls.center, weights=coef, minlength=n_u)
         return vals, dj
 
     def value_and_grad(self, x):
@@ -283,7 +407,7 @@ class _ScoreObjective:
     def value(self, x):
         with np.errstate(all="ignore"):
             logs = self.params.logs(x)
-            vals, _ = self._score_terms(logs)
+            vals, _ = self._score_terms(logs, grad=False)
             return float(vals @ self.weights) + self.l2 * float(x @ x)
 
     def offending_sample(self, x) -> int | None:
@@ -291,7 +415,7 @@ class _ScoreObjective:
         score is non-finite at x; None if all are finite."""
         with np.errstate(all="ignore"):
             logs = self.params.logs(x)
-            vals, _ = self._score_terms(logs)
+            vals, _ = self._score_terms(logs, grad=False)
         bad = np.flatnonzero(~np.isfinite(vals))
         return int(bad[0]) if bad.size else None
 
@@ -396,11 +520,14 @@ class _ConditionalObjective:
         # keeps exponentials in range
         return lmat - lmat.max(axis=1, keepdims=True)
 
-    def _kernel(self, ls):
+    def _kernel(self, ls, grad=True):
+        """(per-row scores, d score / d ls or None)."""
         rows, y = self.rows, self.y
         if self.mle:
             lse = logsumexp(ls, axis=1)
             vals = lse - ls[rows, y]
+            if not grad:
+                return vals, None
             g = np.exp(ls - lse[:, None])
             g[rows, y] -= 1.0
             return vals, g
@@ -410,6 +537,8 @@ class _ConditionalObjective:
             d = np.where(bm, ls - ls[rows, y][:, None], 0.0)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 vals = np.sum(np.where(bm, value_term(d), 0.0), axis=1)
+                if not grad:
+                    return vals, None
                 g = np.where(bm, grad_term(d), 0.0)
             g[rows, y] = 0.0
             g[rows, y] = -g.sum(axis=1)
@@ -422,6 +551,8 @@ class _ConditionalObjective:
                 log_norm = np.log(den) / (1.0 + gamma)
                 t = np.where(bm, np.exp(gamma * (ls[rows, y][:, None] - log_norm)), 0.0)
                 vals = -t.sum(axis=1)
+                if not grad:
+                    return vals, None
                 # masked-out columns may have a fully underflowed ball; keep
                 # their zero weight from poisoning the gradient
                 den_safe = np.where(den > 0.0, den, 1.0)
@@ -436,11 +567,15 @@ class _ConditionalObjective:
             nden_safe = np.where(nden > 0.0, nden, 1.0)
             if self.standard_cl:
                 vals = np.log(nden[rows, y]) - ls[rows, y]
+                if not grad:
+                    return vals, None
                 g = ny * f / nden_safe[rows, y][:, None]
                 g[rows, y] -= 1.0
                 return vals, g
             c = f / nden_safe
             vals = np.log(nden[rows, y]) - ls[rows, y] + (ny * c).sum(axis=1) - 1.0
+            if not grad:
+                return vals, None
             g = (
                 ny * f / nden_safe[rows, y][:, None]
                 + ny * c
@@ -463,13 +598,13 @@ class _ConditionalObjective:
     def value(self, flat):
         with np.errstate(all="ignore"):
             ls = self._matrices(flat)
-            vals, _ = self._kernel(ls)
+            vals, _ = self._kernel(ls, grad=False)
             return float(vals.mean()) + self.l2 * float(flat @ flat)
 
     def offending_sample(self, flat):
         with np.errstate(all="ignore"):
             ls = self._matrices(flat)
-            vals, _ = self._kernel(ls)
+            vals, _ = self._kernel(ls, grad=False)
         bad = np.flatnonzero(~np.isfinite(vals))
         return int(bad[0]) if bad.size else None
 

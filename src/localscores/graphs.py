@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,17 @@ class NeighborhoodGraph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.adjacency[i]
+
+    def neighbor_matrix(self, points) -> tuple[np.ndarray, np.ndarray | None]:
+        """b(y) for a batch of points, padded to the largest degree (see
+        `pad_rows`)."""
+        table, valid = self._padded
+        points = np.asarray(points, dtype=np.int64)
+        return table[points], None if valid is None else valid[points]
+
+    @cached_property
+    def _padded(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return pad_rows(self.adjacency, np.arange(self.space.size, dtype=np.int64))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -80,6 +92,26 @@ def _validate_adjacency(adjacency, size: int) -> None:
     for i, j in seen:
         if (j, i) not in seen:
             raise InputError(f"asymmetric adjacency: {i}->{j} without {j}->{i}")
+
+
+def pad_rows(rows, fill) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stack ragged index rows into an (n, longest) matrix.
+
+    Row k is padded with fill[k] (callers pass the row's own point, a valid
+    index that real entries never contain). Returns the matrix and the mask
+    of real entries, or None for the mask when no row is short."""
+    fill = np.asarray(fill, dtype=np.int64)
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    out = np.repeat(fill[:, None], valid.shape[1], axis=1)
+    if valid.any():
+        out[valid] = np.concatenate(rows)
+    return out, None if valid.all() else valid
+
+
+def xor_neighbors(points, masks: np.ndarray) -> np.ndarray:
+    """Rows sorted(y ^ masks) for a batch of hypercube indices y."""
+    return np.sort(np.asarray(points, dtype=np.int64)[:, None] ^ masks, axis=1)
 
 
 def graph_from_edges(space: SampleSpace, edges) -> NeighborhoodGraph:
@@ -346,11 +378,12 @@ def parse_blocks(text: str, dim: int) -> BlockSystem:
 
 def block_neighbor_arrays(system: BlockSystem, index: int) -> list[np.ndarray]:
     """b_l(y) for each block: flip any nonempty subset of the block's bits."""
-    out = []
-    for mask in system.masks:
-        submasks = _nonzero_submasks(mask)
-        out.append(np.sort(np.array([index ^ m for m in submasks], dtype=np.int64)))
-    return out
+    return [xor_neighbors([index], m)[0] for m in block_submasks(system)]
+
+
+def block_submasks(system: BlockSystem) -> list[np.ndarray]:
+    """Per block, the XOR masks that map y onto b_l(y)."""
+    return [np.array(_nonzero_submasks(mask), dtype=np.int64) for mask in system.masks]
 
 
 def _nonzero_submasks(mask: int) -> list[int]:

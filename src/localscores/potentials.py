@@ -32,8 +32,11 @@ from .graphs import (
     BlockSystem,
     NeighborhoodGraph,
     block_neighbor_arrays,
+    block_submasks,
     masks_up_to_weight,
+    pad_rows,
     parse_blocks,
+    xor_neighbors,
 )
 from .spaces import SampleSpace
 
@@ -125,6 +128,9 @@ class HypercubeNeighborhood:
     def neighbors(self, i: int) -> np.ndarray:
         return np.sort(int(i) ^ self._masks)
 
+    def neighbor_matrix(self, points) -> tuple[np.ndarray, None]:
+        return xor_neighbors(points, self._masks), None
+
 
 class BlockNeighborhood:
     """Block-conditional adjacency on {-1,+1}^D: flip within any one block."""
@@ -132,9 +138,14 @@ class BlockNeighborhood:
     def __init__(self, system: BlockSystem):
         self.space = SampleSpace.hypercube(system.dim)
         self.system = system
+        # b(y) is the union of the b_l(y), so y XOR the union of the submasks
+        self._masks = np.unique(np.concatenate(block_submasks(system)))
 
     def neighbors(self, i: int) -> np.ndarray:
-        return np.unique(np.concatenate(block_neighbor_arrays(self.system, int(i))))
+        return np.sort(int(i) ^ self._masks)
+
+    def neighbor_matrix(self, points) -> tuple[np.ndarray, None]:
+        return xor_neighbors(points, self._masks), None
 
     def block_neighbors(self, i: int) -> list[np.ndarray]:
         return block_neighbor_arrays(self.system, int(i))
@@ -292,9 +303,6 @@ class LocalPotentialFamily:
             raise InputError(f"kind {kind!r} takes no gamma")
         if blocks is not None and kind != "cl":
             raise InputError("blocks only apply to composite-likelihood families")
-        if kind == "cl" and blocks is None and not hasattr(graph, "block_neighbors"):
-            # single whole-neighborhood block per point, taken from the graph
-            pass
         if kind == "custom":
             if phi is None or dphi is None:
                 raise InputError("custom families need phi and dphi")
@@ -340,14 +348,42 @@ class LocalPotentialFamily:
     def neighbors(self, y: int) -> np.ndarray:
         return self.graph.neighbors(int(y))
 
+    def neighbor_matrix(self, points) -> tuple[np.ndarray, np.ndarray | None]:
+        """b(y) for a batch of points: sorted rows, short rows padded with
+        the point itself, and the mask of real entries (None when no row is
+        short). Graphs without a batch form are read one point at a time."""
+        points = np.asarray(points, dtype=np.int64)
+        if hasattr(self.graph, "neighbor_matrix"):
+            return self.graph.neighbor_matrix(points)
+        return pad_rows([self.graph.neighbors(int(p)) for p in points], points)
+
+    @property
+    def _block_system(self) -> BlockSystem | None:
+        if self.blocks is not None:
+            return self.blocks
+        if isinstance(self.graph, BlockNeighborhood):
+            return self.graph.system
+        return None
+
+    @property
+    def num_blocks(self) -> int:
+        system = self._block_system
+        return 1 if system is None else len(system.blocks)
+
     def block_lists(self, y: int) -> list[np.ndarray]:
         """Per-block neighbor arrays b_l(y); a single block b(y) when the
         family has no block structure."""
-        if self.blocks is not None:
-            return block_neighbor_arrays(self.blocks, int(y))
-        if hasattr(self.graph, "block_neighbors"):
-            return self.graph.block_neighbors(int(y))
-        return [self.neighbors(y)]
+        system = self._block_system
+        if system is None:
+            return [self.neighbors(y)]
+        return block_neighbor_arrays(system, int(y))
+
+    def block_matrix(self, points, block: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """b_l(y) of one block l for a batch of points, as `neighbor_matrix`."""
+        system = self._block_system
+        if system is None:
+            return self.neighbor_matrix(points)
+        return xor_neighbors(points, block_submasks(system)[block]), None
 
     def local(self, y: int):
         """(neighbor array, potential evaluator) for the point y."""
