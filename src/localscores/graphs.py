@@ -378,7 +378,11 @@ def parse_blocks(text: str, dim: int) -> BlockSystem:
 
 def block_neighbor_arrays(system: BlockSystem, index: int) -> list[np.ndarray]:
     """b_l(y) for each block: flip any nonempty subset of the block's bits."""
-    return [xor_neighbors([index], m)[0] for m in block_submasks(system)]
+    out = []
+    for mask in system.masks:
+        submasks = _nonzero_submasks(mask)
+        out.append(np.sort(np.array([index ^ m for m in submasks], dtype=np.int64)))
+    return out
 
 
 def block_submasks(system: BlockSystem) -> list[np.ndarray]:
