@@ -130,40 +130,39 @@ class _ParamMap:
 
 
 class _Balls:
-    """The sets whose normalizers non-additive scores read, one row per
+    """The sets whose normalizers non-additive scores read, one per
     distinct set: b(z) for ps, n_l(z) = b_l(z) + {z} for each block l for cl.
 
-    `members` holds universe positions with short rows padded (`valid` masks
-    the padding, None when no row is short); `center` is the position of z.
-    For member logs l_w the relative log-normalizer is
-    s = log sum_w exp(scale * (l_w - l_z)), so log ||f over the set||_scale
-    = s / scale + l_z."""
+    `members` holds universe positions as a (width, sets) array, so that
+    reductions run across the short member axis in whole rows; short sets
+    are padded (`valid` masks the padding, None when none is short).
+    `center` is the position of z. For member logs l_w the relative
+    log-normalizer is s = log sum_w exp(scale * (l_w - l_z)), so
+    log ||f over the set||_scale = s / scale + l_z."""
 
     def __init__(self, members, valid, center, scale):
-        self.members = members
-        self.valid = valid
+        self.members = np.ascontiguousarray(members.T)
+        self.valid = None if valid is None else np.ascontiguousarray(valid.T)
         self.center = center
         self.scale = scale
 
     def log_norms(self, logs):
         """(s, a): relative log-normalizers and the scaled, center-shifted
         member logs (-inf at padding) they came from."""
-        a = self.scale * (logs[self.members] - logs[self.center][:, None])
+        a = self.scale * (logs[self.members] - logs[self.center])
         if self.valid is not None:
             a = np.where(self.valid, a, -np.inf)
-        # every set has a real member, so each row's max is finite unless
-        # log f overflowed (then the value is non-finite either way)
-        top = a.max(axis=1)
-        return top + np.log(np.exp(a - top[:, None]).sum(axis=1)), a
+        # every set has a real member, so each max is finite unless log f
+        # overflowed (then the value is non-finite either way)
+        top = a.max(axis=0)
+        return top + np.log(np.exp(a - top).sum(axis=0)), a
 
     def pullback(self, coef, s, a, n_u):
         """Gradient over the universe of sum_sets coef * (s / scale + l_z),
         the weighted absolute log-normalizers: coef times each set's softmax.
         Terms in the relative s alone also owe -coef at each center."""
-        soft = np.exp(a - s[:, None])
-        return np.bincount(
-            self.members.ravel(), weights=(coef[:, None] * soft).ravel(), minlength=n_u
-        )
+        soft = np.exp(a - s)
+        return np.bincount(self.members.ravel(), weights=(coef * soft).ravel(), minlength=n_u)
 
 
 def _real_and_active(points, valid, active):
