@@ -11,7 +11,7 @@ only the union of the sampled points' neighborhoods (the universe), so
 fitting never enumerates the space. They compile once into padded index
 arrays built in batch from the neighborhoods: an (n, degree) neighbor matrix
 for additive kinds, with masks for ragged degree and active sets, and for ps
-and cl a ball table: one row per distinct set whose normalizer the score
+and cl a ball table: one entry per distinct set whose normalizer the score
 reads (b(z) for ps, n_l(z) = b_l(z) + {z} per block for cl). Each ball's
 log-normalizer and softmax are computed once per evaluation, states gather
 from the table, and gradients accumulate per ball. Value-only evaluations
