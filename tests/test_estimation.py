@@ -146,27 +146,59 @@ class TestFitMechanics:
             fit(fam, init, np.array([0, 1, 2, 3]), FitConfig())
         assert err.value.sample_index is not None
 
+    def test_nonfinite_sample_index_is_a_position_in_samples(self):
+        # point 1's score is finite, point 2's overflows: the first sample
+        # at point 2 is samples[2]
+        from localscores import hamming_graph
+
+        fam = density_power(hamming_graph(2, 1), 1.0)
+        init = TabularModel(space=SampleSpace.hypercube(2), eta=np.array([0.0, 0.0, -800.0, 0.0]))
+        with pytest.raises(NonFiniteObjectiveError) as err:
+            fit(fam, init, np.array([1, 1, 2]), FitConfig())
+        assert err.value.sample_index == 2
+
 
 class TestGradientAssembly:
     def test_every_kind_times_model_matches_finite_differences(self):
-        from localscores.estimation import _build_objective
+        from localscores.estimation import _build_objective, _mle_objective
 
         rng = np.random.default_rng(6)
         samples = rng.integers(0, 8, size=40)
         bm = BoltzmannModel(dim=3, upper=rng.normal(size=3) * 0.5)
         tab = TabularModel(space=SampleSpace.hypercube(3), eta=rng.normal(size=8) * 0.5)
-        fams = {
+        cond = ConditionalModel(4, 3, rng.normal(size=(4, 3)) * 0.5)
+        labels = rng.integers(0, 4, size=40)
+        features = rng.normal(size=(40, 3))
+        cube = {
             "pl": pseudo_likelihood(HypercubeNeighborhood(3, 1)),
             "rm": ratio_matching(HypercubeNeighborhood(3, 1)),
             "dp": density_power(HypercubeNeighborhood(3, 1), 1.0),
             "ps": pseudo_spherical(HypercubeNeighborhood(3, 2), 1.0),
             "mcl": composite_likelihood(BlockSystem.of(3, {1}, {2, 3})),
             "cl": (composite_likelihood(BlockSystem.of(3, {1}, {2, 3})), True),
+            "mle": None,
         }
+        band = label_band_graph(4, 1)
+        label_fams = {
+            "pl": pseudo_likelihood(band),
+            "rm": ratio_matching(band),
+            "dp": density_power(band, 1.0),
+            "ps": pseudo_spherical(label_band_graph(4, 2), 1.0),
+            "mcl": composite_likelihood(band),
+            "cl": (composite_likelihood(band), True),
+            "mle": None,
+        }
+        cases = [
+            (bm, cube, samples, None), (tab, cube, samples, None),
+            (cond, label_fams, labels, features),
+        ]
         h = 1e-6
-        for model in (bm, tab):
+        for model, fams, ys, feats in cases:
             for name, fam in fams.items():
-                obj = _build_objective(fam, model, samples, None, FitConfig(l2_penalty=0.01))
+                if fam is None:
+                    obj = _mle_objective(model, ys, feats, l2=0.01)
+                else:
+                    obj = _build_objective(fam, model, ys, feats, FitConfig(l2_penalty=0.01))
                 x = np.array(obj.x0) + rng.normal(size=len(obj.x0)) * 0.2
                 _, grad = obj.value_and_grad(x)
                 for k in range(len(x)):
@@ -189,13 +221,22 @@ class _PlainGraph:
 
 @st.composite
 def objective_cases(draw):
-    """A family, a model and a sample list on a small hypercube, covering
-    ragged-degree graphs, active subsets and uneven block systems."""
-    dim = draw(st.integers(2, 4))
-    space = SampleSpace.hypercube(dim)
-    size = space.size
+    """A family, a model, samples and features (None unless the model is
+    conditional): hypercube families over ragged-degree graphs, active
+    subsets and uneven block systems, or label families over band and
+    ragged label graphs with features per row."""
+    conditional = draw(st.booleans())
+    if conditional:
+        size = draw(st.integers(2, 6))
+        space = SampleSpace.label_range(size)
+        shapes = ("ragged", "plain", "band")
+    else:
+        dim = draw(st.integers(2, 4))
+        space = SampleSpace.hypercube(dim)
+        size = space.size
+        shapes = ("ragged", "plain", "hamming", "blocks")
     kind = draw(st.sampled_from(("pl", "rm", "dp", "ps", "mcl", "cl", "custom")))
-    shape = draw(st.sampled_from(("ragged", "plain", "hamming", "blocks")))
+    shape = draw(st.sampled_from(shapes))
     system = None
     if shape in ("ragged", "plain"):
         # a path through every point keeps each degree positive
@@ -208,6 +249,8 @@ def objective_cases(draw):
         graph = graph_from_edges(space, list(zip(order, order[1:])) + extra)
         if shape == "plain":
             graph = _PlainGraph(graph)
+    elif shape == "band":
+        graph = label_band_graph(size, draw(st.integers(1, size - 1)))
     elif shape == "hamming":
         graph = HypercubeNeighborhood(dim, draw(st.integers(1, 2)))
     else:
@@ -228,60 +271,65 @@ def objective_cases(draw):
         fam = LocalPotentialFamily(kind, graph, gamma=gamma if kind in ("dp", "ps") else None,
                                    active=active)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
+    samples = rng.integers(0, size, size=draw(st.integers(1, 25)))
+    features = None
+    if conditional:
+        width = draw(st.integers(1, 4))
+        model = ConditionalModel(size, width, rng.normal(size=(size, width)) * 0.5)
+        features = rng.normal(size=(len(samples), width))
+    elif draw(st.booleans()):
         model = BoltzmannModel(dim=dim, upper=rng.normal(size=dim * (dim - 1) // 2) * 0.5)
     else:
         model = TabularModel(space=space, eta=rng.normal(size=size) * 0.5)
-    samples = rng.integers(0, size, size=draw(st.integers(1, 25)))
-    return fam, standard_cl, model, samples
+    return (fam, standard_cl) if standard_cl else fam, model, samples, features
 
 
-def _per_state_reference(fam, standard_cl, model, samples):
-    """Mean score, its parameter gradient, and the size of the terms the
-    point routes cancel, one state at a time through the public routes.
-
-    The generic route forms y's own term as v . grad phi_y(v) - phi_y(v)
-    with v = f over b(y) / f_y: a difference of terms of size sum(v), which
-    is zero for ps. Its rounding error scales with that sum, not with the
-    score."""
-    size = model.space.size
-    logs = model.log_f_batch(np.arange(size))
+def _per_state_reference(target, model, samples, features):
+    """Mean score and its parameter gradient, one sample at a time through
+    the public point routes; a conditional sample is scored on the logs
+    theta @ x_i of its own row."""
+    fam, standard_cl = target if isinstance(target, tuple) else (target, False)
     n = len(samples)
-    term_size = max(1.0, max(float(np.exp(logs[fam.neighbors(y)] - logs[y]).sum()) for y in samples))
-    value = 0.0
-    dj = np.zeros(size)
-    for y in samples:
+    value, grad = 0.0, 0.0
+    for i, y in enumerate(samples):
         y = int(y)
+        if features is None:
+            logs = model.log_f_batch(np.arange(model.space.size))
+        else:
+            logs = model.theta @ features[i]
+        dj = np.zeros(len(logs))
         if standard_cl:
             value += standard_cl_score(fam, y, logs) / n
             for block in fam.block_lists(y):
                 members = np.append(block, y)
-                lse = logsumexp(logs[members])
-                dj[members] += np.exp(logs[members] - lse) / n
-                dj[y] -= 1.0 / n
+                dj[members] += np.exp(logs[members] - logsumexp(logs[members]))
+                dj[y] -= 1.0
         else:
             value += score(fam, y, logs) / n
             _, idx, partials = score_and_logf_gradient(fam, y, logs)
-            dj[idx] += partials / n
-    if isinstance(model, BoltzmannModel):
-        dj = model.pair_features(np.arange(size)).T @ dj
-    return value, dj, term_size
+            dj[idx] += partials
+        if isinstance(model, ConditionalModel):
+            dj = np.outer(dj, features[i]).ravel()
+        elif isinstance(model, BoltzmannModel):
+            dj = model.pair_features(np.arange(len(logs))).T @ dj
+        grad = grad + dj / n
+    return value, grad
 
 
 class TestScoreObjectiveProperties:
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=160, deadline=None, derandomize=True, database=None)
     @given(objective_cases())
     def test_batched_objective_matches_per_state_routes(self, case):
-        from localscores.estimation import _ScoreObjective
+        from localscores.estimation import _build_objective
 
-        fam, standard_cl, model, samples = case
-        obj = _ScoreObjective(fam, model, samples, standard_cl=standard_cl)
-        ref_value, ref_grad, term_size = _per_state_reference(fam, standard_cl, model, samples)
+        target, model, samples, features = case
+        obj = _build_objective(target, model, samples, features, FitConfig())
+        ref_value, ref_grad = _per_state_reference(target, model, samples, features)
         x = np.array(obj.x0)
         value, grad = obj.value_and_grad(x)
-        assert obj.value(x) == pytest.approx(ref_value, rel=1e-10, abs=1e-12 * term_size)
-        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-12 * term_size)
-        scale = max(1.0, float(np.max(np.abs(ref_grad)))) * term_size
+        assert obj.value(x) == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
+        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
+        scale = max(1.0, float(np.max(np.abs(ref_grad))))
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10 * scale)
 
 

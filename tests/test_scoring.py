@@ -5,6 +5,7 @@ import pytest
 
 from localscores import (
     BlockSystem,
+    BoltzmannModel,
     HypercubeNeighborhood,
     InputError,
     InternalConsistencyError,
@@ -157,6 +158,28 @@ class TestScorePathsAgree:
                 a = score(fam, y, logs)
                 b = named_closed_form_score(fam, y, logs)
                 assert abs(a - b) <= 1e-10 * (1 + abs(a)), (name, a, b)
+
+    def test_ps_routes_exact_at_strong_couplings(self):
+        # ps potentials are 1-homogeneous, so y's own term is zero; formed
+        # from terms of size f_b(y) / f_y it once swamped the score
+        rng = np.random.default_rng(4)
+        h = 1e-6
+        for radius in (1, 2):
+            fam = pseudo_spherical(HypercubeNeighborhood(4, radius), 0.5)
+            for _ in range(10):
+                model = BoltzmannModel(dim=4, upper=rng.normal(size=6) * 4.0)
+                logs = model.log_f_batch(np.arange(16))
+                for y in range(16):
+                    exact = named_closed_form_score(fam, y, logs)
+                    value, idx, grad = score_and_logf_gradient(fam, y, logs)
+                    assert score(fam, y, logs) == pytest.approx(exact, rel=1e-12)
+                    assert value == pytest.approx(exact, rel=1e-12)
+                    for pos, i in enumerate(idx):
+                        up = logs.copy(); up[i] += h
+                        dn = logs.copy(); dn[i] -= h
+                        fd = (named_closed_form_score(fam, y, up)
+                              - named_closed_form_score(fam, y, dn)) / (2 * h)
+                        assert abs(grad[pos] - fd) <= 1e-7 * abs(exact), (y, i)
 
     def test_custom_has_no_closed_form(self):
         fam = all_families_on_cube3()["custom"]
