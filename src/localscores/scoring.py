@@ -150,6 +150,14 @@ def _additive_score(family, y, log_f) -> float:
     return total
 
 
+def _has_own_term(family: LocalPotentialFamily, y: int) -> bool:
+    """Whether y's own term v . grad phi_y(v) - phi_y(v), v = f over b(y) / f_y,
+    can be nonzero. ps potentials are 1-homogeneous, so for them the term and
+    its gradient hess(v) v vanish identically; computing them would only add
+    cancellation error of the size of sum(v)."""
+    return family.kind != "ps" and family.in_active(y)
+
+
 def generic_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     """Gradient-of-potential route valid for every kind, including inactive
     points (indicator terms)."""
@@ -157,7 +165,7 @@ def generic_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     y = int(y)
     ly = _query(logf, y)
     total = 0.0
-    if family.in_active(y):
+    if _has_own_term(family, y):
         nbrs, ev = family.local(y)
         v = np.exp(_gather(logf, nbrs) - ly)
         total += float(v @ ev.grad(v)) - float(ev.value(v))
@@ -308,7 +316,7 @@ def _generic_score_grad(family, y, logf):
 
     ly = _query(logf, y)
     value = 0.0
-    if family.in_active(y):
+    if _has_own_term(family, y):
         nbrs, ev = family.local(y)
         v = np.exp(_gather(logf, nbrs) - ly)
         value += float(v @ ev.grad(v)) - float(ev.value(v))
