@@ -6,18 +6,22 @@ needed. Objectives assemble their parameter gradient analytically by chaining
 the score's partials with respect to log f through each model's feature map;
 finite differences only appear in tests.
 
-Unconditional objectives aggregate duplicate samples by frequency and touch
-only the union of the sampled points' neighborhoods (the universe), so
-fitting never enumerates the space. They compile once into padded index
-arrays built in batch from the neighborhoods: an (n, degree) neighbor matrix
-for additive kinds, with masks for ragged degree and active sets, and for ps
-and cl a ball table: one entry per distinct set whose normalizer the score
-reads (b(z) for ps, n_l(z) = b_l(z) + {z} per block for cl). Each ball's
-log-normalizer and softmax are computed once per evaluation, states gather
-from the table, and gradients accumulate per ball. Value-only evaluations
-(line-search trial steps, `empirical_score`) skip the gradient. Conditional
-(per-feature-vector) objectives work on dense (n, labels) matrices since
-label sets are small.
+Every local score objective is one kernel. It aggregates duplicate samples
+by frequency and touches only the union of the sampled points'
+neighborhoods (the universe), so fitting never enumerates the space. It
+compiles once into padded index arrays built in batch from the
+neighborhoods: an (n, degree) neighbor matrix for additive kinds, with masks
+for ragged degree and active sets, and for ps and cl a ball table: one entry
+per distinct set whose normalizer the score reads (b(z) for ps,
+n_l(z) = b_l(z) + {z} per block for cl). Each ball's log-normalizer and
+softmax are computed once per evaluation, states gather from the table, and
+gradients accumulate per ball. Value-only evaluations (line-search trial
+steps, `empirical_score`) skip the gradient.
+
+Conditional models fit through the same kernel: sample i with label y is
+the point i * L + y of a product space in which every row holds its own copy
+of the label graph. Their exact log loss is the standard CL score of the one
+block holding every other label, so conditional MLE is that kernel too.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InputError
+from .graphs import label_band_graph
 from .models import BoltzmannModel, ConditionalModel, TabularModel
-from .potentials import LocalPotentialFamily, Probability, ScoreSpec
+from .potentials import LocalPotentialFamily, Probability, ScoreSpec, composite_likelihood
 
 STEP_FLOOR = 1e-20
 
@@ -95,30 +100,57 @@ def bind_spec(spec: ScoreSpec, graph):
 
 
 class _ParamMap:
-    """Model parameters as a flat vector plus the log-f pullback."""
+    """Model parameters as a flat vector plus the log-f pullback.
 
-    def __init__(self, model):
+    A conditional model's points are row * num_labels + label: row i holds
+    the label values theta @ x_i of its feature vector."""
+
+    def __init__(self, model, features=None):
         self.template = model
         if isinstance(model, BoltzmannModel):
             self.x0 = model.upper.copy()
         elif isinstance(model, TabularModel):
             self.x0 = model.eta.copy()
+        elif isinstance(model, ConditionalModel):
+            if features is None:
+                raise InputError("conditional models need features")
+            self.row_features = np.asarray(features, dtype=np.float64)
+            if self.row_features.ndim != 2 or self.row_features.shape[1] != model.feature_dim:
+                raise InputError("feature dimension does not match the model")
+            self.shape = (model.num_labels, model.feature_dim)
+            self.x0 = model.theta.ravel().copy()
         else:
-            raise InputError("unconditional fitting needs a Boltzmann or tabular model")
+            raise InputError("fitting needs a Boltzmann, tabular or conditional model")
+
+    def sample_points(self, samples: np.ndarray) -> np.ndarray:
+        """The points the samples (labels, for conditional models) stand for."""
+        if not isinstance(self.template, ConditionalModel):
+            return samples
+        if self.row_features.shape[0] != samples.size:
+            raise InputError("features and labels must align")
+        return np.arange(samples.size) * self.template.num_labels + samples
 
     def bind(self, points: np.ndarray) -> None:
         self.points = points
         if isinstance(self.template, BoltzmannModel):
             self.features = self.template.pair_features(points)
+        elif isinstance(self.template, ConditionalModel):
+            self.rows, self.labels = np.divmod(points, self.template.num_labels)
 
     def logs(self, x: np.ndarray) -> np.ndarray:
         if isinstance(self.template, BoltzmannModel):
             return self.features @ x
+        if isinstance(self.template, ConditionalModel):
+            return (self.row_features @ x.reshape(self.shape).T)[self.rows, self.labels]
         return x[self.points]
 
     def pullback(self, g: np.ndarray) -> np.ndarray:
         if isinstance(self.template, BoltzmannModel):
             return self.features.T @ g
+        if isinstance(self.template, ConditionalModel):
+            per_label = np.zeros((self.row_features.shape[0], self.shape[0]))
+            per_label[self.rows, self.labels] = g  # bound points are distinct
+            return (per_label.T @ self.row_features).ravel()
         out = np.zeros_like(self.x0)
         np.add.at(out, self.points, g)
         return out
@@ -126,6 +158,8 @@ class _ParamMap:
     def model(self, x: np.ndarray):
         if isinstance(self.template, BoltzmannModel):
             return BoltzmannModel(dim=self.template.dim, upper=x)
+        if isinstance(self.template, ConditionalModel):
+            return ConditionalModel(*self.shape, theta=x.reshape(self.shape))
         return TabularModel(space=self.template.space, eta=x)
 
 
@@ -165,15 +199,6 @@ class _Balls:
         return np.bincount(self.members.ravel(), weights=(coef * soft).ravel(), minlength=n_u)
 
 
-def _real_and_active(points, valid, active):
-    """Mask of the padded neighbor entries that are real and active, or None
-    when all are."""
-    mask = np.ones(points.shape, dtype=bool) if valid is None else valid
-    if active is not None:
-        mask = mask & np.isin(points, active)
-    return None if mask.all() else mask
-
-
 def _masked(values, mask):
     return values if mask is None else np.where(mask, values, 0.0)
 
@@ -197,10 +222,15 @@ class _ScoreObjective:
 
     Compilation turns the family's neighborhoods into padded position arrays
     over the universe (the sorted points whose log f the score reads); every
-    evaluation is then a fixed sequence of array operations.
+    evaluation is then a fixed sequence of array operations. A conditional
+    model's samples are labels with one feature row each; its points are
+    row * L + label, and the family acts on each point's label.
     """
 
-    def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0):
+    gauge_fix_last = False  # conditional fits: hold theta's last row fixed
+
+    def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0,
+                 features=None):
         samples = np.asarray(samples, dtype=np.int64).reshape(-1)
         if samples.size == 0:
             raise InputError("samples must be nonempty")
@@ -213,6 +243,8 @@ class _ScoreObjective:
             raise InputError("sample index outside the space")
         if standard_cl and family.active is not None:
             raise InputError("standard CL objectives assume the whole-space active set")
+        self.params = _ParamMap(model, features)
+        samples = self.params.sample_points(samples)
         if weights is None:
             states, counts = np.unique(samples, return_counts=True)
             w = counts / counts.sum()
@@ -222,31 +254,47 @@ class _ScoreObjective:
         self.family = family
         self.standard_cl = standard_cl
         self.l2 = l2
+        self.samples = samples
         self.states = states
         self.weights = w
-        self.params = _ParamMap(model)
+        self.period = family.space.size
+        self.active = None if family.active is None else family.active_indices()
         self._compile()
+
+    def _batch(self, matrix, points, *block):
+        """A family batch map (`neighbor_matrix`, `block_matrix`) on points:
+        the map sees each point's label and the row offset is added back
+        (unconditional points are their own label, at offset 0)."""
+        local = points % self.period
+        nbrs, valid = matrix(local, *block)
+        return nbrs + (points - local)[:, None], valid
+
+    def _reach(self, points, valid):
+        """Mask of the padded entries that are real and active, or None when
+        all are."""
+        mask = np.ones(points.shape, dtype=bool) if valid is None else valid
+        if self.active is not None:
+            mask = mask & np.isin(points % self.period, self.active)
+        return None if mask.all() else mask
 
     def _compile(self):
         fam = self.family
         states = self.states
-        active = None if fam.active is None else fam.active_indices()
         if fam.additive:
-            nbrs, valid = fam.neighbor_matrix(states)
-            self.edge_mask = _real_and_active(nbrs, valid, active)
-            if active is not None:
-                own = np.broadcast_to(states[:, None], nbrs.shape)
-                self.own_edge = _real_and_active(own, valid, active)
+            nbrs, valid = self._batch(fam.neighbor_matrix, states)
+            self.edge_mask = self._reach(nbrs, valid)
+            if self.active is not None:
+                self.own_edge = self._reach(np.broadcast_to(states[:, None], nbrs.shape), valid)
             points = [states, nbrs]
         elif fam.kind == "ps":
-            nbrs, valid = fam.neighbor_matrix(states)
-            self.nbr_reach = _real_and_active(nbrs, valid, active)
+            nbrs, valid = self._batch(fam.neighbor_matrix, states)
+            self.nbr_reach = self._reach(nbrs, valid)
             centers = np.unique(nbrs if self.nbr_reach is None else nbrs[self.nbr_reach])
-            members, mvalid = fam.neighbor_matrix(centers)
+            members, mvalid = self._batch(fam.neighbor_matrix, centers)
             self.nbr_ids = np.minimum(np.searchsorted(centers, nbrs), max(len(centers) - 1, 0))
             points = [states, nbrs, members]
         else:
-            members, mvalid, centers = self._compile_cl(active)
+            members, mvalid, centers = self._compile_cl()
             points = [states, members]
         self.universe = np.unique(np.concatenate([np.ravel(p) for p in points]))
         self.params.bind(self.universe)
@@ -260,7 +308,7 @@ class _ScoreObjective:
                 np.searchsorted(self.universe, centers), scale,
             )
 
-    def _compile_cl(self, active):
+    def _compile_cl(self):
         """Ball table of the n_l(z) a cl score reads; returns its (members,
         valid, centers) over point indices. Block relations are symmetric
         (z in b_l(y) iff y in b_l(z)), as on every hypercube block system and
@@ -269,17 +317,17 @@ class _ScoreObjective:
         own_ids, nbr_ids, nbr_reach, parts = [], [], [], []
         offset = 0
         for block in range(fam.num_blocks):
-            nbrs, valid = fam.block_matrix(states, block)
+            nbrs, valid = self._batch(fam.block_matrix, states, block)
             if self.standard_cl:
                 centers = np.unique(states)
             else:
-                reach = _real_and_active(nbrs, valid, active)
+                reach = self._reach(nbrs, valid)
                 centers = np.unique(
                     np.concatenate([states, nbrs.ravel() if reach is None else nbrs[reach]])
                 )
                 nbr_ids.append(offset + np.minimum(np.searchsorted(centers, nbrs), len(centers) - 1))
                 nbr_reach.append(np.ones(nbrs.shape, dtype=bool) if reach is None else reach)
-            cm, cvalid = fam.block_matrix(centers, block)
+            cm, cvalid = self._batch(fam.block_matrix, centers, block)
             if cvalid is not None:
                 cvalid = np.concatenate([cvalid, np.ones((len(centers), 1), dtype=bool)], axis=1)
             parts.append((np.concatenate([cm, centers[:, None]], axis=1), cvalid, centers))
@@ -287,7 +335,7 @@ class _ScoreObjective:
             offset += len(centers)
         self.own_ids = np.stack(own_ids, axis=1)
         own_weights = self.weights
-        self.own_mask = _real_and_active(states, None, active)
+        self.own_mask = self._reach(states, None)
         if self.own_mask is not None:
             own_weights = np.where(self.own_mask, own_weights, 0.0)
         # per-ball weights of the -log q(y | n_l(y)) terms and of the q terms
@@ -401,6 +449,8 @@ class _ScoreObjective:
             vals, dj = self._score_terms(logs)
             value = float(vals @ self.weights) + self.l2 * float(x @ x)
             grad = self.params.pullback(dj) + 2.0 * self.l2 * x
+        if self.gauge_fix_last:
+            grad[-self.params.shape[1]:] = 0.0
         return value, grad
 
     def value(self, x):
@@ -410,12 +460,12 @@ class _ScoreObjective:
             return float(vals @ self.weights) + self.l2 * float(x @ x)
 
     def offending_sample(self, x) -> int | None:
-        """Index (into the deduplicated state list) of the first state whose
-        score is non-finite at x; None if all are finite."""
+        """Position in the caller's samples of the first sample whose score
+        is non-finite at x; None if all are finite."""
         with np.errstate(all="ignore"):
             logs = self.params.logs(x)
             vals, _ = self._score_terms(logs, grad=False)
-        bad = np.flatnonzero(~np.isfinite(vals))
+        bad = np.flatnonzero(np.isin(self.samples, self.states[~np.isfinite(vals)]))
         return int(bad[0]) if bad.size else None
 
 
@@ -458,154 +508,6 @@ class _MleObjective:
 
     def offending_sample(self, x):
         return None
-
-
-# ---------------------------------------------------------------------------
-# conditional objectives (per-sample label spaces sharing one graph)
-
-
-def _label_masks(graph):
-    size = graph.space.size
-    b = np.zeros((size, size), dtype=bool)
-    for i in range(size):
-        b[i, graph.neighbors(i)] = True
-    n = b.copy()
-    np.fill_diagonal(n, True)
-    return b, n
-
-
-class _ConditionalObjective:
-    """Mean conditional score over (x_i, y_i) pairs; kind-specific dense
-    kernels over (n, labels) matrices."""
-
-    def __init__(self, kind, gamma, graph, model, features, labels, *, standard_cl=False,
-                 edge_terms=None, l2=0.0, gauge_fix_last=False, mle=False):
-        self.kind = kind
-        self.gamma = gamma
-        self.mle = mle
-        self.standard_cl = standard_cl
-        self.edge_terms = edge_terms
-        self.l2 = l2
-        self.gauge_fix_last = gauge_fix_last
-        self.model_template = model
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if x.ndim != 2 or x.shape[0] != y.shape[0]:
-            raise InputError("features and labels must align")
-        if y.size == 0:
-            raise InputError("samples must be nonempty")
-        if x.shape[1] != model.feature_dim:
-            raise InputError("feature dimension does not match the model")
-        if y.min() < 0 or y.max() >= model.num_labels:
-            raise InputError("labels outside the model's range")
-        self.x = x
-        self.y = y
-        self.rows = np.arange(y.size)
-        if not mle:
-            self.bmask, self.nmask = _label_masks(graph)
-        self.shape = (model.num_labels, model.feature_dim)
-
-    @property
-    def x0(self):
-        return self.model_template.theta.ravel().copy()
-
-    def model(self, flat):
-        return ConditionalModel(*self.shape, theta=flat.reshape(self.shape))
-
-    def _matrices(self, flat):
-        theta = flat.reshape(self.shape)
-        lmat = self.x @ theta.T
-        # scores and per-x log losses are shift invariant; shifting rows
-        # keeps exponentials in range
-        return lmat - lmat.max(axis=1, keepdims=True)
-
-    def _kernel(self, ls, grad=True):
-        """(per-row scores, d score / d ls or None)."""
-        rows, y = self.rows, self.y
-        if self.mle:
-            lse = logsumexp(ls, axis=1)
-            vals = lse - ls[rows, y]
-            if not grad:
-                return vals, None
-            g = np.exp(ls - lse[:, None])
-            g[rows, y] -= 1.0
-            return vals, g
-        bm = self.bmask[y]
-        if self.kind in ("pl", "rm", "dp", "custom"):
-            value_term, grad_term = self.edge_terms
-            d = np.where(bm, ls - ls[rows, y][:, None], 0.0)
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                vals = np.sum(np.where(bm, value_term(d), 0.0), axis=1)
-                if not grad:
-                    return vals, None
-                g = np.where(bm, grad_term(d), 0.0)
-            g[rows, y] = 0.0
-            g[rows, y] = -g.sum(axis=1)
-            return vals, g
-        if self.kind == "ps":
-            gamma = self.gamma
-            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                a = np.exp((1.0 + gamma) * ls)
-                den = a @ self.bmask
-                log_norm = np.log(den) / (1.0 + gamma)
-                t = np.where(bm, np.exp(gamma * (ls[rows, y][:, None] - log_norm)), 0.0)
-                vals = -t.sum(axis=1)
-                if not grad:
-                    return vals, None
-                # masked-out columns may have a fully underflowed ball; keep
-                # their zero weight from poisoning the gradient
-                den_safe = np.where(den > 0.0, den, 1.0)
-                g = gamma * a * ((t / den_safe) @ self.bmask)
-            g[rows, y] -= gamma * t.sum(axis=1)
-            return vals, g
-        # cl / mcl with the single whole-neighborhood block
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            f = np.exp(ls)
-            nden = f @ self.nmask
-            ny = self.nmask[y]
-            nden_safe = np.where(nden > 0.0, nden, 1.0)
-            if self.standard_cl:
-                vals = np.log(nden[rows, y]) - ls[rows, y]
-                if not grad:
-                    return vals, None
-                g = ny * f / nden_safe[rows, y][:, None]
-                g[rows, y] -= 1.0
-                return vals, g
-            c = f / nden_safe
-            vals = np.log(nden[rows, y]) - ls[rows, y] + (ny * c).sum(axis=1) - 1.0
-            if not grad:
-                return vals, None
-            g = (
-                ny * f / nden_safe[rows, y][:, None]
-                + ny * c
-                - f * ((ny * c / nden_safe) @ self.nmask)
-            )
-            g[rows, y] -= 1.0
-        return vals, g
-
-    def value_and_grad(self, flat):
-        with np.errstate(all="ignore"):
-            ls = self._matrices(flat)
-            vals, g = self._kernel(ls)
-            n = len(self.y)
-            value = float(vals.mean()) + self.l2 * float(flat @ flat)
-            gtheta = (g.T @ self.x) / n + 2.0 * self.l2 * flat.reshape(self.shape)
-        if self.gauge_fix_last:
-            gtheta[-1] = 0.0
-        return value, gtheta.ravel()
-
-    def value(self, flat):
-        with np.errstate(all="ignore"):
-            ls = self._matrices(flat)
-            vals, _ = self._kernel(ls, grad=False)
-            return float(vals.mean()) + self.l2 * float(flat @ flat)
-
-    def offending_sample(self, flat):
-        with np.errstate(all="ignore"):
-            ls = self._matrices(flat)
-            vals, _ = self._kernel(ls, grad=False)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        return int(bad[0]) if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -672,24 +574,6 @@ def _minimize(objective, config: FitConfig) -> FitResult:
 
 
 def _build_objective(spec_or_family, model, samples, features, config, weights=None):
-    l2 = config.l2_penalty
-    if isinstance(model, ConditionalModel):
-        if features is None:
-            raise InputError("conditional models need features")
-        if isinstance(spec_or_family, ScoreSpec):
-            raise InputError("bind the ScoreSpec to a label graph first (bind_spec)")
-        fam = spec_or_family
-        if isinstance(fam, tuple):
-            fam, standard_cl = fam
-        else:
-            standard_cl = False
-        if fam.space.size != model.num_labels:
-            raise InputError("family's label space does not match the model")
-        edge = fam.edge_terms() if fam.additive else None
-        return _ConditionalObjective(
-            fam.kind, fam.gamma, fam.graph, model, features, samples,
-            standard_cl=standard_cl, edge_terms=edge, l2=l2,
-        )
     fam, standard_cl = (
         spec_or_family if isinstance(spec_or_family, tuple) else (spec_or_family, False)
     )
@@ -697,11 +581,24 @@ def _build_objective(spec_or_family, model, samples, features, config, weights=N
         raise InputError("expected a potential family (bind ScoreSpecs to a graph first)")
     if standard_cl and fam.kind != "cl":
         raise InputError("standard CL objectives need a composite-likelihood family")
-    return _ScoreObjective(fam, model, samples, weights=weights, standard_cl=standard_cl, l2=l2)
+    return _ScoreObjective(fam, model, samples, weights=weights, standard_cl=standard_cl,
+                           l2=config.l2_penalty, features=features)
+
+
+def _mle_objective(model, samples, features=None, l2=0.0):
+    if isinstance(model, ConditionalModel):
+        # -log q(y | x) is the standard CL score of the one block holding
+        # every other label
+        labels = model.num_labels
+        complete = composite_likelihood(label_band_graph(labels, labels - 1))
+        return _ScoreObjective(complete, model, samples, standard_cl=True, l2=l2,
+                               features=features)
+    return _MleObjective(model, samples, l2=l2)
 
 
 def empirical_score(spec_or_family, model, samples, features=None) -> float:
-    """Mean score of the samples under the model's unnormalized values."""
+    """Mean score of the samples under the model's unnormalized values;
+    conditional models score each label on its own feature row."""
     config = FitConfig()
     obj = _build_objective(spec_or_family, model, samples, features, config)
     return obj.value(obj.x0)
@@ -713,7 +610,11 @@ def fit(spec_or_family, model_init, samples, config: FitConfig | None = None,
 
     `spec_or_family` is a LocalPotentialFamily (gradient score objective) or
     a (family, standard_cl) pair for the plain composite likelihood.
-    Conditional models take labels in `samples` and a feature matrix.
+    Conditional models take labels in `samples`, one row of the feature
+    matrix `features` per label, and a family on their label space; every
+    row is scored on its own copy of the family's label graph.
+    `gauge_fix_last` holds a conditional model's last label row at its
+    initial value.
     """
     config = config or FitConfig()
     obj = _build_objective(spec_or_family, model_init, samples, features, config)
@@ -725,18 +626,11 @@ def fit(spec_or_family, model_init, samples, config: FitConfig | None = None,
 
 
 def mle_fit(model_init, samples, config: FitConfig | None = None, features=None) -> FitResult:
-    """Minimize the exact negative log-likelihood (enumerable spaces, or
-    conditional models whose label sets normalize directly)."""
+    """Minimize the exact negative log-likelihood: over the enumerated space
+    for unconditional models, over each feature row's labels (the standard
+    CL objective on the complete label graph) for conditional ones."""
     config = config or FitConfig()
-    if isinstance(model_init, ConditionalModel):
-        if features is None:
-            raise InputError("conditional models need features")
-        obj = _ConditionalObjective(
-            "mle", None, None, model_init, features, samples, l2=config.l2_penalty, mle=True
-        )
-    else:
-        obj = _MleObjective(model_init, samples, l2=config.l2_penalty)
-    return _minimize(obj, config)
+    return _minimize(_mle_objective(model_init, samples, features, config.l2_penalty), config)
 
 
 def population_gradient(spec_or_family, model, p: Probability) -> np.ndarray:
