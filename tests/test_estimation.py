@@ -434,7 +434,10 @@ class TestConditional:
         x, y = self.make_separable()
         result = mle_fit(ConditionalModel.zeros(4, 4), y, FitConfig(l2_penalty=1e-3), features=x)
         assert error_rate(result.parameters, x, y) < 0.12
-        assert negative_log_loss(result.parameters, y, features=x) < math.log(4)
+        loss = negative_log_loss(result.parameters, y, features=x)
+        assert loss < math.log(4)
+        theta = result.parameters.theta.ravel()
+        assert result.final_objective == pytest.approx(loss + 1e-3 * theta @ theta, rel=1e-12)
 
     def test_every_local_kind_learns(self):
         x, y = self.make_separable()
