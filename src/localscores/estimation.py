@@ -89,6 +89,29 @@ class NonFiniteObjectiveError(InputError):
         super().__init__(message)
 
 
+def _sample_indices(samples, size: int) -> np.ndarray:
+    """Samples as a flat index array, checked nonempty and inside the space."""
+    samples = np.asarray(samples, dtype=np.int64).reshape(-1)
+    if samples.size == 0:
+        raise InputError("samples must be nonempty")
+    if samples.min() < 0 or samples.max() >= size:
+        raise InputError("sample index outside the space")
+    return samples
+
+
+def _feature_rows(model: ConditionalModel, features, count: int | None = None) -> np.ndarray:
+    """A conditional model's feature matrix, checked against the model and,
+    when given, the number of labels it belongs to."""
+    if features is None:
+        raise InputError("conditional models need features")
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+        raise InputError("feature dimension does not match the model")
+    if count is not None and x.shape[0] != count:
+        raise InputError("features and labels must align")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # unconditional score objectives
 
@@ -112,11 +135,7 @@ class _ParamMap:
         elif isinstance(model, TabularModel):
             self.x0 = model.eta.copy()
         elif isinstance(model, ConditionalModel):
-            if features is None:
-                raise InputError("conditional models need features")
-            self.row_features = np.asarray(features, dtype=np.float64)
-            if self.row_features.ndim != 2 or self.row_features.shape[1] != model.feature_dim:
-                raise InputError("feature dimension does not match the model")
+            self.row_features = _feature_rows(model, features)
             self.shape = (model.num_labels, model.feature_dim)
             self.x0 = model.theta.ravel().copy()
         else:
@@ -126,8 +145,7 @@ class _ParamMap:
         """The points the samples (labels, for conditional models) stand for."""
         if not isinstance(self.template, ConditionalModel):
             return samples
-        if self.row_features.shape[0] != samples.size:
-            raise InputError("features and labels must align")
+        _feature_rows(self.template, self.row_features, samples.size)
         return np.arange(samples.size) * self.template.num_labels + samples
 
     def bind(self, points: np.ndarray) -> None:
@@ -231,16 +249,12 @@ class _ScoreObjective:
 
     def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0,
                  features=None):
-        samples = np.asarray(samples, dtype=np.int64).reshape(-1)
-        if samples.size == 0:
-            raise InputError("samples must be nonempty")
         if family.space.spec_string() != model.space.spec_string():
             raise InputError(
                 f"score family lives on {family.space.spec_string()}, "
                 f"model on {model.space.spec_string()}"
             )
-        if samples.min() < 0 or samples.max() >= family.space.size:
-            raise InputError("sample index outside the space")
+        samples = _sample_indices(samples, family.space.size)
         if standard_cl and family.active is not None:
             raise InputError("standard CL objectives assume the whole-space active set")
         self.params = _ParamMap(model, features)
@@ -473,12 +487,10 @@ class _MleObjective:
     """Negative mean log-likelihood with the exact normalization constant."""
 
     def __init__(self, model, samples, weights=None, l2=0.0):
-        samples = np.asarray(samples, dtype=np.int64).reshape(-1)
-        if samples.size == 0:
-            raise InputError("samples must be nonempty")
         self.params = _ParamMap(model)
         space = model.space
         space.require_enumerable("mle_fit")
+        samples = _sample_indices(samples, space.size)
         self.params.bind(np.arange(space.size))
         if weights is None:
             self.emp = np.bincount(samples, minlength=space.size) / samples.size
@@ -649,14 +661,13 @@ def negative_log_loss(model, test_samples, log_z: float | None = None, features=
     """Mean of log Z - log f over test samples; conditional models normalize
     per feature vector exactly."""
     if isinstance(model, ConditionalModel):
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(test_samples, dtype=np.int64).reshape(-1)
-        lmat = x @ model.theta.T
+        y = _sample_indices(test_samples, model.num_labels)
+        lmat = _feature_rows(model, features, y.size) @ model.theta.T
         lse = logsumexp(lmat, axis=1)
         return float(np.mean(lse - lmat[np.arange(y.size), y]))
     if log_z is None:
         raise InputError("supply log_z (exact or estimated) for unconditional models")
-    idx = np.asarray(test_samples, dtype=np.int64).reshape(-1)
+    idx = _sample_indices(test_samples, model.space.size)
     return float(np.mean(log_z - model.log_f_batch(idx)))
 
 
@@ -671,7 +682,8 @@ def classify_batch(model: ConditionalModel, features) -> np.ndarray:
 
 
 def test_error(model: ConditionalModel, features, labels) -> float:
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size == 0:
+    if np.size(labels) == 0:
         raise InputError("test set must be nonempty")
+    labels = _sample_indices(labels, model.num_labels)
+    features = _feature_rows(model, features, labels.size)
     return float(np.mean(classify_batch(model, features) != labels))

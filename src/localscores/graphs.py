@@ -7,7 +7,10 @@ built: one joins points whose n-neighborhoods intersect, the other points
 whose b-neighborhoods intersect. Their connectivity, together with coverage
 of the space by the active neighborhoods, decides whether a composite local
 Bregman divergence separates distinct probabilities; `diagnose` packages that
-decision.
+decision. It never builds the derived graphs: their components are those of
+the point-neighborhood incidences, found by one numpy connected-components
+routine in near-linear time. `derived_graph_n` / `derived_graph_b` build the
+edges pairwise, in quadratic time, and serve as the small-space oracle.
 
 All graph values are immutable after construction and safe to share across
 threads.
@@ -16,7 +19,6 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 from functools import cached_property
 
 import numpy as np
@@ -77,21 +79,49 @@ class NeighborhoodGraph:
         return out
 
 
+def _edge_arrays(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """The directed edges (i, j), j in adjacency[i], as two index arrays in
+    row order."""
+    lengths = np.fromiter((len(a) for a in adjacency), dtype=np.int64, count=len(adjacency))
+    src = np.repeat(np.arange(len(adjacency), dtype=np.int64), lengths)
+    return src, np.concatenate([*adjacency, src[:0]], dtype=np.int64, casting="unsafe")
+
+
 def _validate_adjacency(adjacency, size: int) -> None:
-    seen = set()
-    for i, nbrs in enumerate(adjacency):
-        arr = np.asarray(nbrs)
-        if arr.size and (arr.min() < 0 or arr.max() >= size):
-            raise InputError(f"neighbor of point {i} outside the space")
-        if np.any(arr == i):
-            raise InputError(f"loop at point {i}")
-        if arr.size > 1 and np.any(np.diff(arr) <= 0):
-            raise InputError(f"adjacency of point {i} not sorted/distinct")
-        for j in arr:
-            seen.add((i, int(j)))
-    for i, j in seen:
-        if (j, i) not in seen:
-            raise InputError(f"asymmetric adjacency: {i}->{j} without {j}->{i}")
+    src, dst = _edge_arrays(adjacency)
+    outside = (dst < 0) | (dst >= size)
+    loop = dst == src
+    unsorted = np.zeros(dst.shape, dtype=bool)
+    unsorted[1:] = (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])
+    offending = outside | loop | unsorted
+    if offending.any():
+        # the first offending point, its row checked in this order
+        first = src[offending][0]
+        row = src == first
+        for bad, message in ((outside, "neighbor of point {} outside the space"),
+                             (loop, "loop at point {}"),
+                             (unsorted, "adjacency of point {} not sorted/distinct")):
+            if bad[row].any():
+                raise InputError(message.format(first))
+    # rows are sorted and distinct, so the keys of the directed edges ascend
+    keys = src * size + dst
+    reverse = dst * size + src
+    if not np.array_equal(np.sort(reverse), keys):
+        k = int(np.argmin(np.isin(reverse, keys)))
+        raise InputError(f"asymmetric adjacency: {src[k]}->{dst[k]} without {dst[k]}->{src[k]}")
+
+
+def _table_rows(table: np.ndarray, valid: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Frozen adjacency rows from a padded table: row k keeps its valid
+    entries (all of them when `valid` is None)."""
+    if valid is None:
+        return tuple(_freeze(table))
+    return _split_rows(table[valid], valid.sum(axis=1))
+
+
+def _split_rows(flat: np.ndarray, lengths) -> tuple[np.ndarray, ...]:
+    """Frozen adjacency rows: row k is the next lengths[k] entries of flat."""
+    return tuple(np.split(_freeze(flat), np.cumsum(lengths)[:-1]))
 
 
 def pad_rows(rows, fill) -> tuple[np.ndarray, np.ndarray | None]:
@@ -148,8 +178,8 @@ def hamming_graph(dim: int, radius: int) -> NeighborhoodGraph:
     space = SampleSpace.hypercube(dim)
     space.require_enumerable("hamming_graph")
     masks = np.array(masks_up_to_weight(dim, radius), dtype=np.int64)
-    adjacency = tuple(_freeze(np.sort(i ^ masks)) for i in range(space.size))
-    return NeighborhoodGraph(space=space, adjacency=adjacency)
+    table = xor_neighbors(np.arange(space.size, dtype=np.int64), masks)
+    return NeighborhoodGraph(space=space, adjacency=_table_rows(table))
 
 
 def label_band_graph(num_labels: int, band: int) -> NeighborhoodGraph:
@@ -157,18 +187,10 @@ def label_band_graph(num_labels: int, band: int) -> NeighborhoodGraph:
     if not 1 <= band < num_labels:
         raise InputError(f"band must be in 1..{num_labels - 1}, got {band}")
     space = SampleSpace.label_range(num_labels)
-    adjacency = tuple(
-        _freeze(
-            np.concatenate(
-                [
-                    np.arange(max(0, y - band), y, dtype=np.int64),
-                    np.arange(y + 1, min(num_labels, y + band + 1), dtype=np.int64),
-                ]
-            )
-        )
-        for y in range(num_labels)
-    )
-    return NeighborhoodGraph(space=space, adjacency=adjacency)
+    offsets = np.concatenate([np.arange(-band, 0), np.arange(1, band + 1)])
+    table = np.arange(num_labels, dtype=np.int64)[:, None] + offsets
+    valid = (table >= 0) & (table < num_labels)
+    return NeighborhoodGraph(space=space, adjacency=_table_rows(table, valid))
 
 
 def extended_graph(graph: NeighborhoodGraph) -> NeighborhoodGraph:
@@ -176,14 +198,17 @@ def extended_graph(graph: NeighborhoodGraph) -> NeighborhoodGraph:
 
     The original edges are kept, so the result always contains the input.
     """
-    extra: list[set[int]] = [set(map(int, a)) for a in graph.adjacency]
-    for nbrs in graph.adjacency:
-        ns = nbrs.tolist()
-        for a in range(len(ns)):
-            for b in range(a + 1, len(ns)):
-                extra[ns[a]].add(ns[b])
-                extra[ns[b]].add(ns[a])
-    adjacency = tuple(_freeze(np.array(sorted(s), dtype=np.int64)) for s in extra)
+    size = graph.space.size
+    table, valid = graph._padded
+    if valid is None:
+        valid = np.ones(table.shape, dtype=bool)
+    points = np.broadcast_to(np.arange(size, dtype=np.int64)[:, None], table.shape)
+    # every edge y-z, and every pair of distinct neighbors u, v of one point z
+    pair = valid[:, :, None] & valid[:, None, :] & (table[:, :, None] != table[:, None, :])
+    src = np.concatenate([points[valid], np.broadcast_to(table[:, :, None], pair.shape)[pair]])
+    dst = np.concatenate([table[valid], np.broadcast_to(table[:, None, :], pair.shape)[pair]])
+    keys = np.unique(src * size + dst)
+    adjacency = _split_rows(keys % size, np.bincount(keys // size, minlength=size))
     return NeighborhoodGraph(space=graph.space, adjacency=adjacency)
 
 
@@ -225,11 +250,11 @@ def _sorted_intersects(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _check_subset(graph: NeighborhoodGraph, active) -> list[int]:
-    active = sorted(int(y) for y in active)
-    if not active:
+def _check_subset(graph: NeighborhoodGraph, active) -> np.ndarray:
+    active = np.sort(np.array([int(y) for y in active], dtype=np.int64))
+    if not active.size:
         raise InputError("active subset must be nonempty")
-    if len(set(active)) != len(active):
+    if np.any(active[1:] == active[:-1]):
         raise InputError("active subset has repeats")
     if active[0] < 0 or active[-1] >= graph.space.size:
         raise InputError("active subset outside the space")
@@ -249,7 +274,7 @@ def _intersection_graph(graph, active, include_self: bool) -> VertexGraph:
                 adjacency[a].append(b)
                 adjacency[b].append(a)
     return VertexGraph(
-        vertices=tuple(verts),
+        vertices=tuple(verts.tolist()),
         adjacency=tuple(_freeze(np.array(sorted(s), dtype=np.int64)) for s in adjacency),
     )
 
@@ -264,52 +289,58 @@ def derived_graph_b(graph: NeighborhoodGraph, active) -> VertexGraph:
     return _intersection_graph(graph, active, include_self=False)
 
 
-def _adjacency_and_count(graph) -> tuple[tuple[np.ndarray, ...], int]:
-    if isinstance(graph, NeighborhoodGraph):
-        return graph.adjacency, graph.space.size
-    return graph.adjacency, graph.num_vertices
+def _component_labels(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label every node with the smallest node of its connected component,
+    for the undirected edges (u[k], v[k]).
+
+    Min-label hooking with pointer jumping: each round hooks every root onto
+    the smallest root it shares an edge with, then jumps pointers until each
+    node points at its root. A root either hooks or is hooked onto, so the
+    roots of a component at least halve per round, and parents only
+    decrease, so the last root left is the component's smallest node."""
+    parent = np.arange(num_nodes, dtype=np.int64)
+    while True:
+        pu, pv = parent[u], parent[v]
+        differ = pu != pv
+        if not differ.any():
+            return parent
+        pu, pv = pu[differ], pv[differ]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def _labels(graph) -> np.ndarray:
+    """Component labels of a NeighborhoodGraph's points or a VertexGraph's
+    positions."""
+    return _component_labels(len(graph.adjacency), *_edge_arrays(graph.adjacency))
 
 
 def components(graph) -> list[list[int]]:
-    """Connected components by breadth-first traversal, vertices sorted."""
-    adjacency, n = _adjacency_and_count(graph)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adjacency[v]:
-                w = int(w)
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        out.append(comp)
-    return out
+    """Connected components, each with its vertices sorted, ordered by their
+    smallest vertex."""
+    labels = _labels(graph)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [c.tolist() for c in np.split(order, starts)] if labels.size else []
 
 
 def is_connected(graph) -> bool:
-    adjacency, n = _adjacency_and_count(graph)
-    if n == 0:
-        return True
-    seen = [False] * n
-    queue = deque([0])
-    seen[0] = True
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            w = int(w)
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
+    return not np.any(_labels(graph))
+
+
+def _neighborhood_rows(graph: NeighborhoodGraph, verts: np.ndarray, mode: str):
+    """n(y) (mode 'n') or b(y) (mode 'b') of each active point as a padded
+    table and the mask of its real entries."""
+    table, valid = graph.neighbor_matrix(verts)
+    if mode == "n":
+        # padding repeats the row's own point, which n(y) holds
+        rows = np.concatenate([table, verts[:, None]], axis=1)
+        return rows, np.ones(rows.shape, dtype=bool)
+    return table, np.ones(table.shape, dtype=bool) if valid is None else valid
 
 
 def covers(graph: NeighborhoodGraph, active, mode: str) -> bool:
@@ -317,12 +348,27 @@ def covers(graph: NeighborhoodGraph, active, mode: str) -> bool:
     verts = _check_subset(graph, active)
     if mode not in ("n", "b"):
         raise InputError(f"mode must be 'n' or 'b', got {mode!r}")
+    return _covered(graph, verts, mode)
+
+
+def _covered(graph: NeighborhoodGraph, verts: np.ndarray, mode: str) -> bool:
+    rows, real = _neighborhood_rows(graph, verts, mode)
     hit = np.zeros(graph.space.size, dtype=bool)
-    for y in verts:
-        hit[graph.adjacency[y]] = True
-        if mode == "n":
-            hit[y] = True
+    hit[rows[real]] = True
     return bool(hit.all())
+
+
+def _derived_component_count(graph: NeighborhoodGraph, verts: np.ndarray, mode: str) -> int:
+    """Components of the derived graph on the active points joining y, y'
+    whose n- (mode 'n') or b-neighborhoods (mode 'b') intersect, without
+    building it: two active points share a component exactly when the
+    bipartite incidence graph between active points (nodes size + k) and
+    the members of their neighborhoods (nodes 0..size-1) links them."""
+    size = graph.space.size
+    rows, real = _neighborhood_rows(graph, verts, mode)
+    active_nodes = np.broadcast_to(size + np.arange(len(verts))[:, None], rows.shape)
+    labels = _component_labels(size + len(verts), active_nodes[real], rows[real])
+    return len(np.unique(labels[size:]))
 
 
 @dataclass(frozen=True)
@@ -407,23 +453,22 @@ def cl_neighborhood(system: BlockSystem):
     """
     space = SampleSpace.hypercube(system.dim)
     space.require_enumerable("cl_neighborhood")
-    per_point = []
-    adjacency = []
-    for i in range(space.size):
-        blocks = block_neighbor_arrays(system, i)
-        per_point.append(tuple(_freeze(b) for b in blocks))
-        union = np.unique(np.concatenate(blocks))
-        adjacency.append(_freeze(union))
-    graph = NeighborhoodGraph(space=space, adjacency=tuple(adjacency))
-    return graph, tuple(per_point)
+    points = np.arange(space.size, dtype=np.int64)
+    tables = [xor_neighbors(points, masks) for masks in block_submasks(system)]
+    union = np.sort(np.concatenate(tables, axis=1), axis=1)
+    first = np.ones(union.shape, dtype=bool)  # blocks sharing a coordinate repeat flips
+    first[:, 1:] = union[:, 1:] != union[:, :-1]
+    graph = NeighborhoodGraph(space=space, adjacency=_table_rows(union, None if first.all() else first))
+    return graph, tuple(zip(*(_table_rows(t) for t in tables)))
 
 
 def cl_connectivity_matches_cover(system: BlockSystem) -> bool:
     """Self-test: block-union coverage of {1..D} must equal connectivity of
     the derived n-intersection graph over the whole space."""
     graph, _ = cl_neighborhood(system)
-    derived = derived_graph_n(graph, range(graph.space.size))
-    return is_connected(derived) == system.covers_all_coordinates()
+    points = np.arange(graph.space.size, dtype=np.int64)
+    connected = _derived_component_count(graph, points, "n") == 1
+    return connected == system.covers_all_coordinates()
 
 
 STRICTLY_CONVEX = "strictly-convex"
@@ -448,17 +493,18 @@ def diagnose(graph: NeighborhoodGraph, active, potential_class: str) -> GraphDia
 
     Strictly convex local potentials need n-coverage plus a connected
     n-intersection graph; pseudo-spherical ones need b-coverage plus a
-    connected b-intersection graph.
+    connected b-intersection graph. The derived graphs are never built:
+    their components come from the point-neighborhood incidences, in time
+    linear in the sum of the active neighborhood sizes (up to a log factor).
     """
     if potential_class not in (STRICTLY_CONVEX, PSEUDO_SPHERICAL):
         raise InputError(f"unknown potential class {potential_class!r}")
-    covers_n = covers(graph, active, "n")
-    covers_b = covers(graph, active, "b")
-    g0 = derived_graph_n(graph, active)
-    g0prime = derived_graph_b(graph, active)
-    g0_connected = is_connected(g0)
-    comps = components(g0prime)
-    g0prime_connected = len(comps) == 1
+    verts = _check_subset(graph, active)
+    covers_n = _covered(graph, verts, "n")
+    covers_b = _covered(graph, verts, "b")
+    g0_connected = _derived_component_count(graph, verts, "n") == 1
+    g0prime_count = _derived_component_count(graph, verts, "b")
+    g0prime_connected = g0prime_count == 1
     if potential_class == STRICTLY_CONVEX:
         guaranteed = covers_n and g0_connected
     else:
@@ -468,7 +514,7 @@ def diagnose(graph: NeighborhoodGraph, active, potential_class: str) -> GraphDia
         covers_b=covers_b,
         g0_connected=g0_connected,
         g0prime_connected=g0prime_connected,
-        component_count_g0prime=len(comps),
+        component_count_g0prime=g0prime_count,
         potential_class=potential_class,
         guaranteed=guaranteed,
     )

@@ -72,6 +72,26 @@ class TestGraphCommand:
         assert record["rank_condition"] == "False"
         assert record["guaranteed"] == "False"
 
+    @pytest.mark.parametrize("argv", [
+        ["--space", "hypercube:4", "--radius", "1"],
+        ["--space", "hypercube:4", "--radius", "2"],
+        ["--space", "hypercube:4", "--radius", "1", "--y0", "0,3,5,6"],
+        ["--space", "labels:7", "--radius", "2"],
+        ["--space", "labels:7", "--radius", "1", "--y0", "0,6"],
+        ["--space", "hypercube:3", "--blocks", "1;2,3"],
+        ["--space", "hypercube:4", "--blocks", "1,2;3"],
+    ])
+    def test_records_match_pairwise_oracle(self, capsys, monkeypatch, argv):
+        from test_graphs import oracle_diagnose
+
+        import localscores.cli
+
+        for potential in ("pl", "ps:1", "mcl"):
+            fast = run(capsys, "graph", *argv, "--potential", potential)
+            with monkeypatch.context() as patch:
+                patch.setattr(localscores.cli, "diagnose", oracle_diagnose)
+                assert run(capsys, "graph", *argv, "--potential", potential) == fast
+
     def test_export(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         code, _, _ = run(

@@ -424,6 +424,31 @@ class TestConditional:
         y = np.arange(10)
         assert error_rate(model, x, y) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("labels, rows, message", [
+        ([-1], 1, "sample index outside the space"),
+        ([3], 1, "sample index outside the space"),
+        ([0, 1], 10, "features and labels must align"),
+    ])
+    def test_losses_reject_bad_labels_and_features(self, labels, rows, message):
+        model = ConditionalModel(3, 2, np.arange(6.0).reshape(3, 2))
+        x = np.ones((rows, 2))
+        with pytest.raises(InputError, match=message):
+            negative_log_loss(model, labels, features=x)
+        with pytest.raises(InputError, match=message):
+            error_rate(model, x, labels)
+
+    def test_losses_reject_bad_feature_width(self):
+        model = ConditionalModel.zeros(3, 2)
+        with pytest.raises(InputError, match="feature dimension does not match the model"):
+            negative_log_loss(model, [0], features=np.ones((1, 3)))
+        with pytest.raises(InputError, match="feature dimension does not match the model"):
+            error_rate(model, np.ones((1, 3)), [0])
+
+    @pytest.mark.parametrize("samples", [[8, -1], [8], [-1]])
+    def test_unconditional_loss_rejects_points_outside_the_space(self, samples):
+        with pytest.raises(InputError, match="sample index outside the space"):
+            negative_log_loss(BoltzmannModel.zeros(3), samples, log_z=0.0)
+
     def test_strict_argmax(self):
         theta = np.zeros((3, 2))
         theta[1] = [1.0, 1.0]

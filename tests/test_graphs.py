@@ -1,11 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localscores import (
     BlockSystem,
+    GraphDiagnostics,
     InputError,
+    NeighborhoodGraph,
     SampleSpace,
     cl_connectivity_matches_cover,
     cl_neighborhood,
@@ -33,6 +41,47 @@ def brute_force_hamming_edges(dim, radius):
         if 1 <= index_hamming_distance(i, j) <= radius:
             edges.add((i, j))
     return edges
+
+
+def bfs_components(graph):
+    """Independent oracle: breadth-first components of a derived graph, in
+    original point indices."""
+    seen = set()
+    out = []
+    for start in range(graph.num_vertices):
+        if start in seen:
+            continue
+        comp, queue = [], deque([start])
+        seen.add(start)
+        while queue:
+            v = queue.popleft()
+            comp.append(graph.vertices[v])
+            for w in graph.adjacency[v].tolist():
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def oracle_diagnose(graph, active, potential_class):
+    """`diagnose` from the pairwise derived graphs, breadth-first search and
+    set unions."""
+    active = sorted(int(y) for y in active)
+    reached_b = set().union(*(graph.adjacency[y].tolist() for y in active))
+    covers_n = reached_b | set(active) == set(range(graph.space.size))
+    covers_b = reached_b == set(range(graph.space.size))
+    g0_connected = len(bfs_components(derived_graph_n(graph, active))) == 1
+    count = len(bfs_components(derived_graph_b(graph, active)))
+    if potential_class == "strictly-convex":
+        guaranteed = covers_n and g0_connected
+    else:
+        guaranteed = covers_b and count == 1
+    return GraphDiagnostics(
+        covers_n=covers_n, covers_b=covers_b, g0_connected=g0_connected,
+        g0prime_connected=count == 1, component_count_g0prime=count,
+        potential_class=potential_class, guaranteed=guaranteed,
+    )
 
 
 def random_graph(size, edge_prob, rng):
@@ -146,6 +195,17 @@ class TestExtendedGraph:
         g = hamming_graph(2, 2)
         assert set(extended_graph(g).edges()) == set(g.edges())
 
+    def test_matches_pairwise_rule(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = random_graph(9, 0.25, rng)
+            nbrs = [set(a.tolist()) for a in g.adjacency]
+            expected = {
+                (i, j) for i, j in itertools.combinations(range(9), 2)
+                if j in nbrs[i] or nbrs[i] & nbrs[j]
+            }
+            assert set(extended_graph(g).edges()) == expected
+
 
 class TestDerivedGraphs:
     def test_n_hypercube_connected(self):
@@ -215,6 +275,11 @@ class TestConnectivity:
         g = graph_from_edges(space, [(0, 1), (2, 3)])
         assert not is_connected(g)
         assert len(components(g)) == 2
+
+    def test_components_sorted_and_ordered_by_smallest_vertex(self):
+        space = SampleSpace.enumerated(list("abcdef"))
+        g = graph_from_edges(space, [(0, 2), (2, 1), (5, 3)])
+        assert components(g) == [[0, 1, 2], [3, 5], [4]]
 
     def test_cube_connected(self):
         assert is_connected(hamming_graph(3, 1))
@@ -332,6 +397,87 @@ class TestDiagnose:
     def test_unknown_class(self):
         with pytest.raises(InputError):
             diagnose(hamming_graph(2, 1), range(4), "convex")
+
+    def test_hypercube_d16_radius1(self):
+        g = hamming_graph(16, 1)
+        for klass in ("strictly-convex", "pseudo-spherical"):
+            diag = diagnose(g, range(2 ** 16), klass)
+            assert diag.covers_n and diag.covers_b and diag.g0_connected
+            assert diag.component_count_g0prime == 2
+            assert diag.guaranteed == (klass == "strictly-convex")
+
+
+@st.composite
+def diagnose_cases(draw):
+    """A graph and an active subset: ragged `graph_from_edges` graphs (with
+    isolated points, so some b(y) are empty), Hamming graphs at radius 1-2
+    and label-band graphs."""
+    kind = draw(st.sampled_from(["edges", "hamming", "band"]))
+    if kind == "edges":
+        size = draw(st.integers(2, 12))
+        space = SampleSpace.enumerated([f"p{i}" for i in range(size)])
+        pairs = list(itertools.combinations(range(size), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * size))
+        graph = graph_from_edges(space, edges)
+    elif kind == "hamming":
+        dim = draw(st.integers(1, 5))
+        graph = hamming_graph(dim, draw(st.integers(1, min(2, dim))))
+    else:
+        labels = draw(st.integers(2, 12))
+        graph = label_band_graph(labels, draw(st.integers(1, labels - 1)))
+    size = graph.space.size
+    active = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    return graph, active
+
+
+class TestFastRouteAgainstPairwiseOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(diagnose_cases())
+    def test_diagnose_components_and_cover(self, case):
+        graph, active = case
+        for klass in ("strictly-convex", "pseudo-spherical"):
+            assert diagnose(graph, active, klass) == oracle_diagnose(graph, active, klass)
+        for derived in (derived_graph_n(graph, active), derived_graph_b(graph, active)):
+            expected = bfs_components(derived)
+            assert [[derived.vertices[k] for k in c] for c in components(derived)] == expected
+            assert is_connected(derived) == (len(expected) == 1)
+        reached = set().union(*(graph.adjacency[y].tolist() for y in active))
+        everything = set(range(graph.space.size))
+        assert covers(graph, active, "b") == (reached == everything)
+        assert covers(graph, active, "n") == (reached | set(active) == everything)
+
+
+class TestAdjacencyValidation:
+    @pytest.mark.parametrize("adjacency, message", [
+        ([[1], [0, 2], [], []], "asymmetric adjacency: 1->2 without 2->1"),
+        ([[1, 1], [0], [], []], "adjacency of point 0 not sorted/distinct"),
+        ([[2, 1], [0], [0], []], "adjacency of point 0 not sorted/distinct"),
+        ([[1], [0], [], [4]], "neighbor of point 3 outside the space"),
+        ([[1], [0], [2, -1], []], "neighbor of point 2 outside the space"),
+        ([[], [1], [], []], "loop at point 1"),
+        ([[0, 9], [], [], []], "neighbor of point 0 outside the space"),
+    ])
+    def test_messages(self, adjacency, message):
+        space = SampleSpace.enumerated(list("abcd"))
+        rows = tuple(np.array(a, dtype=np.int64) for a in adjacency)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            NeighborhoodGraph(space=space, adjacency=rows)
+
+    def test_builders_pass_validation(self):
+        for g in (hamming_graph(4, 2), label_band_graph(6, 2),
+                  extended_graph(label_band_graph(5, 1)),
+                  cl_neighborhood(BlockSystem.of(3, {1, 2}, {2, 3}))[0]):
+            rows = tuple(np.array(a) for a in g.adjacency)
+            assert NeighborhoodGraph(space=g.space, adjacency=rows).edges() == g.edges()
+
+
+def test_import_loads_no_scipy_sparse():
+    # scipy.sparse costs about 0.1 s to import; graph components are numpy-only
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, localscores; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestEdgeListIO:

@@ -12,6 +12,7 @@ from localscores import (
     TabularModel,
     exact_log_z,
     grad_log_f,
+    indices_to_signs,
     load_model,
     log_f,
     model_from_dict,
@@ -48,6 +49,33 @@ class TestBoltzmann:
         for i in range(16):
             y = index_to_signs(i, 4).astype(float)
             assert log_f(model, i) == pytest.approx(y @ w @ y, rel=1e-12)
+
+    def test_log_f_batch_matches_pair_features(self):
+        rng = np.random.default_rng(2)
+        for dim in range(2, 33):
+            model = BoltzmannModel(dim=dim, upper=rng.normal(size=dim * (dim - 1) // 2))
+            idx = rng.integers(0, 2 ** dim, size=64)
+            dense = model.pair_features(idx) @ model.upper
+            np.testing.assert_allclose(model.log_f_batch(idx), dense, rtol=1e-12,
+                                       atol=1e-12 * np.abs(model.upper).sum())
+
+    def test_pair_features_column_order(self):
+        # reference: one column 2 * y_i * y_j per pair, in upper-triangle order
+        model = BoltzmannModel.zeros(5)
+        idx = np.arange(32)
+        signs = indices_to_signs(idx, 5).astype(float)
+        cols = [2.0 * signs[:, i] * signs[:, j] for i in range(5) for j in range(i + 1, 5)]
+        features = model.pair_features(idx)
+        assert np.array_equal(features, np.stack(cols, axis=1))
+        # the memory order decides the summation order of BLAS products
+        assert features.flags.c_contiguous
+
+    def test_matrix_is_cached_and_read_only(self):
+        model = BoltzmannModel(dim=3, upper=[0.5, -1.0, 2.0])
+        assert model.matrix is model.matrix
+        assert np.array_equal(model.matrix, [[0, 0.5, -1.0], [0.5, 0, 2.0], [-1.0, 2.0, 0]])
+        assert not model.matrix.flags.writeable
+        assert np.array_equal(BoltzmannModel.from_matrix(model.matrix).upper, model.upper)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InputError):
