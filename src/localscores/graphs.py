@@ -251,13 +251,17 @@ def _sorted_intersects(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _check_subset(graph: NeighborhoodGraph, active) -> np.ndarray:
-    active = np.sort(np.array([int(y) for y in active], dtype=np.int64))
-    if not active.size:
+    values = np.asarray(active if isinstance(active, np.ndarray) else list(active)).reshape(-1)
+    if not values.size:
         raise InputError("active subset must be nonempty")
+    kind = values.dtype.kind
+    if kind not in "iuf" or (kind == "f" and np.any(values != np.trunc(values))):
+        raise InputError("active points must be integers")
+    if values.min() < 0 or values.max() >= graph.space.size:
+        raise InputError("active subset outside the space")
+    active = np.sort(values.astype(np.int64))
     if np.any(active[1:] == active[:-1]):
         raise InputError("active subset has repeats")
-    if active[0] < 0 or active[-1] >= graph.space.size:
-        raise InputError("active subset outside the space")
     return active
 
 

@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from .errors import InputError
 from .models import BoltzmannModel
 from .potentials import Probability
-from .spaces import SampleSpace, indices_to_signs, parse_space_spec, signs_matrix_to_indices
+from .spaces import SampleSpace, parse_space_spec, signs_matrix_to_indices
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,14 @@ class AisConfig:
             raise InputError(f"unknown schedule {self.schedule!r}")
 
 
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def exact_sample(p: Probability, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. state indices drawn by inverse CDF over the enumerated space."""
-    if n < 1:
-        raise InputError("sample count must be positive")
+    _require_count("sample count", n, 1)
     cdf = np.cumsum(p.weights)
     u = rng.generator().random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
@@ -70,6 +74,22 @@ def _sweep_states(states: np.ndarray, w: np.ndarray, logit_u: np.ndarray, beta: 
         states[:, i] = np.where(logit_u[:, i] < 4.0 * beta * h, 1.0, -1.0)
 
 
+def _byte_tables(w: np.ndarray) -> list[list[list[float]]]:
+    """Site thresholds split over 8-bit chunks of the state index.
+
+    Table k holds, for each of the 256 values b of bits 8k..8k+7, the list
+    of `4 * sum_{j in chunk k} W_ji s_j(b)` over every site i, so the
+    threshold 4*h_i at a state is the sum over k of table k at the state's
+    k-th byte. At D=62 the tables hold 8*256*62 floats."""
+    dim = w.shape[0]
+    tables = []
+    for lo in range(0, dim, 8):
+        width = min(8, dim - lo)
+        bits = (np.arange(2 ** width)[:, None] >> np.arange(width)) & 1
+        tables.append((4.0 * ((2.0 * bits - 1.0) @ w[lo : lo + width])).tolist())
+    return tables
+
+
 def gibbs_sample(
     model: BoltzmannModel,
     n: int,
@@ -82,33 +102,46 @@ def gibbs_sample(
     `burn_in` counts full sweeps and defaults to 100*D; after burn-in the
     state is recorded every `thinning` sweeps until n states are collected.
     Returns canonical state indices.
+
+    The chain runs on the canonical index of the state in plain Python.
+    Site i flips to +1 when logit(u) < 4*h_i, the log odds of its
+    conditional distribution, and 4*h_i is read from `_byte_tables` one
+    byte of the index at a time; only the byte holding site i changes when
+    site i is updated.
     """
-    if n < 1:
-        raise InputError("sample count must be positive")
-    if thinning < 1:
-        raise InputError("thinning must be positive")
     dim = model.dim
     if burn_in is None:
         burn_in = 100 * dim
-    w = model.matrix
+    _require_count("sample count", n, 1)
+    _require_count("thinning", thinning, 1)
+    _require_count("burn-in", burn_in, 0)
+    tables = _byte_tables(model.matrix)
     gen = rng.generator()
-    state = (2.0 * gen.integers(0, 2, size=(1, dim)) - 1.0).astype(np.float64)
-    out = np.empty(n, dtype=np.int64)
+    idx = sum(bit << j for j, bit in enumerate(gen.integers(0, 2, size=(1, dim))[0].tolist()))
+    # rows[k]: table k's row at the state's k-th byte
+    rows = [table[(idx >> (8 * k)) & 255] for k, table in enumerate(tables)]
+    sites = [(i, 1 << i, ~(1 << i), i >> 3, tables[i >> 3], 8 * (i >> 3)) for i in range(dim)]
+    out = []
     total_sweeps = burn_in + n * thinning
-    taken = 0
     sweeps_done = 0
     chunk = 4096
     while sweeps_done < total_sweeps:
         block = min(chunk, total_sweeps - sweeps_done)
         u = gen.random((block, dim))
-        logit_u = np.log(u) - np.log1p(-u)
-        for t in range(block):
-            _sweep_states(state, w, logit_u[t : t + 1], 1.0)
+        for logit_u in (np.log(u) - np.log1p(-u)).tolist():
+            for i, bit, clear, k, table, shift in sites:
+                threshold = 0.0
+                for row in rows:
+                    threshold += row[i]
+                if logit_u[i] < threshold:
+                    idx |= bit
+                else:
+                    idx &= clear
+                rows[k] = table[(idx >> shift) & 255]
             sweeps_done += 1
             if sweeps_done > burn_in and (sweeps_done - burn_in) % thinning == 0:
-                out[taken] = signs_matrix_to_indices(state)[0]
-                taken += 1
-    return out
+                out.append(idx)
+    return np.array(out, dtype=np.int64)
 
 
 def _energies(states: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -158,43 +191,77 @@ def ais_log_z(
 def write_samples(path, space: SampleSpace, indices, seed: int) -> None:
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     param = space.dim if space.kind == "hypercube" else space.size
-    lines = [f"# space {space.kind} {param} seed {seed}"]
+    header = f"# space {space.kind} {param} seed {seed}\n".encode()
     if space.kind == "hypercube":
-        signs = indices_to_signs(idx, space.dim)
-        lines += [" ".join(f"{s:+d}" for s in row) for row in signs]
+        # one 3-byte cell per coordinate; each row's last space becomes its newline
+        cells = np.array([b"-1 ", b"+1 "])[(idx[:, None] >> np.arange(space.dim)) & 1]
+        rows = cells.view(np.uint8).reshape(idx.size, 3 * space.dim)
+        rows[:, -1] = ord("\n")
+        body = rows.tobytes()
     else:
-        lines += [str(int(i)) for i in idx]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        body = "".join([f"{i}\n" for i in idx.tolist()]).encode()
+    with open(path, "wb") as fh:
+        fh.write(header + body)
+
+
+def _first_bad_line(space: SampleSpace, lines, first_lineno: int) -> tuple[int, str] | None:
+    """Line number and reason of the first malformed sample line, if any."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError as exc:
+            return lineno, str(exc)
+        if space.kind == "hypercube":
+            if len(values) != space.dim:
+                return lineno, f"expected {space.dim} coordinates"
+            for v in values:
+                if v not in (1, -1):
+                    return lineno, f"hypercube coordinates must be +1/-1, got {v}"
+        elif len(values) != 1:
+            return lineno, "expected one sample index"
+        elif not 0 <= values[0] < space.size:
+            return lineno, f"sample {values[0]} outside the space 0..{space.size - 1}"
+    return None
 
 
 def read_samples(path) -> tuple[SampleSpace, np.ndarray, int]:
+    """(space, indices, seed) from a sample file. Hypercube coordinates must
+    be +1/-1 and indices must lie in the space; the first malformed line is
+    reported as `path:lineno`. A file holding only its header has no samples."""
     with open(path) as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw or not raw[0].startswith("# space "):
+        header, header_lineno = "", 0
+        for header_lineno, line in enumerate(iter(fh.readline, ""), start=1):
+            if line.strip():
+                header = line.strip()
+                break
+        body = fh.read()
+    if not header.startswith("# space "):
         raise InputError(f"{path}: missing `# space <kind> <param> seed <seed>` header")
-    parts = raw[0].split()
+    parts = header.split()
     try:
         kind, param, seed = parts[2], int(parts[3]), int(parts[5])
     except (IndexError, ValueError) as exc:
-        raise InputError(f"{path}: bad header {raw[0]!r}") from exc
+        raise InputError(f"{path}: bad header {header!r}") from exc
     space = parse_space_spec(f"{kind}:{param}")
-    rows = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        try:
-            if space.kind == "hypercube":
-                signs = [int(t) for t in line.split()]
-                if len(signs) != space.dim:
-                    raise ValueError(f"expected {space.dim} coordinates")
-                rows.append(signs)
-            else:
-                rows.append(int(line))
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-    if space.kind == "hypercube":
-        idx = signs_matrix_to_indices(np.array(rows, dtype=np.int64))
-    else:
-        idx = np.array(rows, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= space.size):
-            raise InputError(f"{path}: sample outside the space")
-    return space, idx, seed
+    if not body or body.isspace():
+        return space, np.empty(0, dtype=np.int64), seed
+    width = space.dim if space.kind == "hypercube" else 1
+    rows, error = None, None
+    try:
+        rows = np.loadtxt(path, dtype=np.int64, comments=None, skiprows=header_lineno, ndmin=2)
+    except ValueError as exc:
+        error = exc
+    if rows is not None and rows.shape[1] == width:
+        if space.kind == "hypercube":
+            if np.all(np.abs(rows) == 1):
+                return space, signs_matrix_to_indices(rows), seed
+        elif rows.min() >= 0 and rows.max() < space.size:
+            return space, rows[:, 0], seed
+    # the fast parse refused the body: name the first bad line
+    bad = _first_bad_line(space, body.split("\n"), header_lineno + 1)
+    if bad is None:
+        raise InputError(f"{path}: {error}")
+    raise InputError(f"{path}:{bad[0]}: {bad[1]}")

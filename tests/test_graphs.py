@@ -398,6 +398,16 @@ class TestDiagnose:
         with pytest.raises(InputError):
             diagnose(hamming_graph(2, 1), range(4), "convex")
 
+    def test_non_integer_active_points_rejected(self):
+        g = hamming_graph(2, 1)
+        for active in ([0.5, 3.7], [0, np.nan], ["1"]):
+            with pytest.raises(InputError, match="must be integers"):
+                diagnose(g, active, "strictly-convex")
+        # integral values of any numeric dtype are still points
+        expected = diagnose(g, [0, 3], "strictly-convex")
+        assert diagnose(g, [0.0, 3.0], "strictly-convex") == expected
+        assert diagnose(g, np.array([3, 0], dtype=np.uint8), "strictly-convex") == expected
+
     def test_hypercube_d16_radius1(self):
         g = hamming_graph(16, 1)
         for klass in ("strictly-convex", "pseudo-spherical"):

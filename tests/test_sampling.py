@@ -18,6 +18,7 @@ from localscores import (
     indices_to_signs,
     normalize,
     read_samples,
+    signs_matrix_to_indices,
     write_samples,
 )
 
@@ -42,6 +43,50 @@ def gibbs_sweep_matrix(model: BoltzmannModel) -> np.ndarray:
             t_site[state, minus_state] += 1.0 - p_plus
         sweep = sweep @ t_site
     return sweep
+
+
+def reference_gibbs(model: BoltzmannModel, n: int, burn_in: int, thinning: int, rng: RngStream):
+    """Reference chain: the same random draws as `gibbs_sample`, with each
+    site's field h_i = s . W[:, i] taken as a numpy dot product of a float
+    sign vector. Also returns, per sweep, the smallest |logit(u) - 4 h_i|
+    over the sweep's site updates: a chain that runs the threshold sum in
+    another order can only take another branch where that margin is at the
+    level of rounding."""
+    dim = model.dim
+    w = model.matrix
+    gen = rng.generator()
+    state = (2.0 * gen.integers(0, 2, size=(1, dim)) - 1.0).astype(np.float64)
+    out, margins = [], []
+    total_sweeps = burn_in + n * thinning
+    sweeps_done = 0
+    while sweeps_done < total_sweeps:
+        block = min(4096, total_sweeps - sweeps_done)
+        u = gen.random((block, dim))
+        logit_u = np.log(u) - np.log1p(-u)
+        for t in range(block):
+            margin = math.inf
+            for i in range(dim):
+                threshold = 4.0 * (state @ w[:, i])
+                margin = min(margin, float(np.abs(logit_u[t, i] - threshold)[0]))
+                state[:, i] = np.where(logit_u[t : t + 1, i] < threshold, 1.0, -1.0)
+            margins.append(margin)
+            sweeps_done += 1
+            if sweeps_done > burn_in and (sweeps_done - burn_in) % thinning == 0:
+                out.append(signs_matrix_to_indices(state)[0])
+    return np.array(out, dtype=np.int64), np.array(margins)
+
+
+def reference_sample_text(space: SampleSpace, indices, seed: int) -> str:
+    """Sample-file text built line by line with f-strings."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    param = space.dim if space.kind == "hypercube" else space.size
+    lines = [f"# space {space.kind} {param} seed {seed}"]
+    if space.kind == "hypercube":
+        signs = indices_to_signs(idx, space.dim)
+        lines += [" ".join(f"{s:+d}" for s in row) for row in signs]
+    else:
+        lines += [str(int(i)) for i in idx]
+    return "\n".join(lines) + "\n"
 
 
 class TestRngStream:
@@ -89,6 +134,10 @@ class TestExactSample:
         with pytest.raises(InputError):
             exact_sample(Probability.uniform(2), 0, RngStream(0))
 
+    def test_integer_count_required(self):
+        with pytest.raises(InputError, match="sample count"):
+            exact_sample(Probability.uniform(2), 2.5, RngStream(0))
+
 
 class TestGibbs:
     def test_independent_coordinates_at_zero_coupling(self):
@@ -131,6 +180,45 @@ class TestGibbs:
             gibbs_sample(model, 10, thinning=0)
         with pytest.raises(InputError):
             gibbs_sample(model, 0)
+
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(InputError, match="burn-in"):
+            gibbs_sample(BoltzmannModel.zeros(3), 5, burn_in=-3)
+
+    def test_non_integer_burn_in_rejected(self):
+        for burn_in in (2.5, 3.0, "3", True):
+            with pytest.raises(InputError, match="burn-in"):
+                gibbs_sample(BoltzmannModel.zeros(3), 5, burn_in=burn_in)
+
+    def test_non_integer_count_and_thinning_rejected(self):
+        # a fractional thinning would skip recording some of the n states
+        with pytest.raises(InputError, match="thinning"):
+            gibbs_sample(BoltzmannModel.zeros(3), 4, thinning=1.5)
+        with pytest.raises(InputError, match="sample count"):
+            gibbs_sample(BoltzmannModel.zeros(3), 2.5)
+
+    def test_zero_burn_in_records_first_sweep(self):
+        idx = gibbs_sample(BoltzmannModel.zeros(3), 4, burn_in=np.int64(0), rng=RngStream(3))
+        ref, _ = reference_gibbs(BoltzmannModel.zeros(3), 4, 0, 1, RngStream(3))
+        assert np.array_equal(idx, ref)
+
+    @pytest.mark.parametrize("dim", [2, 5, 8, 9, 17, 33])
+    @pytest.mark.parametrize("thinning", [1, 3])
+    def test_matches_reference_chain(self, dim, thinning):
+        rng = np.random.default_rng(1000 + dim)
+        wt = rng.normal(size=(dim, dim)) * 0.4
+        w = (wt + wt.T) / 2
+        np.fill_diagonal(w, 0.0)
+        model = BoltzmannModel.from_matrix(w)
+        n, burn_in = 400, 50
+        idx = gibbs_sample(model, n, burn_in=burn_in, thinning=thinning, rng=RngStream(dim, thinning))
+        ref, margins = reference_gibbs(model, n, burn_in, thinning, RngStream(dim, thinning))
+        assert idx.dtype == np.int64 and idx.shape == (n,)
+        differ = np.flatnonzero(idx != ref)
+        if differ.size:
+            # the chains may part only at a threshold tie
+            last_sweep = burn_in + (differ[0] + 1) * thinning
+            assert margins[:last_sweep].min() < 1e-12
 
 
 class TestAis:
@@ -212,4 +300,62 @@ class TestSampleFiles:
         path = tmp_path / "bad.txt"
         path.write_text("+1 -1\n")
         with pytest.raises(InputError):
+            read_samples(path)
+
+    @pytest.mark.parametrize(
+        "space, indices",
+        [
+            (SampleSpace.hypercube(1), [0, 1, 1]),
+            (SampleSpace.hypercube(3), [0, 7, 5, 2]),
+            (SampleSpace.hypercube(16), np.random.default_rng(4).integers(0, 2 ** 16, 300)),
+            (SampleSpace.hypercube(62), [0, 2 ** 62 - 1, 12345678901234]),
+            (SampleSpace.hypercube(4), []),
+            (SampleSpace.label_range(10), [0, 9, 3]),
+            (SampleSpace.label_range(1000), np.random.default_rng(5).integers(0, 1000, 300)),
+            (SampleSpace.label_range(3), []),
+        ],
+    )
+    def test_write_matches_line_formatter(self, tmp_path, space, indices):
+        path = tmp_path / "samples.txt"
+        write_samples(path, space, indices, seed=17)
+        assert path.read_bytes() == reference_sample_text(space, indices, 17).encode()
+        space2, idx2, seed = read_samples(path)
+        assert space2.spec_string() == space.spec_string() and seed == 17
+        assert idx2.dtype == np.int64
+        assert np.array_equal(idx2, np.asarray(indices, dtype=np.int64))
+
+    def test_header_only_hypercube_file_is_empty(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# space hypercube 3 seed 4\n\n")
+        space, idx, seed = read_samples(path)
+        assert space.spec_string() == "hypercube:3" and seed == 4
+        assert idx.dtype == np.int64 and idx.shape == (0,)
+
+    def test_coordinates_must_be_signs(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# space hypercube 2 seed 0\n+1 -1\n0 7\n")
+        with pytest.raises(InputError, match=r"bad\.txt:3: .*got 0"):
+            read_samples(path)
+
+    @pytest.mark.parametrize(
+        "body, lineno",
+        [
+            ("+1 -1\n+1 x\n", 3),
+            ("+1 -1\n\n-1 +1 +1\n", 4),
+            ("+1 -1 +1\n-1 +1 +1\n", 2),
+            ("+1 -1\n-1 2\n", 3),
+            ("-1 1.0\n", 2),
+        ],
+    )
+    def test_bad_hypercube_line_reported(self, tmp_path, body, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_text("# space hypercube 2 seed 0\n" + body)
+        with pytest.raises(InputError, match=rf"bad\.txt:{lineno}: "):
+            read_samples(path)
+
+    @pytest.mark.parametrize("body, lineno", [("0\n3\n", 3), ("1\n-1\n", 3), ("1 2\n", 2), ("x\n", 2)])
+    def test_bad_label_line_reported(self, tmp_path, body, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_text("# space labels 3 seed 0\n" + body)
+        with pytest.raises(InputError, match=rf"bad\.txt:{lineno}: "):
             read_samples(path)
