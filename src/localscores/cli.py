@@ -314,6 +314,8 @@ def cmd_fit(args) -> int:
         grad_norm=result.gradient_norm,
         iterations=result.iterations_used,
         converged=result.converged,
+        evaluations=result.evaluations,
+        gradients=result.gradients,
     )
     report_lines.append(summary)
     print(summary)

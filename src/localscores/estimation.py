@@ -15,8 +15,13 @@ for ragged degree and active sets, and for ps and cl a ball table: one entry
 per distinct set whose normalizer the score reads (b(z) for ps,
 n_l(z) = b_l(z) + {z} per block for cl). Each ball's log-normalizer and
 softmax are computed once per evaluation, states gather from the table, and
-gradients accumulate per ball. Value-only evaluations (line-search trial
-steps, `empirical_score`) skip the gradient.
+gradients accumulate per ball.
+
+Objectives share one protocol: `evaluate(x)` computes the value and returns
+it with `gradient()`, which finishes dJ/dx from the logs and the per-edge or
+per-ball arrays the value pass kept. The line search evaluates every trial
+point once and finishes the gradient of the accepted one only; rejected
+trials and `empirical_score` never pay for a gradient.
 
 Conditional models fit through the same kernel: sample i with label y is
 the point i * L + y of a product space in which every row holds its own copy
@@ -27,6 +32,7 @@ block holding every other label, so conditional MLE is that kernel too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.special import logsumexp
@@ -49,8 +55,12 @@ class FitConfig:
     l2_penalty: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
+            raise InputError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be positive")
+        if not np.all(np.isfinite([self.gradient_tolerance, self.initial_step, self.l2_penalty])):
+            raise InputError("tolerance, initial step and l2_penalty must be finite")
         if self.gradient_tolerance <= 0 or self.initial_step <= 0:
             raise InputError("tolerance and initial step must be positive")
         if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
@@ -67,12 +77,15 @@ class FitResult:
     iterations_used: int
     converged: bool
     trace: tuple[tuple[float, float], ...] = field(repr=False)
+    evaluations: int  # objective values: the start point and every line-search trial
+    gradients: int  # gradients finished: the start point and every accepted step
 
     def report_lines(self) -> list[str]:
         lines = [
             "record=fit "
             f"objective={self.final_objective!r} grad_norm={self.gradient_norm!r} "
-            f"iterations={self.iterations_used} converged={self.converged}"
+            f"iterations={self.iterations_used} converged={self.converged} "
+            f"evaluations={self.evaluations} gradients={self.gradients}"
         ]
         lines += [
             f"record=trace iteration={i} objective={obj!r} grad_norm={gn!r}"
@@ -90,13 +103,17 @@ class NonFiniteObjectiveError(InputError):
 
 
 def _sample_indices(samples, size: int) -> np.ndarray:
-    """Samples as a flat index array, checked nonempty and inside the space."""
-    samples = np.asarray(samples, dtype=np.int64).reshape(-1)
-    if samples.size == 0:
+    """Samples as a flat index array, checked nonempty, integral and inside
+    the space (before the cast, so nothing is truncated or wrapped)."""
+    values = np.asarray(samples).reshape(-1)
+    if values.size == 0:
         raise InputError("samples must be nonempty")
-    if samples.min() < 0 or samples.max() >= size:
+    kind = values.dtype.kind
+    if kind not in "iuf" or (kind == "f" and np.any(values != np.trunc(values))):
+        raise InputError("samples must be integers")
+    if values.min() < 0 or values.max() >= size:
         raise InputError("sample index outside the space")
-    return samples
+    return values.astype(np.int64, copy=False)
 
 
 def _feature_rows(model: ConditionalModel, features, count: int | None = None) -> np.ndarray:
@@ -374,63 +391,65 @@ class _ScoreObjective:
     def model(self, x):
         return self.params.model(x)
 
-    def _score_terms(self, logs, grad=True):
-        """(per-state scores, dJ/d logs over the universe or None)."""
+    def _score_terms(self, logs):
+        """(per-state scores, finish): finish() returns dJ/d logs over the
+        universe from the arrays the value pass computed."""
         if self.family.additive:
-            return self._additive_terms(logs, grad)
+            return self._additive_terms(logs)
         if self.family.kind == "ps":
-            return self._ps_terms(logs, grad)
-        return self._cl_terms(logs, grad)
+            return self._ps_terms(logs)
+        return self._cl_terms(logs)
 
-    def _additive_terms(self, logs, grad):
+    def _additive_terms(self, logs):
         fam = self.family
-        n_u = len(self.universe)
         ly = logs[self.ypos]
         d = logs[self.nbpos] - ly[:, None]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            if fam.active is None:
-                value_term, grad_term = fam.edge_terms()
-                vals = np.sum(_masked(value_term(d), self.edge_mask), axis=1)
-                g = _masked(grad_term(d), self.edge_mask) if grad else None
-            else:
-                # y's own local potential and its active neighbors' potentials
-                f0, f1, f2 = fam.scalar_terms()
-                r, s = np.exp(d), np.exp(-d)
-                vals = np.sum(
-                    _masked(r * f1(r) - f0(r), self.own_edge) - _masked(f1(s), self.edge_mask),
-                    axis=1,
-                )
-                if grad:
-                    g = _masked(r * r * f2(r), self.own_edge) + _masked(s * f2(s), self.edge_mask)
-        if not grad:
-            return vals, None
+        if fam.active is None:
+            value_term, grad_term = fam.edge_terms()
+            vals = np.sum(_masked(value_term(d), self.edge_mask), axis=1)
+            return vals, lambda: self._edge_pullback(_masked(grad_term(d), self.edge_mask))
+        # y's own local potential and its active neighbors' potentials
+        f0, f1, f2 = fam.scalar_terms()
+        r, s = np.exp(d), np.exp(-d)
+        vals = np.sum(
+            _masked(r * f1(r) - f0(r), self.own_edge) - _masked(f1(s), self.edge_mask), axis=1
+        )
+        return vals, lambda: self._edge_pullback(
+            _masked(r * r * f2(r), self.own_edge) + _masked(s * f2(s), self.edge_mask)
+        )
+
+    def _edge_pullback(self, g):
+        """dJ/d logs over the universe of per-edge derivatives g with respect
+        to each neighbor's log f; y's own log f owes minus their sum."""
+        n_u = len(self.universe)
         dj = np.bincount(
             self.nbpos.ravel(), weights=(g * self.weights[:, None]).ravel(), minlength=n_u
         )
         dj -= np.bincount(self.ypos, weights=g.sum(axis=1) * self.weights, minlength=n_u)
-        return vals, dj
+        return dj
 
-    def _ps_terms(self, logs, grad):
+    def _ps_terms(self, logs):
         # score(y) = -sum over active z in b(y) of (f_y / ||f over b(z)||_{1+gamma})^gamma
         gamma = self.family.gamma
         n_u = len(self.universe)
         balls = self.balls
         if not len(balls.center):  # no sampled state has an active neighbor
-            return np.zeros(len(self.states)), np.zeros(n_u) if grad else None
+            return np.zeros(len(self.states)), lambda: np.zeros(n_u)
         s, a = balls.log_norms(logs)
         log_norm = s / balls.scale + logs[balls.center]
         ly = logs[self.ypos]
         t = _masked(np.exp(gamma * (ly[:, None] - log_norm[self.nbr_ids])), self.nbr_reach)
-        vals = -t.sum(axis=1)
-        if not grad:
-            return vals, None
-        tw = gamma * t * self.weights[:, None]
-        coef = np.bincount(self.nbr_ids.ravel(), weights=tw.ravel(), minlength=len(s))
-        dj = balls.pullback(coef, s, a, n_u)
-        dj -= np.bincount(self.ypos, weights=tw.sum(axis=1), minlength=n_u)
-        return vals, dj
 
-    def _cl_terms(self, logs, grad):
+        def finish():
+            tw = gamma * t * self.weights[:, None]
+            coef = np.bincount(self.nbr_ids.ravel(), weights=tw.ravel(), minlength=len(s))
+            dj = balls.pullback(coef, s, a, n_u)
+            dj -= np.bincount(self.ypos, weights=tw.sum(axis=1), minlength=n_u)
+            return dj
+
+        return -t.sum(axis=1), finish
+
+    def _cl_terms(self, logs):
         # per block, with q_l(z) = f_z / sum over n_l(z) of f = exp(-s):
         # standard CL scores -log q_l(y); the gradient (mCL) score adds
         # q_l(y) - 1 for active y and q_l(z) for each active z in b_l(y)
@@ -439,46 +458,56 @@ class _ScoreObjective:
         own = s[self.own_ids]
         if self.standard_cl:
             vals = own.sum(axis=1)
-            coef = self.ball_log_weight
         else:
             q = np.exp(-s)
             own = own - 1.0 + q[self.own_ids]
             if self.own_mask is not None:
                 own = np.where(self.own_mask[:, None], own, 0.0)
             vals = own.sum(axis=1) + _masked(q[self.nbr_ids], self.nbr_reach).sum(axis=1)
-            if grad:
-                coef = self.ball_log_weight - self.ball_q_weight * q
-        if not grad:
-            return vals, None
-        n_u = len(self.universe)
-        dj = balls.pullback(coef, s, a, n_u)
-        dj -= np.bincount(balls.center, weights=coef, minlength=n_u)
-        return vals, dj
 
-    def value_and_grad(self, x):
+        def finish():
+            coef = self.ball_log_weight
+            if not self.standard_cl:
+                coef = coef - self.ball_q_weight * q
+            n_u = len(self.universe)
+            dj = balls.pullback(coef, s, a, n_u)
+            dj -= np.bincount(balls.center, weights=coef, minlength=n_u)
+            return dj
+
+        return vals, finish
+
+    def evaluate(self, x):
+        """(value, gradient) at x; gradient() finishes dJ/dx from the logs
+        and the per-edge or per-ball arrays the value pass computed."""
         # exploratory line-search steps overflow by design; non-finite
         # values are treated as rejections upstream
         with np.errstate(all="ignore"):
             logs = self.params.logs(x)
-            vals, dj = self._score_terms(logs)
+            vals, finish = self._score_terms(logs)
             value = float(vals @ self.weights) + self.l2 * float(x @ x)
-            grad = self.params.pullback(dj) + 2.0 * self.l2 * x
-        if self.gauge_fix_last:
-            grad[-self.params.shape[1]:] = 0.0
-        return value, grad
+
+        def gradient():
+            with np.errstate(all="ignore"):
+                grad = self.params.pullback(finish()) + 2.0 * self.l2 * x
+            if self.gauge_fix_last:
+                grad[-self.params.shape[1]:] = 0.0
+            return grad
+
+        return value, gradient
+
+    def value_and_grad(self, x):
+        value, gradient = self.evaluate(x)
+        return value, gradient()
 
     def value(self, x):
-        with np.errstate(all="ignore"):
-            logs = self.params.logs(x)
-            vals, _ = self._score_terms(logs, grad=False)
-            return float(vals @ self.weights) + self.l2 * float(x @ x)
+        return self.evaluate(x)[0]
 
     def offending_sample(self, x) -> int | None:
         """Position in the caller's samples of the first sample whose score
         is non-finite at x; None if all are finite."""
         with np.errstate(all="ignore"):
             logs = self.params.logs(x)
-            vals, _ = self._score_terms(logs, grad=False)
+            vals, _ = self._score_terms(logs)
         bad = np.flatnonzero(np.isin(self.samples, self.states[~np.isfinite(vals)]))
         return int(bad[0]) if bad.size else None
 
@@ -506,17 +535,24 @@ class _MleObjective:
     def model(self, x):
         return self.params.model(x)
 
-    def value_and_grad(self, x):
+    def evaluate(self, x):
+        """(value, gradient), as `_ScoreObjective.evaluate`."""
         logs = self.params.logs(x)
         lz = float(logsumexp(logs))
         value = lz - float(self.emp @ logs) + self.l2 * float(x @ x)
-        q = np.exp(logs - lz)
-        grad = self.params.pullback(q - self.emp) + 2.0 * self.l2 * x
-        return value, grad
+
+        def gradient():
+            q = np.exp(logs - lz)
+            return self.params.pullback(q - self.emp) + 2.0 * self.l2 * x
+
+        return value, gradient
+
+    def value_and_grad(self, x):
+        value, gradient = self.evaluate(x)
+        return value, gradient()
 
     def value(self, x):
-        logs = self.params.logs(x)
-        return float(logsumexp(logs)) - float(self.emp @ logs) + self.l2 * float(x @ x)
+        return self.evaluate(x)[0]
 
     def offending_sample(self, x):
         return None
@@ -528,17 +564,21 @@ class _MleObjective:
 
 def _minimize(objective, config: FitConfig) -> FitResult:
     x = np.array(objective.x0, dtype=np.float64)
-    fx, gx = objective.value_and_grad(x)
+    fx, finish = objective.evaluate(x)
+    evaluations = 1
     if not np.isfinite(fx):
         bad = objective.offending_sample(x)
         raise NonFiniteObjectiveError(
             bad, f"objective non-finite at the initial point (sample {bad})"
         )
+    gx = finish()
+    gradients = 1
     trace = [(fx, float(np.max(np.abs(gx))) if gx.size else 0.0)]
     step = config.initial_step
     iterations = 0
     converged = trace[0][1] <= config.gradient_tolerance
     while not converged and iterations < config.max_iterations:
+        finish = None  # release the last point's arrays before the next trial
         direction = -gx
         with np.errstate(all="ignore"):
             slope = float(gx @ direction)  # -||g||^2
@@ -546,9 +586,11 @@ def _minimize(objective, config: FitConfig) -> FitResult:
         while True:
             with np.errstate(all="ignore"):
                 xt = x + t * direction
-            ft = objective.value(xt)
+            ft, finish = objective.evaluate(xt)
+            evaluations += 1
             if np.isfinite(ft) and ft <= fx + config.armijo_c * t * slope:
                 break
+            finish = None
             t *= config.backtrack_factor
             if t < STEP_FLOOR:
                 if not np.isfinite(ft):
@@ -564,8 +606,9 @@ def _minimize(objective, config: FitConfig) -> FitResult:
                 break
         if t == 0.0:
             break
-        x = x + t * direction
-        fx, gx = objective.value_and_grad(x)
+        # the accepted trial is the next point: finish its gradient
+        x, fx, gx = xt, ft, finish()
+        gradients += 1
         step = 2.0 * t
         iterations += 1
         gnorm = float(np.max(np.abs(gx)))
@@ -578,6 +621,8 @@ def _minimize(objective, config: FitConfig) -> FitResult:
         iterations_used=iterations,
         converged=converged,
         trace=tuple(trace),
+        evaluations=evaluations,
+        gradients=gradients,
     )
 
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import expit as _expit
-
 from .errors import InputError
 from .graphs import (
     BlockSystem,
@@ -42,6 +40,47 @@ from .spaces import SampleSpace
 
 ADDITIVE_KINDS = ("pl", "rm", "dp", "custom")
 ALL_KINDS = ("pl", "rm", "dp", "ps", "cl", "custom")
+
+
+# ---------------------------------------------------------------------------
+# element-wise maps of the pl/rm edge terms on float arrays, in plain ufuncs
+# worked in place (out passed by position, which parses fastest): on long
+# arrays they run several times faster than np.logaddexp and scipy's expit
+
+
+def _softplus(d):
+    """log(1 + e^d) = max(d, 0) + log1p(e^-|d|), within an ulp for every
+    finite d."""
+    t = np.abs(d)
+    np.negative(t, t)
+    np.exp(t, t)
+    np.log1p(t, t)
+    t += np.maximum(d, 0.0)
+    return t
+
+
+def _sigmoid(d):
+    """1 / (1 + e^-d)."""
+    t = np.negative(d)
+    np.exp(t, t)
+    t += 1.0
+    return np.reciprocal(t, t)
+
+
+def _rm_value(d):
+    """sigmoid(d)^2."""
+    t = _sigmoid(d)
+    return np.square(t, t)
+
+
+def _rm_grad(d):
+    """2 sigmoid(d)^2 sigmoid(-d) = 2 sigmoid(d)^2 / (1 + e^d)."""
+    t = _rm_value(d)
+    t *= 2.0
+    u = np.exp(d)
+    u += 1.0
+    t /= u
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +461,21 @@ class LocalPotentialFamily:
         return _scalar_triplet(self.kind, self.gamma)
 
     def edge_terms(self):
-        """Stable per-edge maps on the log-ratio scale for whole-space
-        additive scoring: d = log f_z - log f_y gives the score term
-        psi(e^d) and its derivative with respect to log f_z.
+        """Stable per-edge maps of float arrays on the log-ratio scale for
+        whole-space additive scoring: d = log f_z - log f_y gives the score
+        term psi(e^d) and its derivative with respect to log f_z.
 
-        pl/rm reduce to sigmoids and stay finite for any d; dp genuinely
-        grows like exp((1+gamma)d), overflowing to a clean inf.
+        pl/rm reduce to softplus and sigmoids and stay finite for any d; dp
+        genuinely grows like exp((1+gamma)d), overflowing to a clean inf.
+        A sigmoid's exp overflows where |d| exceeds about 709, which gives
+        the right limit; callers that mind the warning run under np.errstate.
         """
         if not self.additive:
             raise InputError(f"kind {self.kind!r} is not additive")
         if self.kind == "pl":
-            return (
-                lambda d: np.logaddexp(0.0, d),
-                lambda d: _expit(d),
-            )
+            return _softplus, _sigmoid
         if self.kind == "rm":
-            return (
-                lambda d: _expit(d) ** 2,
-                lambda d: 2.0 * _expit(d) ** 2 * _expit(-d),
-            )
+            return _rm_value, _rm_grad
         if self.kind == "dp":
             g = self.gamma
             return (

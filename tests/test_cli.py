@@ -237,6 +237,11 @@ class TestFitCommand:
         assert code == 0
         summary = next(l for l in out.splitlines() if "record=fit_summary" in l)
         assert int(parse_record(summary)["iterations"]) <= 2
+        # the evaluation counts trail the keys the record always had
+        assert list(parse_record(summary)) == [
+            "record", "objective", "grad_norm", "iterations", "converged",
+            "evaluations", "gradients",
+        ]
 
     def test_tabular_mle_matches_frequencies(self, capsys, tmp_path):
         from localscores import SampleSpace, write_samples

@@ -100,6 +100,23 @@ class TestFitConfig:
         with pytest.raises(InputError):
             FitConfig(l2_penalty=-1.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"gradient_tolerance": math.nan},
+        {"gradient_tolerance": math.inf},
+        {"initial_step": math.nan},
+        {"initial_step": math.inf},
+        {"l2_penalty": math.nan},
+        {"l2_penalty": math.inf},
+        {"max_iterations": 2.5},
+        {"max_iterations": 3.0},
+        {"max_iterations": True},
+    ])
+    def test_rejects_non_finite_and_non_integer_settings(self, bad):
+        # a nan tolerance would run every fit to the cap, unconverged
+        with pytest.raises(InputError):
+            FitConfig(**bad)
+        assert FitConfig(max_iterations=np.int64(3)).max_iterations == 3
+
 
 class TestFitMechanics:
     def test_trace_non_increasing(self):
@@ -126,6 +143,35 @@ class TestFitMechanics:
         b = fit(fam, BoltzmannModel.zeros(3), samples)
         assert np.array_equal(a.parameters.upper, b.parameters.upper)
         assert a.trace == b.trace
+
+    def test_each_point_is_evaluated_once(self):
+        # one gradient per accepted point (the start and every step) and one
+        # value per trial, so no point is evaluated twice
+        model = seeded_boltzmann(4, 12, scale=0.5)
+        samples = exact_sample(normalize(model), 300, RngStream(12))
+        x, labels = TestConditional().make_separable(n=60, seed=12, noise=0.2)
+        config = FitConfig(max_iterations=60, l2_penalty=0.01)
+        runs = {
+            "pl": fit(pseudo_likelihood(HypercubeNeighborhood(4, 1)), BoltzmannModel.zeros(4),
+                      samples, config),
+            "ps": fit(pseudo_spherical(HypercubeNeighborhood(4, 1), 1.0),
+                      BoltzmannModel.zeros(4), samples, config),
+            "mcl": fit(composite_likelihood(BlockSystem.of(4, {1, 2}, {3, 4})),
+                       BoltzmannModel.zeros(4), samples, config),
+            "conditional": fit(pseudo_likelihood(label_band_graph(4, 1)),
+                               ConditionalModel.zeros(4, 4), labels, config, features=x),
+            "conditional mle": mle_fit(ConditionalModel.zeros(4, 4), labels, config, features=x),
+            "mle": mle_fit(BoltzmannModel.zeros(4), samples, config),
+        }
+        for name, result in runs.items():
+            assert result.iterations_used > 0, name
+            assert result.gradients == result.iterations_used + 1, name
+            assert result.evaluations >= result.gradients, name
+            assert len(result.trace) == result.gradients, name
+            record = result.report_lines()[0]
+            assert record.endswith(
+                f" evaluations={result.evaluations} gradients={result.gradients}"
+            ), name
 
     def test_l2_dominance_pulls_parameters_to_zero(self):
         model = seeded_boltzmann(3, 5)
@@ -159,7 +205,9 @@ class TestFitMechanics:
 
 
 class TestGradientAssembly:
-    def test_every_kind_times_model_matches_finite_differences(self):
+    @staticmethod
+    def _cases():
+        """(kind, model type, objective, point) for every kind x model."""
         from localscores.estimation import _build_objective, _mle_objective
 
         rng = np.random.default_rng(6)
@@ -192,7 +240,6 @@ class TestGradientAssembly:
             (bm, cube, samples, None), (tab, cube, samples, None),
             (cond, label_fams, labels, features),
         ]
-        h = 1e-6
         for model, fams, ys, feats in cases:
             for name, fam in fams.items():
                 if fam is None:
@@ -200,15 +247,29 @@ class TestGradientAssembly:
                 else:
                     obj = _build_objective(fam, model, ys, feats, FitConfig(l2_penalty=0.01))
                 x = np.array(obj.x0) + rng.normal(size=len(obj.x0)) * 0.2
-                _, grad = obj.value_and_grad(x)
-                for k in range(len(x)):
-                    up = x.copy(); up[k] += h
-                    dn = x.copy(); dn[k] -= h
-                    fd = (obj.value(up) - obj.value(dn)) / (2 * h)
-                    assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
-                        name,
-                        type(model).__name__,
-                    )
+                yield name, type(model).__name__, obj, x
+
+    def test_every_kind_times_model_matches_finite_differences(self):
+        h = 1e-6
+        for name, model_name, obj, x in self._cases():
+            _, grad = obj.value_and_grad(x)
+            for k in range(len(x)):
+                up = x.copy(); up[k] += h
+                dn = x.copy(); dn[k] -= h
+                fd = (obj.value(up) - obj.value(dn)) / (2 * h)
+                assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-8), (name, model_name)
+
+    def test_evaluate_matches_value_and_value_and_grad_bit_for_bit(self):
+        # a finish keeps its own point's arrays: neither another point
+        # evaluated in between (a rejected line-search trial) nor a second
+        # call changes what it returns
+        for name, model_name, obj, x in self._cases():
+            value, gradient = obj.evaluate(x)
+            obj.evaluate(x + 0.5)
+            ref_value, ref_grad = obj.value_and_grad(x)
+            assert value == ref_value == obj.value(x), (name, model_name)
+            assert np.array_equal(gradient(), ref_grad), (name, model_name)
+            assert np.array_equal(gradient(), ref_grad), (name, model_name)
 
 
 class _PlainGraph:
@@ -369,10 +430,10 @@ class TestScaleGauge:
         obj = _build_objective(fam, BoltzmannModel.zeros(3), samples, None, FitConfig())
         x = np.array([0.3, -0.2, 0.1])
         base_logs = obj.params.logs(x)
-        vals1, dj1 = obj._score_terms(base_logs)
-        vals2, dj2 = obj._score_terms(base_logs + 3.7)
+        vals1, finish1 = obj._score_terms(base_logs)
+        vals2, finish2 = obj._score_terms(base_logs + 3.7)
         assert np.allclose(vals1, vals2, rtol=1e-9)
-        assert np.allclose(dj1, dj2, rtol=1e-9, atol=1e-12)
+        assert np.allclose(finish1(), finish2(), rtol=1e-9, atol=1e-12)
 
     def test_fitted_parameters_match_after_shift(self):
         model = seeded_boltzmann(3, 9, scale=0.6)
@@ -578,3 +639,33 @@ class TestFitPreconditions:
         fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
         with pytest.raises(InputError, match="outside the space"):
             fit(fam, BoltzmannModel.zeros(3), np.array([0, 99]))
+
+    @pytest.mark.parametrize("samples", [[0.5, 3.7, 2.2], [0.0, 3.5], [np.nan, 1.0], ["1"]])
+    def test_non_integral_samples_rejected(self, samples):
+        # they were truncated: [0.5, 3.7, 2.2] fitted on [0, 3, 2]
+        fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
+        with pytest.raises(InputError, match="samples must be integers"):
+            fit(fam, BoltzmannModel.zeros(3), samples)
+        with pytest.raises(InputError, match="samples must be integers"):
+            mle_fit(BoltzmannModel.zeros(3), samples)
+        with pytest.raises(InputError, match="samples must be integers"):
+            negative_log_loss(BoltzmannModel.zeros(3), samples, log_z=0.0)
+        model = ConditionalModel.zeros(4, 2)
+        x = np.ones((len(samples), 2))
+        with pytest.raises(InputError, match="samples must be integers"):
+            negative_log_loss(model, samples, features=x)
+        with pytest.raises(InputError, match="samples must be integers"):
+            error_rate(model, x, samples)
+        with pytest.raises(InputError, match="samples must be integers"):
+            fit(pseudo_likelihood(label_band_graph(4, 1)), model, samples, features=x)
+
+    def test_integral_float_samples_accepted(self):
+        fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
+        config = FitConfig(max_iterations=20)
+        a = fit(fam, BoltzmannModel.zeros(3), [0.0, 3.0, 2.0], config)
+        b = fit(fam, BoltzmannModel.zeros(3), np.array([0, 3, 2], dtype=np.uint8), config)
+        assert a.trace == b.trace
+        model = BoltzmannModel.zeros(2)
+        assert negative_log_loss(model, [1.0, 3.0], log_z=0.0) == negative_log_loss(
+            model, [1, 3], log_z=0.0
+        )
