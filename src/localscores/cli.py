@@ -254,6 +254,8 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 label = int(cells[-1])
                 if cells[-1] != label:
                     raise ValueError("label column must be an integer")
+                if features and len(cells) != len(features[0]) + 1:
+                    raise ValueError(f"{len(cells)} columns, expected {len(features[0]) + 1}")
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: malformed row: {exc}") from exc
             features.append(cells[:-1])

@@ -2,9 +2,10 @@
 
 The optimizer is plain gradient descent with Armijo backtracking: descent is
 guaranteed, every run is deterministic, and at desk scale nothing faster is
-needed. Objectives assemble their parameter gradient analytically by chaining
-the score's partials with respect to log f through each model's feature map;
-finite differences only appear in tests.
+needed. Objectives bind the model once at the points they read (`bind` in
+`models`) and assemble their parameter gradient analytically, pulling the
+score's partials with respect to log f back through the bound map; finite
+differences only appear in tests.
 
 Every local score objective is one kernel. It aggregates duplicate samples
 by frequency and touches only the union of the sampled points'
@@ -39,7 +40,7 @@ from scipy.special import logsumexp
 
 from .errors import InputError
 from .graphs import label_band_graph
-from .models import BoltzmannModel, ConditionalModel, TabularModel
+from .models import ConditionalModel
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec, composite_likelihood
 
 STEP_FLOOR = 1e-20
@@ -102,35 +103,8 @@ class NonFiniteObjectiveError(InputError):
         super().__init__(message)
 
 
-def _sample_indices(samples, size: int) -> np.ndarray:
-    """Samples as a flat index array, checked nonempty, integral and inside
-    the space (before the cast, so nothing is truncated or wrapped)."""
-    values = np.asarray(samples).reshape(-1)
-    if values.size == 0:
-        raise InputError("samples must be nonempty")
-    kind = values.dtype.kind
-    if kind not in "iuf" or (kind == "f" and np.any(values != np.trunc(values))):
-        raise InputError("samples must be integers")
-    if values.min() < 0 or values.max() >= size:
-        raise InputError("sample index outside the space")
-    return values.astype(np.int64, copy=False)
-
-
-def _feature_rows(model: ConditionalModel, features, count: int | None = None) -> np.ndarray:
-    """A conditional model's feature matrix, checked against the model and,
-    when given, the number of labels it belongs to."""
-    if features is None:
-        raise InputError("conditional models need features")
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
-        raise InputError("feature dimension does not match the model")
-    if count is not None and x.shape[0] != count:
-        raise InputError("features and labels must align")
-    return x
-
-
 # ---------------------------------------------------------------------------
-# unconditional score objectives
+# objectives
 
 
 def bind_spec(spec: ScoreSpec, graph):
@@ -139,63 +113,23 @@ def bind_spec(spec: ScoreSpec, graph):
     return spec.family(graph), spec.standard_cl
 
 
-class _ParamMap:
-    """Model parameters as a flat vector plus the log-f pullback.
+class _Objective:
+    """An objective over a model's flat parameters, started at `model`.
+    `evaluate(x)` returns the value with `gradient()`, which finishes dJ/dx
+    from the arrays the value pass kept; `bound` is the model bound at the
+    points whose log f the objective reads."""
 
-    A conditional model's points are row * num_labels + label: row i holds
-    the label values theta @ x_i of its feature vector."""
+    def __init__(self, model, l2):
+        self.model = model
+        self.x0 = model.params
+        self.l2 = l2
 
-    def __init__(self, model, features=None):
-        self.template = model
-        if isinstance(model, BoltzmannModel):
-            self.x0 = model.upper.copy()
-        elif isinstance(model, TabularModel):
-            self.x0 = model.eta.copy()
-        elif isinstance(model, ConditionalModel):
-            self.row_features = _feature_rows(model, features)
-            self.shape = (model.num_labels, model.feature_dim)
-            self.x0 = model.theta.ravel().copy()
-        else:
-            raise InputError("fitting needs a Boltzmann, tabular or conditional model")
+    def value_and_grad(self, x):
+        value, gradient = self.evaluate(x)
+        return value, gradient()
 
-    def sample_points(self, samples: np.ndarray) -> np.ndarray:
-        """The points the samples (labels, for conditional models) stand for."""
-        if not isinstance(self.template, ConditionalModel):
-            return samples
-        _feature_rows(self.template, self.row_features, samples.size)
-        return np.arange(samples.size) * self.template.num_labels + samples
-
-    def bind(self, points: np.ndarray) -> None:
-        self.points = points
-        if isinstance(self.template, BoltzmannModel):
-            self.features = self.template.pair_features(points)
-        elif isinstance(self.template, ConditionalModel):
-            self.rows, self.labels = np.divmod(points, self.template.num_labels)
-
-    def logs(self, x: np.ndarray) -> np.ndarray:
-        if isinstance(self.template, BoltzmannModel):
-            return self.features @ x
-        if isinstance(self.template, ConditionalModel):
-            return (self.row_features @ x.reshape(self.shape).T)[self.rows, self.labels]
-        return x[self.points]
-
-    def pullback(self, g: np.ndarray) -> np.ndarray:
-        if isinstance(self.template, BoltzmannModel):
-            return self.features.T @ g
-        if isinstance(self.template, ConditionalModel):
-            per_label = np.zeros((self.row_features.shape[0], self.shape[0]))
-            per_label[self.rows, self.labels] = g  # bound points are distinct
-            return (per_label.T @ self.row_features).ravel()
-        out = np.zeros_like(self.x0)
-        np.add.at(out, self.points, g)
-        return out
-
-    def model(self, x: np.ndarray):
-        if isinstance(self.template, BoltzmannModel):
-            return BoltzmannModel(dim=self.template.dim, upper=x)
-        if isinstance(self.template, ConditionalModel):
-            return ConditionalModel(*self.shape, theta=x.reshape(self.shape))
-        return TabularModel(space=self.template.space, eta=x)
+    def value(self, x):
+        return self.evaluate(x)[0]
 
 
 class _Balls:
@@ -252,7 +186,7 @@ def _stack_balls(parts):
     return np.concatenate(members), None if valid.all() else valid
 
 
-class _ScoreObjective:
+class _ScoreObjective(_Objective):
     """Mean score over sampled states, aggregated by state frequency.
 
     Compilation turns the family's neighborhoods into padded position arrays
@@ -262,7 +196,7 @@ class _ScoreObjective:
     row * L + label, and the family acts on each point's label.
     """
 
-    gauge_fix_last = False  # conditional fits: hold theta's last row fixed
+    frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
 
     def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0,
                  features=None):
@@ -271,11 +205,14 @@ class _ScoreObjective:
                 f"score family lives on {family.space.spec_string()}, "
                 f"model on {model.space.spec_string()}"
             )
-        samples = _sample_indices(samples, family.space.size)
+        samples = family.space.checked_indices(samples)
         if standard_cl and family.active is not None:
             raise InputError("standard CL objectives assume the whole-space active set")
-        self.params = _ParamMap(model, features)
-        samples = self.params.sample_points(samples)
+        if features is not None:  # label y on feature row i is the point i * L + y
+            if np.shape(features)[:1] != samples.shape:
+                raise InputError("features and labels must align")
+            samples = np.arange(samples.size) * family.space.size + samples
+        super().__init__(model, l2)
         if weights is None:
             states, counts = np.unique(samples, return_counts=True)
             w = counts / counts.sum()
@@ -284,13 +221,12 @@ class _ScoreObjective:
             w = np.asarray(weights, dtype=np.float64)
         self.family = family
         self.standard_cl = standard_cl
-        self.l2 = l2
         self.samples = samples
         self.states = states
         self.weights = w
         self.period = family.space.size
         self.active = None if family.active is None else family.active_indices()
-        self._compile()
+        self._compile(features)
 
     def _batch(self, matrix, points, *block):
         """A family batch map (`neighbor_matrix`, `block_matrix`) on points:
@@ -308,7 +244,7 @@ class _ScoreObjective:
             mask = mask & np.isin(points % self.period, self.active)
         return None if mask.all() else mask
 
-    def _compile(self):
+    def _compile(self, features):
         fam = self.family
         states = self.states
         if fam.additive:
@@ -328,7 +264,7 @@ class _ScoreObjective:
             members, mvalid, centers = self._compile_cl()
             points = [states, members]
         self.universe = np.unique(np.concatenate([np.ravel(p) for p in points]))
-        self.params.bind(self.universe)
+        self.bound = self.model.bind(self.universe, features)
         self.ypos = np.searchsorted(self.universe, states)
         if fam.additive:
             self.nbpos = np.searchsorted(self.universe, nbrs)
@@ -383,13 +319,6 @@ class _ScoreObjective:
             )
         members, valid = _stack_balls(parts)
         return members, valid, np.concatenate([c for _, _, c in parts])
-
-    @property
-    def x0(self):
-        return self.params.x0
-
-    def model(self, x):
-        return self.params.model(x)
 
     def _score_terms(self, logs):
         """(per-state scores, finish): finish() returns dJ/d logs over the
@@ -482,77 +411,50 @@ class _ScoreObjective:
         # exploratory line-search steps overflow by design; non-finite
         # values are treated as rejections upstream
         with np.errstate(all="ignore"):
-            logs = self.params.logs(x)
+            logs = self.bound.logs(x)
             vals, finish = self._score_terms(logs)
             value = float(vals @ self.weights) + self.l2 * float(x @ x)
 
         def gradient():
             with np.errstate(all="ignore"):
-                grad = self.params.pullback(finish()) + 2.0 * self.l2 * x
-            if self.gauge_fix_last:
-                grad[-self.params.shape[1]:] = 0.0
+                grad = self.bound.pullback(finish()) + 2.0 * self.l2 * x
+            if self.frozen_tail:
+                grad[-self.frozen_tail:] = 0.0
             return grad
 
         return value, gradient
-
-    def value_and_grad(self, x):
-        value, gradient = self.evaluate(x)
-        return value, gradient()
-
-    def value(self, x):
-        return self.evaluate(x)[0]
 
     def offending_sample(self, x) -> int | None:
         """Position in the caller's samples of the first sample whose score
         is non-finite at x; None if all are finite."""
         with np.errstate(all="ignore"):
-            logs = self.params.logs(x)
-            vals, _ = self._score_terms(logs)
+            vals, _ = self._score_terms(self.bound.logs(x))
         bad = np.flatnonzero(np.isin(self.samples, self.states[~np.isfinite(vals)]))
         return int(bad[0]) if bad.size else None
 
 
-class _MleObjective:
+class _MleObjective(_Objective):
     """Negative mean log-likelihood with the exact normalization constant."""
 
-    def __init__(self, model, samples, weights=None, l2=0.0):
-        self.params = _ParamMap(model)
+    def __init__(self, model, samples, l2=0.0):
         space = model.space
         space.require_enumerable("mle_fit")
-        samples = _sample_indices(samples, space.size)
-        self.params.bind(np.arange(space.size))
-        if weights is None:
-            self.emp = np.bincount(samples, minlength=space.size) / samples.size
-        else:
-            self.emp = np.zeros(space.size)
-            np.add.at(self.emp, samples, np.asarray(weights, dtype=np.float64))
-        self.l2 = l2
-
-    @property
-    def x0(self):
-        return self.params.x0
-
-    def model(self, x):
-        return self.params.model(x)
+        samples = space.checked_indices(samples)
+        super().__init__(model, l2)
+        self.bound = model.bind(np.arange(space.size))
+        self.emp = np.bincount(samples, minlength=space.size) / samples.size
 
     def evaluate(self, x):
         """(value, gradient), as `_ScoreObjective.evaluate`."""
-        logs = self.params.logs(x)
+        logs = self.bound.logs(x)
         lz = float(logsumexp(logs))
         value = lz - float(self.emp @ logs) + self.l2 * float(x @ x)
 
         def gradient():
             q = np.exp(logs - lz)
-            return self.params.pullback(q - self.emp) + 2.0 * self.l2 * x
+            return self.bound.pullback(q - self.emp) + 2.0 * self.l2 * x
 
         return value, gradient
-
-    def value_and_grad(self, x):
-        value, gradient = self.evaluate(x)
-        return value, gradient()
-
-    def value(self, x):
-        return self.evaluate(x)[0]
 
     def offending_sample(self, x):
         return None
@@ -615,7 +517,7 @@ def _minimize(objective, config: FitConfig) -> FitResult:
         trace.append((fx, gnorm))
         converged = gnorm <= config.gradient_tolerance
     return FitResult(
-        parameters=objective.model(x),
+        parameters=objective.model.with_params(x),
         final_objective=trace[-1][0],
         gradient_norm=trace[-1][1],
         iterations_used=iterations,
@@ -678,7 +580,7 @@ def fit(spec_or_family, model_init, samples, config: FitConfig | None = None,
     if gauge_fix_last:
         if not isinstance(model_init, ConditionalModel):
             raise InputError("gauge fixing applies to conditional models")
-        obj.gauge_fix_last = True
+        obj.frozen_tail = model_init.feature_dim
     return _minimize(obj, config)
 
 
@@ -706,13 +608,13 @@ def negative_log_loss(model, test_samples, log_z: float | None = None, features=
     """Mean of log Z - log f over test samples; conditional models normalize
     per feature vector exactly."""
     if isinstance(model, ConditionalModel):
-        y = _sample_indices(test_samples, model.num_labels)
-        lmat = _feature_rows(model, features, y.size) @ model.theta.T
+        y = model.space.checked_indices(test_samples)
+        lmat = model.feature_rows(features, y.size) @ model.theta.T
         lse = logsumexp(lmat, axis=1)
         return float(np.mean(lse - lmat[np.arange(y.size), y]))
     if log_z is None:
         raise InputError("supply log_z (exact or estimated) for unconditional models")
-    idx = _sample_indices(test_samples, model.space.size)
+    idx = model.space.checked_indices(test_samples)
     return float(np.mean(log_z - model.log_f_batch(idx)))
 
 
@@ -722,13 +624,12 @@ def classify(model: ConditionalModel, x) -> int:
 
 
 def classify_batch(model: ConditionalModel, features) -> np.ndarray:
-    lmat = np.asarray(features, dtype=np.float64) @ model.theta.T
-    return np.argmax(lmat, axis=1)
+    return np.argmax(model.feature_rows(features) @ model.theta.T, axis=1)
 
 
 def test_error(model: ConditionalModel, features, labels) -> float:
     if np.size(labels) == 0:
         raise InputError("test set must be nonempty")
-    labels = _sample_indices(labels, model.num_labels)
-    features = _feature_rows(model, features, labels.size)
+    labels = model.space.checked_indices(labels)
+    features = model.feature_rows(features, labels.size)
     return float(np.mean(classify_batch(model, features) != labels))

@@ -251,15 +251,8 @@ def _sorted_intersects(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _check_subset(graph: NeighborhoodGraph, active) -> np.ndarray:
-    values = np.asarray(active if isinstance(active, np.ndarray) else list(active)).reshape(-1)
-    if not values.size:
-        raise InputError("active subset must be nonempty")
-    kind = values.dtype.kind
-    if kind not in "iuf" or (kind == "f" and np.any(values != np.trunc(values))):
-        raise InputError("active points must be integers")
-    if values.min() < 0 or values.max() >= graph.space.size:
-        raise InputError("active subset outside the space")
-    active = np.sort(values.astype(np.int64))
+    values = active if isinstance(active, np.ndarray) else list(active)
+    active = np.sort(graph.space.checked_indices(values, "active point"))
     if np.any(active[1:] == active[:-1]):
         raise InputError("active subset has repeats")
     return active

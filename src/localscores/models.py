@@ -9,7 +9,21 @@
 - `TabularModel`: one free log value per point; the saturated model used by
   oracle-side tests.
 
-Models are immutable; fitting produces new parameter snapshots.
+Models are immutable; fitting produces new parameter snapshots. Every model
+offers the same three members, which is all an estimator needs of it:
+
+- `params`: its parameters as a flat float64 copy;
+- `with_params(x)`: a new model of the same shape with flat parameters x;
+- `bind(points, features=None)`: a `Bound` map at distinct points, with
+  `logs(x)`, log f at the points under parameters x, and its adjoint
+  `pullback(g)`, the parameter gradient of g . logs. log f is linear in the
+  parameters of all three models, so the pullback does not depend on x.
+
+A conditional model's points are row * L + label: row i of `features`
+holds the label values theta @ x_i, and only conditional models take
+features. A Boltzmann model binds its pair-feature matrix, kept C-ordered:
+its layout sets the summation order of the BLAS products over it, and so
+the last bits of every fit.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -30,6 +45,19 @@ def _freeze(arr, dtype=np.float64) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+class Bound(NamedTuple):
+    """A model bound at points: `logs(x)` is log f there under the flat
+    parameters x, and `pullback(g)` its adjoint."""
+
+    logs: Callable[[np.ndarray], np.ndarray]
+    pullback: Callable[[np.ndarray], np.ndarray]
+
+
+def _joint(features) -> None:
+    if features is not None:
+        raise InputError("only conditional models take features")
 
 
 @dataclass(frozen=True)
@@ -73,6 +101,18 @@ class BoltzmannModel:
     def space(self) -> SampleSpace:
         return SampleSpace.hypercube(self.dim)
 
+    @property
+    def params(self) -> np.ndarray:
+        return self.upper.copy()
+
+    def with_params(self, x) -> "BoltzmannModel":
+        return BoltzmannModel(dim=self.dim, upper=x)
+
+    def bind(self, points, features=None) -> Bound:
+        _joint(features)
+        f = self.pair_features(points)
+        return Bound(lambda x: f @ x, lambda g: f.T @ g)
+
     def pair_features(self, indices) -> np.ndarray:
         """Feature rows 2*y_i*y_j for states given by index; log f = F @ upper."""
         signs = indices_to_signs(indices, self.dim).astype(np.int8)
@@ -112,6 +152,37 @@ class ConditionalModel:
     def space(self) -> SampleSpace:
         return SampleSpace.label_range(self.num_labels)
 
+    @property
+    def params(self) -> np.ndarray:
+        return self.theta.flatten()
+
+    def with_params(self, x) -> "ConditionalModel":
+        return ConditionalModel(self.num_labels, self.feature_dim, np.reshape(x, self.theta.shape))
+
+    def feature_rows(self, features, count: int | None = None) -> np.ndarray:
+        """A feature matrix, checked against the model and, when given, the
+        number of labels it belongs to."""
+        if features is None:
+            raise InputError("conditional models need features")
+        x = np.asarray(features, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.feature_dim:
+            raise InputError("feature dimension does not match the model")
+        if count is not None and x.shape[0] != count:
+            raise InputError("features and labels must align")
+        return x
+
+    def bind(self, points, features=None) -> Bound:
+        x_rows = self.feature_rows(features)
+        rows, labels = np.divmod(points, self.num_labels)
+        shape = self.theta.shape
+
+        def pullback(g):
+            per_label = np.zeros((x_rows.shape[0], self.num_labels))
+            per_label[rows, labels] = g  # bound points are distinct
+            return (per_label.T @ x_rows).ravel()
+
+        return Bound(lambda x: (x_rows @ x.reshape(shape).T)[rows, labels], pullback)
+
     def log_f_labels(self, x) -> np.ndarray:
         """log f(. | x): one value per label."""
         x = np.asarray(x, dtype=np.float64)
@@ -140,49 +211,50 @@ class TabularModel:
     def zeros(space: SampleSpace) -> "TabularModel":
         return TabularModel(space=space, eta=np.zeros(space.size))
 
+    @property
+    def params(self) -> np.ndarray:
+        return self.eta.copy()
+
+    def with_params(self, x) -> "TabularModel":
+        return TabularModel(space=self.space, eta=x)
+
+    def bind(self, points, features=None) -> Bound:
+        _joint(features)
+
+        def pullback(g):
+            out = np.zeros(self.space.size)
+            out[points] = g  # bound points are distinct
+            return out
+
+        return Bound(lambda x: x[points], pullback)
+
     def log_f_batch(self, indices) -> np.ndarray:
         return self.eta[np.asarray(indices, dtype=np.int64)]
 
 
-def _point_index(model, y) -> int:
-    if np.ndim(y) == 0:
-        return int(y)
-    if isinstance(model, BoltzmannModel):
-        return signs_to_index(np.asarray(y).tolist())
-    raise InputError(f"point {y!r} is not an index")
+def _bind_point(model, y, x) -> Bound:
+    """The model bound at one point, given by index or, on a hypercube, as a
+    sign vector; a conditional model also needs the point's features x."""
+    space = model.space
+    if np.ndim(y) != 0:
+        if space.kind != "hypercube" or np.shape(y) != (space.dim,):
+            raise InputError(f"point {y!r} is neither an index nor a sign vector of the space")
+        y = signs_to_index(np.asarray(y).tolist())
+    point = space.checked_indices(y, "point")
+    return model.bind(point, None if x is None else np.asarray(x, dtype=np.float64)[np.newaxis])
 
 
 def log_f(model, y, x=None) -> float:
     """Log unnormalized value at a point (hypercube points may be given as
     sign vectors). Conditional models need the feature vector x."""
-    if isinstance(model, ConditionalModel):
-        if x is None:
-            raise InputError("conditional models need features x")
-        return float(model.log_f_labels(x)[int(y)])
-    idx = _point_index(model, y)
-    if isinstance(model, BoltzmannModel):
-        return float(model.log_f_batch([idx])[0])
-    if isinstance(model, TabularModel):
-        return float(model.eta[idx])
-    raise InputError(f"unknown model type {type(model).__name__}")
+    return float(_bind_point(model, y, x).logs(model.params)[0])
 
 
 def grad_log_f(model, y, x=None):
-    """Parameter gradient of log f at a point, in the model's native layout."""
-    if isinstance(model, BoltzmannModel):
-        idx = _point_index(model, y)
-        return model.pair_features([idx])[0]
-    if isinstance(model, TabularModel):
-        out = np.zeros(model.space.size)
-        out[int(y)] = 1.0
-        return out
-    if isinstance(model, ConditionalModel):
-        if x is None:
-            raise InputError("conditional models need features x")
-        out = np.zeros((model.num_labels, model.feature_dim))
-        out[int(y)] = np.asarray(x, dtype=np.float64)
-        return out
-    raise InputError(f"unknown model type {type(model).__name__}")
+    """Parameter gradient of log f at a point: flat, or one row per label
+    for a conditional model (given its features x)."""
+    grad = _bind_point(model, y, x).pullback(np.ones(1))
+    return grad if x is None else grad.reshape(model.space.size, -1)
 
 
 def _all_log_f(model) -> np.ndarray:

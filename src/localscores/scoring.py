@@ -131,6 +131,7 @@ def score(family: LocalPotentialFamily, y: int, log_f) -> float:
     return generic_score(family, y, log_f)
 
 
+@np.errstate(over="ignore")  # pl/rm sigmoids reach their limits through inf
 def _additive_score(family, y, log_f) -> float:
     logf = _as_logf(log_f)
     y = int(y)
@@ -281,6 +282,7 @@ def score_and_logf_gradient(family: LocalPotentialFamily, y: int, log_f):
     return _generic_score_grad(family, y, logf)
 
 
+@np.errstate(over="ignore")  # pl/rm sigmoids reach their limits through inf
 def _additive_score_grad(family, y, logf):
     nbrs = family.neighbors(y)
     ly = _query(logf, y)

@@ -87,6 +87,19 @@ class SampleSpace:
                 f"got |Y| = {self.size}"
             )
 
+    def checked_indices(self, values, what: str = "sample") -> np.ndarray:
+        """Values as a flat index array, checked nonempty, integral and inside
+        the space (before the cast, so nothing is truncated or wrapped)."""
+        values = np.asarray(values).reshape(-1)
+        if values.size == 0:
+            raise InputError(f"{what}s must be nonempty")
+        kind = values.dtype.kind
+        if kind not in "iuf" or (kind == "f" and np.any(values != np.trunc(values))):
+            raise InputError(f"{what}s must be integers")
+        if values.min() < 0 or values.max() >= self.size:
+            raise InputError(f"{what} index outside the space")
+        return values.astype(np.int64, copy=False)
+
     def point_label(self, index: int) -> str:
         """Human-readable identifier of the point at a dense index."""
         if self.kind == "enumerated":

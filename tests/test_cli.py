@@ -6,6 +6,7 @@ import pytest
 
 from localscores import (
     BoltzmannModel,
+    ConditionalModel,
     RngStream,
     exact_log_z,
     load_model,
@@ -410,6 +411,28 @@ class TestClassifyAndConditionalFit:
         data = tmp_path / "d.csv"
         data.write_text("1,2,0\n")
         assert run(capsys, "classify", "--model", str(model_path), "--data", str(data))[0] == 2
+
+    @pytest.mark.parametrize("command", ["classify", "eval"])
+    def test_ragged_feature_rows_exit_2(self, capsys, tmp_path, command):
+        model_path = tmp_path / "cond.json"
+        save_model(ConditionalModel.zeros(3, 2), model_path)
+        data = tmp_path / "ragged.csv"
+        data.write_text("1,2,0\n1,2,3,1\n")
+        flag = "--data" if command == "classify" else "--test"
+        code, _, err = run(capsys, command, "--model", str(model_path), flag, str(data))
+        assert code == 2
+        assert err.startswith("error: ") and "ragged.csv:2: malformed row" in err
+
+    @pytest.mark.parametrize("command", ["classify", "eval"])
+    def test_too_wide_features_exit_2(self, capsys, tmp_path, command):
+        model_path = tmp_path / "cond.json"
+        save_model(ConditionalModel.zeros(3, 2), model_path)
+        data = tmp_path / "wide.csv"
+        data.write_text("1,2,3,0\n4,5,6,1\n")
+        flag = "--data" if command == "classify" else "--test"
+        code, _, err = run(capsys, command, "--model", str(model_path), flag, str(data))
+        assert code == 2
+        assert err.startswith("error: ") and "feature dimension does not match" in err
 
 
 class TestSeedEnvironment:

@@ -429,7 +429,7 @@ class TestScaleGauge:
         fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
         obj = _build_objective(fam, BoltzmannModel.zeros(3), samples, None, FitConfig())
         x = np.array([0.3, -0.2, 0.1])
-        base_logs = obj.params.logs(x)
+        base_logs = obj.bound.logs(x)
         vals1, finish1 = obj._score_terms(base_logs)
         vals2, finish2 = obj._score_terms(base_logs + 3.7)
         assert np.allclose(vals1, vals2, rtol=1e-9)
@@ -639,6 +639,15 @@ class TestFitPreconditions:
         fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
         with pytest.raises(InputError, match="outside the space"):
             fit(fam, BoltzmannModel.zeros(3), np.array([0, 99]))
+
+    def test_joint_models_take_no_features(self):
+        # features were ignored for joint models; they now name the mistake
+        fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
+        with pytest.raises(InputError, match="only conditional models take features"):
+            fit(fam, BoltzmannModel.zeros(3), [0, 5], features=np.ones((2, 3)))
+        tab = TabularModel.zeros(fam.space)
+        with pytest.raises(InputError, match="only conditional models take features"):
+            empirical_score(fam, tab, [0, 5], features=np.ones((2, 3)))
 
     @pytest.mark.parametrize("samples", [[0.5, 3.7, 2.2], [0.0, 3.5], [np.nan, 1.0], ["1"]])
     def test_non_integral_samples_rejected(self, samples):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localscores import (
     BoltzmannModel,
@@ -239,3 +240,117 @@ class TestPointForms:
             signs = index_to_signs(i, 3)
             assert log_f(model, signs) == pytest.approx(log_f(model, i))
             assert signs_to_index(signs) == i
+
+    def test_tabular_on_hypercube_takes_sign_vectors(self):
+        model = TabularModel(space=SampleSpace.hypercube(2), eta=[0.0, 1.0, 2.0, 3.0])
+        assert log_f(model, (1, -1)) == 1.0
+        assert np.array_equal(grad_log_f(model, (-1, 1)), [0.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("point", [(1, -1), (1, -1, 1, 1), (1, 0, -1)])
+    def test_rejects_malformed_sign_vectors(self, point):
+        model = BoltzmannModel.zeros(3)
+        with pytest.raises(InputError):
+            log_f(model, point)
+
+    def test_label_space_takes_no_vectors(self):
+        with pytest.raises(InputError, match="neither an index nor a sign vector"):
+            log_f(TabularModel.zeros(SampleSpace.label_range(4)), (1, 0))
+
+
+def _three_point_models():
+    """(model, features, log f at the last point) on three-point spaces."""
+    return [
+        (TabularModel(SampleSpace.enumerated(list("abc")), [0.5, 1.5, 2.5]), None, 2.5),
+        (ConditionalModel(3, 2, np.arange(6.0).reshape(3, 2)), np.array([1.0, -1.0]), -1.0),
+    ]
+
+
+class TestPointRange:
+    """Points outside the space raise InputError instead of wrapping,
+    reading another point or escaping as an IndexError."""
+
+    def test_boltzmann_index_past_the_space(self):
+        model = BoltzmannModel(3, [0.3, -0.2, 0.7])
+        for fn in (log_f, grad_log_f):
+            with pytest.raises(InputError, match="point index outside the space"):
+                fn(model, 9)
+
+    @pytest.mark.parametrize("model, x, _", _three_point_models())
+    def test_negative_point(self, model, x, _):
+        for fn in (log_f, grad_log_f):
+            with pytest.raises(InputError, match="point index outside the space"):
+                fn(model, -1, x=x)
+
+    @pytest.mark.parametrize("model, x, _", _three_point_models())
+    def test_point_one_past_the_end(self, model, x, _):
+        for fn in (log_f, grad_log_f):
+            with pytest.raises(InputError, match="point index outside the space"):
+                fn(model, 3, x=x)
+
+    @pytest.mark.parametrize("model, x, last", _three_point_models())
+    def test_last_point_is_accepted(self, model, x, last):
+        assert log_f(model, 2, x=x) == last
+
+    def test_non_integer_point(self):
+        with pytest.raises(InputError, match="points must be integers"):
+            log_f(BoltzmannModel.zeros(3), 1.5)
+
+    def test_joint_models_take_no_features(self):
+        with pytest.raises(InputError, match="only conditional models take features"):
+            log_f(BoltzmannModel.zeros(3), 1, x=np.ones(2))
+
+
+def _protocol_case(kind, seed):
+    """A random model of the kind, distinct points to bind and, for a
+    conditional model, the feature rows of those points."""
+    rng = np.random.default_rng(seed)
+    features = None
+    if kind == "boltzmann":
+        dim = int(rng.integers(2, 7))
+        model = BoltzmannModel(dim, rng.normal(size=dim * (dim - 1) // 2))
+        size = 2 ** dim
+    elif kind == "tabular":
+        size = int(rng.integers(2, 12))
+        model = TabularModel(SampleSpace.enumerated(range(size)), rng.normal(size=size))
+    else:
+        labels, width, rows = (int(v) for v in rng.integers([2, 1, 1], [6, 5, 6]))
+        model = ConditionalModel(labels, width, rng.normal(size=(labels, width)))
+        features = rng.normal(size=(rows, width))
+        size = rows * labels
+    points = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+    return model, points, features, rng
+
+
+def _log_f_at(model, point, features):
+    if features is None:
+        return log_f(model, point)
+    row, label = divmod(int(point), model.num_labels)
+    return log_f(model, label, x=features[row])
+
+
+class TestModelProtocol:
+    @settings(max_examples=90, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["boltzmann", "tabular", "conditional"]), st.integers(0, 2 ** 32 - 1))
+    def test_bind_logs_pullback_and_with_params(self, kind, seed):
+        model, points, features, rng = _protocol_case(kind, seed)
+        params = model.params
+        bound = model.bind(points, features)
+
+        # logs at the model's own parameters are log f at each point
+        logs = bound.logs(params)
+        expected = [_log_f_at(model, p, features) for p in points]
+        np.testing.assert_allclose(logs, expected, rtol=1e-12, atol=1e-12 * np.abs(params).sum())
+
+        # the pullback is the adjoint of logs (both are linear in x)
+        x = rng.normal(size=params.size)
+        g = rng.normal(size=points.size)
+        lhs, rhs = bound.pullback(g) @ x, g @ bound.logs(x)
+        assert abs(lhs - rhs) <= 1e-12 * max(np.abs(g) @ np.abs(bound.logs(x)), 1e-300)
+
+        # params is a flat copy and with_params rebuilds the same model
+        before = model_to_dict(model)
+        assert params.dtype == np.float64 and params.ndim == 1
+        params[0] += 1.0
+        assert model_to_dict(model.with_params(model.params)) == before
+        assert type(model.with_params(model.params)) is type(model)
+        assert np.array_equal(model.with_params(x).params, x)

@@ -290,5 +290,7 @@ class TestEdgeTerms:
         d = np.array([-800.0, 800.0])
         for fam in (pseudo_likelihood(g), ratio_matching(g)):
             value_term, grad_term = fam.edge_terms()
-            assert np.all(np.isfinite(value_term(d)))
-            assert np.all(np.isfinite(grad_term(d)))
+            with np.errstate(over="ignore"):  # as the edge_terms docstring asks
+                values, grads = value_term(d), grad_term(d)
+            assert np.all(np.isfinite(values))
+            assert np.all(np.isfinite(grads))

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from localscores import (
     BlockSystem,
@@ -126,6 +128,23 @@ class TestScoreValues:
 
         with pytest.raises(InputError):
             score(fam, 0, lambda i: table[i])
+
+    def test_additive_routes_quiet_at_extreme_ratios(self):
+        # log ratios beyond about +-709 overflow a sigmoid's exp on the way
+        # to its exact limit; neither route may warn, and both stay right
+        g = hamming_graph(2, 1)
+        logs = np.array([0.0, 800.0, -800.0, 0.0])
+        refs = {"pl": lambda d: np.logaddexp(0.0, d), "rm": lambda d: expit(d) ** 2}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fam in (pseudo_likelihood(g), ratio_matching(g)):
+                for y in range(4):
+                    d = logs[fam.neighbors(y)] - logs[y]
+                    expected = float(np.sum(refs[fam.kind](d)))
+                    assert score(fam, y, logs) == pytest.approx(expected, rel=1e-15)
+                    value, _, grad = score_and_logf_gradient(fam, y, logs)
+                    assert value == pytest.approx(expected, rel=1e-15)
+                    assert np.all(np.isfinite(grad)) and grad.sum() == pytest.approx(0.0)
 
 
 class TestScorePathsAgree:
