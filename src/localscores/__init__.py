@@ -67,6 +67,7 @@ from .scoring import (
     score,
     score_and_logf_gradient,
     standard_cl_score,
+    state_scores,
 )
 from .models import (
     BoltzmannModel,

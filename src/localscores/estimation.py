@@ -36,12 +36,18 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputError
 from .graphs import label_band_graph
 from .models import ConditionalModel
-from .potentials import LocalPotentialFamily, Probability, ScoreSpec, composite_likelihood
+from .potentials import (
+    LocalPotentialFamily,
+    Probability,
+    ScoreSpec,
+    _logsumexp,
+    _masked,
+    composite_likelihood,
+)
 
 STEP_FLOOR = 1e-20
 
@@ -166,10 +172,6 @@ class _Balls:
         Terms in the relative s alone also owe -coef at each center."""
         soft = np.exp(a - s)
         return np.bincount(self.members.ravel(), weights=(coef * soft).ravel(), minlength=n_u)
-
-
-def _masked(values, mask):
-    return values if mask is None else np.where(mask, values, 0.0)
 
 
 def _stack_balls(parts):
@@ -338,13 +340,10 @@ class _ScoreObjective(_Objective):
             vals = np.sum(_masked(value_term(d), self.edge_mask), axis=1)
             return vals, lambda: self._edge_pullback(_masked(grad_term(d), self.edge_mask))
         # y's own local potential and its active neighbors' potentials
-        f0, f1, f2 = fam.scalar_terms()
-        r, s = np.exp(d), np.exp(-d)
-        vals = np.sum(
-            _masked(r * f1(r) - f0(r), self.own_edge) - _masked(f1(s), self.edge_mask), axis=1
-        )
+        (own, own_grad), (nbr, nbr_grad) = fam.split_edge_terms()
+        vals = np.sum(_masked(own(d), self.own_edge) + _masked(nbr(d), self.edge_mask), axis=1)
         return vals, lambda: self._edge_pullback(
-            _masked(r * r * f2(r), self.own_edge) + _masked(s * f2(s), self.edge_mask)
+            _masked(own_grad(d), self.own_edge) + _masked(nbr_grad(d), self.edge_mask)
         )
 
     def _edge_pullback(self, g):
@@ -447,7 +446,7 @@ class _MleObjective(_Objective):
     def evaluate(self, x):
         """(value, gradient), as `_ScoreObjective.evaluate`."""
         logs = self.bound.logs(x)
-        lz = float(logsumexp(logs))
+        lz = float(_logsumexp(logs))
         value = lz - float(self.emp @ logs) + self.l2 * float(x @ x)
 
         def gradient():
@@ -610,7 +609,7 @@ def negative_log_loss(model, test_samples, log_z: float | None = None, features=
     if isinstance(model, ConditionalModel):
         y = model.space.checked_indices(test_samples)
         lmat = model.feature_rows(features, y.size) @ model.theta.T
-        lse = logsumexp(lmat, axis=1)
+        lse = _logsumexp(lmat, axis=1)
         return float(np.mean(lse - lmat[np.arange(y.size), y]))
     if log_z is None:
         raise InputError("supply log_z (exact or estimated) for unconditional models")

@@ -34,10 +34,9 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputError
-from .potentials import Probability
+from .potentials import Probability, _logsumexp
 from .spaces import SampleSpace, indices_to_signs, parse_space_spec, signs_to_index
 
 
@@ -191,7 +190,7 @@ class ConditionalModel:
         return self.theta @ x
 
     def log_z(self, x) -> float:
-        return float(logsumexp(self.log_f_labels(x)))
+        return float(_logsumexp(self.log_f_labels(x)))
 
 
 @dataclass(frozen=True)
@@ -265,13 +264,13 @@ def _all_log_f(model) -> np.ndarray:
 
 def exact_log_z(model) -> float:
     """log sum_y f(y), computed stably over the enumerated space."""
-    return float(logsumexp(_all_log_f(model)))
+    return float(_logsumexp(_all_log_f(model)))
 
 
 def normalize(model) -> Probability:
     """The normalized probability f / Z over the enumerated space."""
     logs = _all_log_f(model)
-    return Probability(weights=np.exp(logs - logsumexp(logs)))
+    return Probability(weights=np.exp(logs - _logsumexp(logs)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .scoring import (
     generic_score,
     named_closed_form_score,
     score,
+    state_scores,
 )
 
 MAX_WITNESSES = 10
@@ -216,8 +217,9 @@ def check_score_paths(
     family: LocalPotentialFamily, trials: int = 50, rng: RngStream = RngStream(0)
 ) -> OracleReport:
     """Max pairwise relative discrepancy among the evaluation routes: the
-    gradient path, the closed form (when the kind has one), and a central
-    finite difference of the composite potential on the log scale."""
+    per-point score, the generic gradient path, the batched kernel's
+    whole-space vector, the closed form (when the kind has one), and a
+    central finite difference of the composite potential on the log scale."""
     space = family.space
     if space.size > 256:
         raise InputError("score path checks enumerate the space; need |Y| <= 256")
@@ -231,6 +233,7 @@ def check_score_paths(
         routes = {
             "gradient": score(family, y, logs),
             "generic": generic_score(family, y, logs),
+            "kernel": float(state_scores(family, logs)[y]),
         }
         try:
             routes["closed_form"] = named_closed_form_score(family, y, logs)
@@ -286,7 +289,8 @@ def check_block_cover_connectivity(
 def check_divergence_identity(
     family: LocalPotentialFamily, trials: int = 50, rng: RngStream = RngStream(0)
 ) -> OracleReport:
-    """divergence(f,g) must equal sum_y f_y score(y,g) + potential(f); the
+    """divergence(f,g), the batched local-Bregman route, must equal
+    f . state_scores(g) + potential(f), the score kernel's route; the
     index-swap identity over random arrays must hold to the digit."""
     space = family.space
     if space.size > 16:
@@ -299,10 +303,9 @@ def check_divergence_identity(
         flogs = gen.uniform(-3.0, 3.0, size=space.size)
         glogs = gen.uniform(-3.0, 3.0, size=space.size)
         lhs = divergence(family, flogs, glogs)
-        fvals = np.exp(flogs)
-        rhs = sum(
-            fvals[y] * score(family, y, glogs) for y in range(space.size)
-        ) + composite_potential(family, UnnormalizedVector.from_logs(flogs))
+        rhs = float(np.exp(flogs) @ state_scores(family, glogs)) + composite_potential(
+            family, UnnormalizedVector.from_logs(flogs)
+        )
         scale = max(1.0, abs(lhs), abs(rhs))
         spread = abs(lhs - rhs) / scale
         if spread > worst:

@@ -83,6 +83,43 @@ def _rm_grad(d):
     return t
 
 
+def _masked(values, mask):
+    """values with the entries outside mask zeroed (mask None keeps all)."""
+    return values if mask is None else np.where(mask, values, 0.0)
+
+
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) over axis (None: every entry), bit for bit as
+    scipy.special.logsumexp (1.17) computes it for real input without
+    weights: the maximum's ties are counted apart and the rest summed through
+    log1p. scipy falls back to log(sum(exp(a))) where that result is not
+    finite; here those results already agree with its fallback (the ties
+    leave the sum after the shift, so an all -inf row gives -inf, not nan).
+    Plain numpy costs about a fifth of scipy's array-API dispatch on the
+    short vectors scored here."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 0:
+        a = a.reshape(1)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    if a.size == 0:
+        return np.full(np.sum(a, axis=axis).shape, -np.inf)[()]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis, keepdims=True)
+        at_top = a == top
+        count = at_top.sum(axis, dtype=np.float64, keepdims=True)
+        rest = a - top
+        rest[at_top] = -np.inf
+        np.exp(rest, rest)
+        # a zero rest stays zero; a zero count means a nan maximum, whose
+        # result is non-finite either way
+        rest = rest.sum(axis, keepdims=True)
+        rest /= count
+        out = np.log1p(rest)
+        out += np.log(count)
+        out += top
+    return out.squeeze(axis)[()]
+
+
 # ---------------------------------------------------------------------------
 # value vectors
 
@@ -191,7 +228,10 @@ class BlockNeighborhood:
 
 
 # ---------------------------------------------------------------------------
-# per-point potential evaluators
+# potential evaluators: value and gradient act on ratio vectors g = f_b(y) / f_y
+# along the last axis, so one call serves a single point or a padded
+# (points x width) batch, whose `valid` mask (None: no padding) drops the
+# padding from every sum
 
 
 class _AdditivePotential:
@@ -202,19 +242,11 @@ class _AdditivePotential:
     def __init__(self, f0, f1, f2):
         self.f0, self.f1, self.f2 = f0, f1, f2
 
-    def value(self, v):
-        return float(np.sum(self.f0(v)))
+    def value(self, v, valid=None):
+        return np.sum(_masked(self.f0(v), valid), axis=-1)
 
-    def grad(self, v):
-        return self.f1(v)
-
-    def hess_dot(self, v, x):
-        return self.f2(v) * x
-
-    def hess_row(self, v, pos):
-        row = np.zeros_like(v)
-        row[pos] = self.f2(v[pos : pos + 1])[0]
-        return row
+    def grad(self, v, valid=None):
+        return _masked(self.f1(v), valid)
 
 
 class _PseudoSphericalPotential:
@@ -226,14 +258,15 @@ class _PseudoSphericalPotential:
     def __init__(self, gamma: float):
         self.gamma = gamma
 
-    def _norm(self, v):
-        return float(np.sum(v ** (1.0 + self.gamma)) ** (1.0 / (1.0 + self.gamma)))
+    def _norm(self, v, valid=None):
+        g = self.gamma
+        return np.sum(_masked(v ** (1.0 + g), valid), axis=-1) ** (1.0 / (1.0 + g))
 
-    def value(self, v):
-        return self._norm(v)
+    def value(self, v, valid=None):
+        return self._norm(v, valid)
 
-    def grad(self, v):
-        return (v / self._norm(v)) ** self.gamma
+    def grad(self, v, valid=None):
+        return _masked((v / self._norm(v, valid)[..., None]) ** self.gamma, valid)
 
     def hess_dot(self, v, x):
         g, n = self.gamma, self._norm(v)
@@ -249,38 +282,33 @@ class _PseudoSphericalPotential:
 
 
 class _CompositePotential:
-    """phi_y(g) = -sum_l log(1 + sum over block l of g); `positions` gives,
-    per block, the offsets of the block's neighbors inside sorted b(y)."""
+    """phi_y(g) = -sum_l log(1 + sum over block l of g); `member` is the
+    (..., blocks, width) mask of the neighbors in each block b_l(y)."""
 
     additive = False
 
-    def __init__(self, positions: list[np.ndarray]):
-        self.positions = positions
+    def __init__(self, member: np.ndarray):
+        self.member = member  # padding lies in no block, so `valid` is not needed
+
+    def _per_block(self, coef):
+        """Spread per-block coefficients (..., blocks) onto their members."""
+        return np.sum(np.where(self.member, coef[..., None], 0.0), axis=-2)
 
     def _sums(self, v):
-        return [float(v[pos].sum()) for pos in self.positions]
+        return np.sum(np.where(self.member, v[..., None, :], 0.0), axis=-1)
 
-    def value(self, v):
-        return -sum(np.log1p(s) for s in self._sums(v))
+    def value(self, v, valid=None):
+        return -np.sum(np.log1p(self._sums(v)), axis=-1)
 
-    def grad(self, v):
-        out = np.zeros_like(v)
-        for pos, s in zip(self.positions, self._sums(v)):
-            out[pos] -= 1.0 / (1.0 + s)
-        return out
+    def grad(self, v, valid=None):
+        return -self._per_block(1.0 / (1.0 + self._sums(v)))
 
     def hess_dot(self, v, x):
-        out = np.zeros_like(v)
-        for pos, s in zip(self.positions, self._sums(v)):
-            out[pos] += float(x[pos].sum()) / (1.0 + s) ** 2
-        return out
+        return self._per_block(self._sums(x) / (1.0 + self._sums(v)) ** 2)
 
     def hess_row(self, v, pos_idx):
-        row = np.zeros_like(v)
-        for pos, s in zip(self.positions, self._sums(v)):
-            if np.any(pos == pos_idx):
-                row[pos] += 1.0 / (1.0 + s) ** 2
-        return row
+        inside = self.member[:, pos_idx]
+        return self._per_block(np.where(inside, 1.0 / (1.0 + self._sums(v)) ** 2, 0.0))
 
 
 def _scalar_triplet(kind: str, gamma: float | None):
@@ -317,8 +345,12 @@ class LocalPotentialFamily:
     whole space or a set of point indices; every active point must have at
     least one neighbor.
 
-    Families are immutable apart from an internal per-point memo; concurrent
-    score evaluation is safe (racing writers store identical entries).
+    Families are immutable apart from three internal memos, each filled on
+    first use: the per-point `local(y)` entries, the batch of every active
+    point's neighbors and evaluator (`active_local`, which divergences and
+    composite potentials read), and the whole-space score kernel that
+    `scoring.state_scores` compiles once per family and reuses for every log
+    f. Concurrent evaluation is safe: racing writers store identical entries.
     """
 
     def __init__(
@@ -354,6 +386,8 @@ class LocalPotentialFamily:
         self.d2phi = d2phi if d2phi is not None else _numeric_second(dphi)
         self.active = None if active is None else frozenset(int(a) for a in active)
         self._local_cache: dict[int, object] = {}
+        self._active_local = None
+        self._kernel = None
         if self.active is not None and not self.active:
             raise InputError("active set must be nonempty")
         self._validate_active_neighborhoods()
@@ -425,28 +459,48 @@ class LocalPotentialFamily:
         return xor_neighbors(points, block_submasks(system)[block]), None
 
     def local(self, y: int):
-        """(neighbor array, potential evaluator) for the point y."""
+        """(neighbor array, potential evaluator) for the point y: the one-row
+        case of `active_local`, memoized per point."""
         y = int(y)
         hit = self._local_cache.get(y)
         if hit is not None:
             return hit
         nbrs = self.neighbors(y)
-        if self.kind == "ps":
-            ev = _PseudoSphericalPotential(self.gamma)
-        elif self.kind == "cl":
-            positions = [np.searchsorted(nbrs, b) for b in self.block_lists(y)]
-            ev = _CompositePotential(positions)
-        elif self.kind == "custom":
-            ev = _AdditivePotential(
-                np.vectorize(self.phi, otypes=[float]),
-                np.vectorize(self.dphi, otypes=[float]),
-                np.vectorize(self.d2phi, otypes=[float]),
-            )
-        else:
-            ev = _AdditivePotential(*_scalar_triplet(self.kind, self.gamma))
+        hit = nbrs, self._evaluator(y, nbrs, None)
         if len(self._local_cache) < 65536:
-            self._local_cache[y] = (nbrs, ev)
-        return nbrs, ev
+            self._local_cache[y] = hit
+        return hit
+
+    def active_local(self):
+        """(points, neighbor matrix, valid, evaluator) for every active point:
+        the padded rows of `neighbor_matrix` with their mask, and one
+        evaluator acting on the matching (points x width) ratio matrices.
+        Built on first use."""
+        if self._active_local is None:
+            points = self.active_indices()
+            nbrs, valid = self.neighbor_matrix(points)
+            self._active_local = points, nbrs, valid, self._evaluator(points, nbrs, valid)
+        return self._active_local
+
+    def _evaluator(self, points, nbrs, valid):
+        if self.kind == "ps":
+            return _PseudoSphericalPotential(self.gamma)
+        if self.kind == "cl":
+            return _CompositePotential(self._block_membership(points, nbrs, valid))
+        return _AdditivePotential(*self.scalar_terms())
+
+    def _block_membership(self, points, nbrs, valid):
+        """(..., blocks, width) mask of the neighbors in each b_l(y), for one
+        point and its neighbor array or for a batch and its padded matrix. In
+        a block system z lies in b_l(y) iff y ^ z is a nonzero submask of
+        block l; without one, b(y) is the single block."""
+        real = np.ones(np.shape(nbrs), dtype=bool) if valid is None else valid
+        system = self._block_system
+        if system is None:
+            return real[..., None, :]
+        flips = nbrs ^ np.asarray(points)[..., None]
+        outside = ~np.array(system.masks, dtype=np.int64)[:, None]
+        return ((flips[..., None, :] & outside) == 0) & real[..., None, :]
 
     def scalar_terms(self):
         """(f0, f1, f2) of the one-dimensional term for additive kinds."""
@@ -466,7 +520,8 @@ class LocalPotentialFamily:
         term psi(e^d) and its derivative with respect to log f_z.
 
         pl/rm reduce to softplus and sigmoids and stay finite for any d; dp
-        genuinely grows like exp((1+gamma)d), overflowing to a clean inf.
+        and custom kinds sum their `split_edge_terms`, and dp genuinely grows
+        like exp((1+gamma)d), overflowing to a clean inf.
         A sigmoid's exp overflows where |d| exceeds about 709, which gives
         the right limit; callers that mind the warning run under np.errstate.
         """
@@ -476,25 +531,53 @@ class LocalPotentialFamily:
             return _softplus, _sigmoid
         if self.kind == "rm":
             return _rm_value, _rm_grad
+        (own, own_grad), (nbr, nbr_grad) = self.split_edge_terms()
+        return lambda d: own(d) + nbr(d), lambda d: own_grad(d) + nbr_grad(d)
+
+    def split_edge_terms(self):
+        """`edge_terms` split by whose potential a term comes from, for
+        scoring on an active subset: ((own, own_grad), (nbr, nbr_grad)) on
+        d = log f_z - log f_y. An active y's own potential gives own(d) per
+        z in b(y), an active z's potential gives nbr(d); own + nbr is the
+        whole-space term. pl (own softplus(d) - sigmoid(d), nbr sigmoid(d))
+        and rm (each sigmoid(d)^2 / 2) stay finite for any d, as in
+        `edge_terms`; dp's exponentials overflow to a clean inf; custom kinds
+        are formed from the ratio r = e^d."""
+        if not self.additive:
+            raise InputError(f"kind {self.kind!r} is not additive")
+        if self.kind == "pl":
+            return (
+                (lambda d: _softplus(d) - _sigmoid(d), _rm_value),  # d/dd is sigmoid(d)^2
+                (_sigmoid, lambda d: _sigmoid(d) * _sigmoid(-d)),
+            )
+        if self.kind == "rm":
+            half = lambda d: 0.5 * _rm_value(d), lambda d: 0.5 * _rm_grad(d)
+            return half, half
         if self.kind == "dp":
             g = self.gamma
             return (
-                lambda d: g / (1.0 + g) * np.exp((1.0 + g) * d) - np.exp(-g * d),
-                lambda d: g * (np.exp((1.0 + g) * d) + np.exp(-g * d)),
+                (lambda d: g / (1.0 + g) * np.exp((1.0 + g) * d),
+                 lambda d: g * np.exp((1.0 + g) * d)),
+                (lambda d: -np.exp(-g * d), lambda d: g * np.exp(-g * d)),
             )
         f0, f1, f2 = self.scalar_terms()
 
-        def value(d):
+        def own(d):
             r = np.exp(d)
-            s = np.exp(-d)
-            return r * f1(r) - f0(r) - f1(s)
+            return r * f1(r) - f0(r)
 
-        def grad(d):
+        def own_grad(d):
             r = np.exp(d)
-            s = np.exp(-d)
-            return r * r * f2(r) + s * f2(s)
+            return r * r * f2(r)
 
-        return value, grad
+        def nbr(d):
+            return -f1(np.exp(-d))
+
+        def nbr_grad(d):
+            s = np.exp(-d)
+            return s * f2(s)
+
+        return (own, own_grad), (nbr, nbr_grad)
 
     def _validate_active_neighborhoods(self) -> None:
         # Implicit hypercube neighborhoods always have nonempty b(y).

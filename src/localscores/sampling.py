@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputError
 from .models import BoltzmannModel
-from .potentials import Probability
+from .potentials import Probability, _logsumexp
 from .spaces import SampleSpace, parse_space_spec, signs_matrix_to_indices
 
 
@@ -174,7 +173,7 @@ def ais_log_z(
             logit_u = np.log(u) - np.log1p(-u)
             _sweep_states(states, w, logit_u, betas[k + 1])
     log_base = dim * np.log(2.0)
-    estimate = float(log_base + logsumexp(log_w) - np.log(m))
+    estimate = float(log_base + _logsumexp(log_w) - np.log(m))
     shifted = np.exp(log_w - log_w.max())
     mean = shifted.mean()
     if m > 1:

@@ -1,18 +1,25 @@
 """Scores, composite potentials and composite local Bregman divergences.
 
-Three independent evaluation routes exist for the same score and are kept
+Independent evaluation routes exist for the same score and are kept
 deliberately separate so they can cross-check each other:
 
-- `score` / `generic_score`: the gradient of the composite potential,
-  assembled from local potential values and gradients (additive families use
-  the collapsed one-dimensional form);
+- `score` / `generic_score`: one point's score through a log-value query,
+  as the gradient of the composite potential assembled from local potential
+  values and gradients (additive families use the collapsed one-dimensional
+  form);
 - `named_closed_form_score`: the per-kind explicit formula;
-- a finite difference of `composite_potential` (test-side only).
+- `state_scores`: every point's score at once, from the value pass of the
+  batched score kernel that fits run on (`estimation._ScoreObjective`),
+  compiled once per family over the whole space;
+- a finite difference of `composite_potential`.
 
-Scores are evaluated through a log-value query, never through a dense vector
-over the space, so implicit hypercube neighborhoods score at dimensions far
-beyond enumeration size. Divergences and expected scores do enumerate and
-therefore require an enumerable space.
+Per-point scores never build a dense vector over the space, so implicit
+hypercube neighborhoods score at dimensions far beyond enumeration size.
+Expected scores are p . state_scores(f). Composite potentials and
+divergences are the local-Bregman route: every active point's local
+potential evaluated in one pass over the padded neighbor matrix, independent
+of the score kernel. These enumerate and therefore require an enumerable
+space.
 """
 
 from __future__ import annotations
@@ -20,15 +27,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import InputError, InternalConsistencyError, UnsupportedError
+from .estimation import _ScoreObjective
 from .graphs import BlockSystem
+from .models import TabularModel
 from .potentials import (
     BlockNeighborhood,
     LocalPotentialFamily,
     Probability,
     UnnormalizedVector,
+    _logsumexp,
     composite_likelihood,
 )
 
@@ -101,21 +111,28 @@ def _logs_of(f) -> np.ndarray:
     return UnnormalizedVector.from_logs(f).logs
 
 
+def _space_logs(family, what, *vectors):
+    """Logs of value vectors over the whole (enumerable) space."""
+    logs = [_logs_of(f) for f in vectors]
+    family.space.require_enumerable(what)
+    if any(len(lg) != family.space.size for lg in logs):
+        raise InputError("value vectors do not match the space")
+    return logs
+
+
+def _ratios(logs, points, nbrs):
+    """f over b(y) / f_y for a batch of points and their neighbor matrix."""
+    return np.exp(logs[nbrs] - logs[points][:, None])
+
+
 def composite_potential(family: LocalPotentialFamily, f) -> float:
     """phi(f) = sum over active y of f_y * phi_y(f_{b(y)} / f_y).
 
     1-homogeneous in f by construction; requires an enumerable space.
     """
-    logs = _logs_of(f)
-    family.space.require_enumerable("composite_potential")
-    if len(logs) != family.space.size:
-        raise InputError("value vector does not match the space")
-    total = 0.0
-    for y in family.active_indices():
-        nbrs, ev = family.local(int(y))
-        v = np.exp(logs[nbrs] - logs[y])
-        total += float(np.exp(logs[y])) * float(ev.value(v))
-    return total
+    (logs,) = _space_logs(family, "composite_potential", f)
+    points, nbrs, valid, ev = family.active_local()
+    return float(np.exp(logs[points]) @ ev.value(_ratios(logs, points, nbrs), valid))
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +157,18 @@ def _additive_score(family, y, log_f) -> float:
     if family.active is None:
         value_term, _ = family.edge_terms()
         return float(np.sum(value_term(d)))
-    f0, f1, _ = family.scalar_terms()
-    total = 0.0
+    return float(np.sum(_active_edge_terms(family, y, nbrs, d)))
+
+
+def _active_edge_terms(family, y, nbrs, d, derivative=False) -> np.ndarray:
+    """y's per-edge score terms on an active subset (or their derivatives
+    with respect to each neighbor's log f): own terms when y is active, and
+    each active neighbor's term."""
+    own, nbr = (pair[derivative] for pair in family.split_edge_terms())
+    terms = np.where([family.in_active(int(z)) for z in nbrs], nbr(d), 0.0)
     if family.in_active(y):
-        r = np.exp(d)
-        total += float(np.sum(r * f1(r) - f0(r)))
-    for z, dz in zip(nbrs, d):
-        if family.in_active(int(z)):
-            total -= float(f1(np.exp(-dz)))
-    return total
+        terms += own(d)
+    return terms
 
 
 def _has_own_term(family: LocalPotentialFamily, y: int) -> bool:
@@ -161,7 +181,13 @@ def _has_own_term(family: LocalPotentialFamily, y: int) -> bool:
 
 def generic_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     """Gradient-of-potential route valid for every kind, including inactive
-    points (indicator terms)."""
+    points (indicator terms).
+
+    It evaluates the local potentials on the raw ratios f over b(z) / f_z,
+    so it is finite only while every log ratio it forms stays within about
+    +-709: beyond that exp overflows, and a term such as
+    v . grad phi_y(v) - phi_y(v) becomes inf - inf. `score` and the kernel
+    use the stable log-scale edge terms instead."""
     logf = _as_logf(log_f)
     y = int(y)
     ly = _query(logf, y)
@@ -210,7 +236,7 @@ def named_closed_form_score(family: LocalPotentialFamily, y: int, log_f) -> floa
     total = 0.0
     for z in nbrs:
         dz = _gather(logf, family.neighbors(int(z))) - ly
-        log_norm = logsumexp((1.0 + g) * dz) / (1.0 + g)
+        log_norm = _logsumexp((1.0 + g) * dz) / (1.0 + g)
         total -= float(np.exp(-g * log_norm))
     return total
 
@@ -219,13 +245,13 @@ def _mcl_closed_form(family, y, logf, ly) -> float:
     # per block: -log q(y | n_l(y)) + sum_{z in n_l(y)} q(z | n_l(z)) - 1
     total = 0.0
     for block_index, bl in enumerate(family.block_lists(y)):
-        lse_y = float(logsumexp(np.append(_gather(logf, bl), ly)))
+        lse_y = float(_logsumexp(np.append(_gather(logf, bl), ly)))
         total += lse_y - ly
         members = [y] + [int(z) for z in bl]
         for z in members:
             lz = _query(logf, z)
             bl_z = family.block_lists(z)[block_index]
-            lse_z = float(logsumexp(np.append(_gather(logf, bl_z), lz)))
+            lse_z = float(_logsumexp(np.append(_gather(logf, bl_z), lz)))
             total += float(np.exp(lz - lse_z))
         total -= 1.0
     return total
@@ -244,7 +270,7 @@ def standard_cl_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     ly = _query(logf, y)
     total = 0.0
     for bl in family.block_lists(y):
-        total += float(logsumexp(np.append(_gather(logf, bl), ly))) - ly
+        total += float(_logsumexp(np.append(_gather(logf, bl), ly))) - ly
     return total
 
 
@@ -292,18 +318,8 @@ def _additive_score_grad(family, y, logf):
         value = float(np.sum(value_term(d)))
         gnbrs = grad_term(d)
     else:
-        f0, f1, f2 = family.scalar_terms()
-        value = 0.0
-        gnbrs = np.zeros(len(nbrs))
-        if family.in_active(y):
-            r = np.exp(d)
-            value += float(np.sum(r * f1(r) - f0(r)))
-            gnbrs += r * r * f2(r)
-        active_nbrs = np.array([family.in_active(int(z)) for z in nbrs])
-        if np.any(active_nbrs):
-            s = np.exp(-d[active_nbrs])
-            value -= float(np.sum(f1(s)))
-            gnbrs[active_nbrs] += s * f2(s)
+        value = float(np.sum(_active_edge_terms(family, y, nbrs, d)))
+        gnbrs = _active_edge_terms(family, y, nbrs, d, derivative=True)
     indices = np.append(nbrs, y)
     grads = np.append(gnbrs, -float(gnbrs.sum()))
     order = np.argsort(indices)
@@ -351,23 +367,32 @@ def _generic_score_grad(family, y, logf):
 # divergence and expectations
 
 
+def state_scores(family: LocalPotentialFamily, log_f) -> np.ndarray:
+    """score(y, f) for every point y of the (enumerable) space, from one
+    value pass of the batched score kernel. The kernel is compiled on the
+    first call, on a tabular model over the whole space, and kept on the
+    family; its value pass reads no sample weights, so it serves every f."""
+    (logs,) = _space_logs(family, "state_scores", log_f)
+    kernel = family._kernel
+    if kernel is None:
+        space = family.space
+        kernel = _ScoreObjective(family, TabularModel.zeros(space), np.arange(space.size))
+        family._kernel = kernel
+    with np.errstate(over="ignore"):  # pl/rm sigmoids reach their limits through inf
+        return kernel._score_terms(kernel.bound.logs(logs))[0]
+
+
 def divergence(family: LocalPotentialFamily, f, g) -> float:
     """Composite local Bregman divergence between two positive vectors.
 
     Tiny negative totals (above -1e-12) are floating noise and clip to zero;
     anything lower signals a gradient bug and raises."""
-    flogs = _logs_of(f)
-    glogs = _logs_of(g)
-    family.space.require_enumerable("divergence")
-    if len(flogs) != family.space.size or len(glogs) != family.space.size:
-        raise InputError("value vectors do not match the space")
-    total = 0.0
-    for y in family.active_indices():
-        nbrs, ev = family.local(int(y))
-        u = np.exp(flogs[nbrs] - flogs[y])
-        v = np.exp(glogs[nbrs] - glogs[y])
-        local = float(ev.value(u)) - float(ev.value(v)) - float(ev.grad(v) @ (u - v))
-        total += float(np.exp(flogs[y])) * local
+    flogs, glogs = _space_logs(family, "divergence", f, g)
+    points, nbrs, valid, ev = family.active_local()
+    u = _ratios(flogs, points, nbrs)
+    v = _ratios(glogs, points, nbrs)
+    local = ev.value(u, valid) - ev.value(v, valid) - np.sum(ev.grad(v, valid) * (u - v), axis=-1)
+    total = float(np.exp(flogs[points]) @ local)
     if total < -DIVERGENCE_NEGATIVITY_TOLERANCE:
         raise InternalConsistencyError(
             f"divergence evaluated to {total!r}; local potential gradients are inconsistent"
@@ -380,10 +405,7 @@ def expected_score(family: LocalPotentialFamily, p: Probability, f) -> float:
     family.space.require_enumerable("expected_score")
     if len(p) != family.space.size:
         raise InputError("probability does not match the space")
-    logs = _logs_of(f)
-    return float(
-        sum(p.weights[y] * score(family, y, logs) for y in range(family.space.size))
-    )
+    return float(p.weights @ state_scores(family, f))
 
 
 # ---------------------------------------------------------------------------

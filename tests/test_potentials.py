@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import logsumexp
 
 from localscores import (
     BlockNeighborhood,
@@ -24,6 +27,7 @@ from localscores import (
     ratio_matching,
     SampleSpace,
 )
+from localscores.potentials import _logsumexp
 
 
 class TestValueVectors:
@@ -294,3 +298,60 @@ class TestEdgeTerms:
                 values, grads = value_term(d), grad_term(d)
             assert np.all(np.isfinite(values))
             assert np.all(np.isfinite(grads))
+
+    def test_split_terms_sum_to_edge_terms(self):
+        # own + neighbor terms make the whole-space term, their derivatives
+        # match finite differences, and pl/rm stay finite at any ratio
+        g = hamming_graph(2, 1)
+        families = (
+            pseudo_likelihood(g),
+            ratio_matching(g),
+            density_power(g, 1.4),
+            custom_additive(g, lambda t: t * math.log(t) - t, math.log, lambda t: 1.0 / t),
+        )
+        d = np.linspace(-4, 4, 33)
+        h = 1e-6
+        for fam in families:
+            value_term, grad_term = fam.edge_terms()
+            (own, own_grad), (nbr, nbr_grad) = fam.split_edge_terms()
+            np.testing.assert_allclose(own(d) + nbr(d), value_term(d), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(own_grad(d) + nbr_grad(d), grad_term(d), rtol=1e-12)
+            for term, grad in ((own, own_grad), (nbr, nbr_grad)):
+                fd = (term(d + h) - term(d - h)) / (2 * h)
+                np.testing.assert_allclose(grad(d), fd, rtol=1e-6, atol=1e-9)
+        with np.errstate(over="ignore"):
+            for fam in families[:2]:
+                for term in (t for pair in fam.split_edge_terms() for t in pair):
+                    assert np.all(np.isfinite(term(np.array([-800.0, 800.0])))), fam.kind
+
+
+_SPECIAL = st.sampled_from([0.0, 1.0, -2.5, 700.0, 1e308, np.inf, -np.inf, np.nan])
+
+
+class TestLogSumExp:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=5),
+               elements=st.one_of(_SPECIAL, st.floats(-1e3, 1e3))),
+        st.sampled_from([None, 0, 1, -1]),
+    )
+    @example(np.full(3, -np.inf), None)
+    @example(np.array([[2.0, 2.0, -1.0], [-np.inf, -np.inf, -np.inf]]), 1)
+    @example(np.array([np.inf, np.inf, 1.0]), None)
+    @example(np.array([np.nan, np.inf]), None)
+    @example(np.array([[3.0, np.nan], [3.0, 3.0]]), 0)
+    def test_bit_identical_to_scipy(self, a, axis):
+        if axis == 1 and a.ndim == 1:
+            axis = -1
+        with np.errstate(all="ignore"):
+            want = logsumexp(a, axis=axis)
+        got = _logsumexp(a, axis=axis)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, axis, got, want)
+
+    def test_scalar_and_empty_input(self):
+        for a, axis in ((np.float64(2.5), None), (np.array([]), None), (np.zeros((0, 3)), 1)):
+            got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

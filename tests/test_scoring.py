@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.special import expit
 
 from localscores import (
@@ -33,9 +34,13 @@ from localscores import (
     rank_condition,
     ratio_matching,
     score,
+    empirical_score,
     score_and_logf_gradient,
     standard_cl_score,
+    state_scores,
+    TabularModel,
 )
+from test_estimation import objective_cases
 
 RNG = np.random.default_rng(20260809)
 
@@ -145,6 +150,30 @@ class TestScoreValues:
                     value, _, grad = score_and_logf_gradient(fam, y, logs)
                     assert value == pytest.approx(expected, rel=1e-15)
                     assert np.all(np.isfinite(grad)) and grad.sum() == pytest.approx(0.0)
+
+
+    def test_active_subset_additive_routes_finite_at_extreme_ratios(self):
+        # on an active subset y's own terms and its active neighbors' terms
+        # are formed apart; past a log ratio of about 709 the ratio form
+        # r f1(r) - f0(r) was inf - inf. The four routes give the same
+        # values at +-800 as at +-700
+        g = hamming_graph(2, 1)
+        p = Probability.normalize([0.4, 0.3, 0.2, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for span in (700.0, 800.0):
+                logs = np.array([0.0, span, -span, 0.0])
+                for fam, expected in ((pseudo_likelihood(g, active=[0, 1]), span),
+                                      (ratio_matching(g, active=[0, 1]), 1.0)):
+                    assert score(fam, 0, logs) == expected, (fam.kind, span)
+                    value, _, grad = score_and_logf_gradient(fam, 0, logs)
+                    assert value == expected and np.all(np.isfinite(grad))
+                    assert empirical_score(fam, TabularModel(g.space, logs), [0]) == expected
+                    per_point = [score(fam, y, logs) for y in range(4)]
+                    assert np.all(np.isfinite(per_point))
+                    assert expected_score(fam, p, logs) == pytest.approx(
+                        float(p.weights @ per_point), rel=1e-15
+                    )
 
 
 class TestScorePathsAgree:
@@ -446,6 +475,105 @@ class TestExpectedScore:
             gap = expected_score(fam, p, q.log()) - expected_score(fam, p, p.log())
             assert gap == pytest.approx(divergence(fam, p.log(), q.log()), rel=1e-9, abs=1e-11)
             assert gap >= -1e-9, name
+
+
+def _loop_composite_potential(fam, logs):
+    """composite_potential one active point at a time (the reference for the
+    batched route)."""
+    total = 0.0
+    for y in fam.active_indices():
+        nbrs, ev = fam.local(int(y))
+        total += float(np.exp(logs[y])) * float(ev.value(np.exp(logs[nbrs] - logs[y])))
+    return total
+
+
+def _loop_divergence(fam, flogs, glogs):
+    """divergence one active point at a time (the reference for the batched
+    route)."""
+    total = 0.0
+    for y in fam.active_indices():
+        nbrs, ev = fam.local(int(y))
+        u = np.exp(flogs[nbrs] - flogs[y])
+        v = np.exp(glogs[nbrs] - glogs[y])
+        local = float(ev.value(u)) - float(ev.value(v)) - float(ev.grad(v) @ (u - v))
+        total += float(np.exp(flogs[y])) * local
+    return max(total, 0.0)
+
+
+def _space_case(case):
+    """A family with log f over its whole space and a probability there,
+    from an objective case: a conditional model gives the label logs of its
+    first feature row."""
+    target, model, samples, features = case
+    fam = target[0] if isinstance(target, tuple) else target
+    size = fam.space.size
+    if features is None:
+        logs = model.log_f_batch(np.arange(size))
+    else:
+        logs = model.theta @ features[0]
+    p = Probability.normalize(np.bincount(samples, minlength=size) + 0.5)
+    return fam, logs, p
+
+
+class TestArrayRoutes:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(objective_cases())
+    def test_kernel_expected_score_matches_per_point_sum(self, case):
+        fam, logs, p = _space_case(case)
+        ref = np.array([score(fam, y, logs) for y in range(fam.space.size)])
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        np.testing.assert_allclose(state_scores(fam, logs), ref, rtol=1e-12, atol=1e-12 * scale)
+        total = expected_score(fam, p, logs)
+        assert abs(total - float(p.weights @ ref)) <= 1e-12 * max(1.0, float(p.weights @ np.abs(ref)))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(objective_cases())
+    def test_batched_divergence_and_potential_match_loops(self, case):
+        fam, flogs, _ = _space_case(case)
+        glogs = 0.7 * np.roll(flogs, 1) + 0.3
+        for logs in (flogs, glogs):
+            ref = _loop_composite_potential(fam, logs)
+            assert composite_potential(fam, logs) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        ref = _loop_divergence(fam, flogs, glogs)
+        scale = max(1.0, abs(_loop_composite_potential(fam, flogs)))
+        assert divergence(fam, flogs, glogs) == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
+
+    def test_kernel_compiled_once_per_family(self, monkeypatch):
+        from localscores.estimation import _ScoreObjective
+
+        compiles = []
+        compile_ = _ScoreObjective._compile
+
+        def counted(self, features):
+            compiles.append(self.family)
+            return compile_(self, features)
+
+        monkeypatch.setattr(_ScoreObjective, "_compile", counted)
+        for name, fam in all_families_on_cube3().items():
+            for _ in range(3):
+                p = Probability.normalize(np.exp(random_logs(8)))
+                expected_score(fam, p, random_logs(8))
+            state_scores(fam, random_logs(8))
+            assert compiles.count(fam) == 1, name
+        assert len(compiles) == len(all_families_on_cube3())
+
+    def test_block_membership_matches_block_lists(self):
+        # the batch marks block members by bit masks; the per-point block
+        # lists enumerate them
+        families = [
+            composite_likelihood(BlockSystem.of(4, {1, 2}, {2, 3}, {4})),
+            composite_likelihood(label_band_graph(6, 2)),
+        ]
+        for fam in families:
+            points, nbrs, valid, ev = fam.active_local()
+            for y in points:
+                one_nbrs, one = fam.local(y)
+                width = len(one_nbrs)
+                assert np.array_equal(nbrs[y, :width], one_nbrs)
+                assert not ev.member[y, :, width:].any()
+                assert np.array_equal(ev.member[y, :, :width], one.member)
+                for block, members in zip(one.member, fam.block_lists(y)):
+                    assert np.array_equal(one_nbrs[block], members)
 
 
 class TestActiveSubsets:
