@@ -18,6 +18,14 @@ n_l(z) = b_l(z) + {z} per block for cl). Each ball's log-normalizer and
 softmax are computed once per evaluation, states gather from the table, and
 gradients accumulate per ball.
 
+Every point set that compilation reads (sample aggregation, ball centers, the
+universe) is indexed once by `_index_points`: a mark table over the
+objective's point range (the space, or rows x L for a conditional objective)
+gives the sorted points and, through its running count, every position the
+arrays need, without sorting. Only when the range exceeds the entry count by
+a fixed factor, as for a few samples on a hypercube from about D=20, does it
+sort the entries instead.
+
 Objectives share one protocol: `evaluate(x)` computes the value and returns
 it with `gradient()`, which finishes dJ/dx from the logs and the per-edge or
 per-ball arrays the value pass kept. The line search evaluates every trial
@@ -174,6 +182,30 @@ class _Balls:
         return np.bincount(self.members.ravel(), weights=(coef * soft).ravel(), minlength=n_u)
 
 
+# A mark table costs a byte and an int64 count per point of the range;
+# np.unique hashes and sorts the entries. On int64 entries the table was the
+# faster up to about 32 points of range per entry (numpy 2.4, 200 to 22 000
+# entries), so hypercubes from about D=20 with few samples take the sort.
+_TABLE_RANGE_PER_ENTRY = 32
+
+
+def _index_points(arrays, size):
+    """(points, pos) for point arrays with entries in [0, size): the sorted
+    distinct entries, and pos(x), the left np.searchsorted(points, x) for
+    any x in [0, size), absent ones included. Small ranges are indexed by a
+    mark table and its exclusive running count, large ones by a sort."""
+    flat = [np.ravel(a) for a in arrays]
+    if size > _TABLE_RANGE_PER_ENTRY * sum(a.size for a in flat):
+        points = np.unique(np.concatenate(flat))
+        return points, lambda x: np.searchsorted(points, x)
+    mark = np.zeros(size, dtype=bool)
+    for a in flat:
+        mark[a] = True
+    rank = np.cumsum(mark)
+    rank -= mark  # points below each x
+    return np.flatnonzero(mark), rank.__getitem__
+
+
 def _stack_balls(parts):
     """Concatenate per-block (members, valid, centers) row sets, padding every
     row to the widest block with its own center."""
@@ -196,6 +228,11 @@ class _ScoreObjective(_Objective):
     evaluation is then a fixed sequence of array operations. A conditional
     model's samples are labels with one feature row each; its points are
     row * L + label, and the family acts on each point's label.
+
+    Points lie in [0, size): the space, or rows x L for a conditional
+    objective; `_index_points` indexes every point set over that range, by a
+    sort only where size exceeds `_TABLE_RANGE_PER_ENTRY` times its entries.
+    `weights`, when given, belong to `samples` as sorted distinct states.
     """
 
     frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
@@ -210,13 +247,17 @@ class _ScoreObjective(_Objective):
         samples = family.space.checked_indices(samples)
         if standard_cl and family.active is not None:
             raise InputError("standard CL objectives assume the whole-space active set")
+        size = family.space.size
         if features is not None:  # label y on feature row i is the point i * L + y
             if np.shape(features)[:1] != samples.shape:
                 raise InputError("features and labels must align")
-            samples = np.arange(samples.size) * family.space.size + samples
+            samples = np.arange(samples.size) * size + samples
+            size *= samples.size
         super().__init__(model, l2)
+        self.size = size  # every point the objective reads lies in [0, size)
         if weights is None:
-            states, counts = np.unique(samples, return_counts=True)
+            states, pos = _index_points([samples], size)
+            counts = np.bincount(pos(samples), minlength=len(states))
             w = counts / counts.sum()
         else:
             states = samples
@@ -258,24 +299,23 @@ class _ScoreObjective(_Objective):
         elif fam.kind == "ps":
             nbrs, valid = self._batch(fam.neighbor_matrix, states)
             self.nbr_reach = self._reach(nbrs, valid)
-            centers = np.unique(nbrs if self.nbr_reach is None else nbrs[self.nbr_reach])
+            centers, pos = _index_points(
+                [nbrs if self.nbr_reach is None else nbrs[self.nbr_reach]], self.size
+            )
             members, mvalid = self._batch(fam.neighbor_matrix, centers)
-            self.nbr_ids = np.minimum(np.searchsorted(centers, nbrs), max(len(centers) - 1, 0))
+            self.nbr_ids = np.minimum(pos(nbrs), max(len(centers) - 1, 0))
             points = [states, nbrs, members]
         else:
             members, mvalid, centers = self._compile_cl()
             points = [states, members]
-        self.universe = np.unique(np.concatenate([np.ravel(p) for p in points]))
+        self.universe, pos = _index_points(points, self.size)
         self.bound = self.model.bind(self.universe, features)
-        self.ypos = np.searchsorted(self.universe, states)
+        self.ypos = pos(states)
         if fam.additive:
-            self.nbpos = np.searchsorted(self.universe, nbrs)
+            self.nbpos = pos(nbrs)
         else:
             scale = 1.0 + fam.gamma if fam.kind == "ps" else 1.0
-            self.balls = _Balls(
-                np.searchsorted(self.universe, members), mvalid,
-                np.searchsorted(self.universe, centers), scale,
-            )
+            self.balls = _Balls(pos(members), mvalid, pos(centers), scale)
 
     def _compile_cl(self):
         """Ball table of the n_l(z) a cl score reads; returns its (members,
@@ -287,20 +327,21 @@ class _ScoreObjective(_Objective):
         offset = 0
         for block in range(fam.num_blocks):
             nbrs, valid = self._batch(fam.block_matrix, states, block)
-            if self.standard_cl:
-                centers = np.unique(states)
+            if self.standard_cl:  # the states are sorted and distinct
+                centers, own = states, np.arange(len(states))
             else:
                 reach = self._reach(nbrs, valid)
-                centers = np.unique(
-                    np.concatenate([states, nbrs.ravel() if reach is None else nbrs[reach]])
+                centers, pos = _index_points(
+                    [states, nbrs if reach is None else nbrs[reach]], self.size
                 )
-                nbr_ids.append(offset + np.minimum(np.searchsorted(centers, nbrs), len(centers) - 1))
+                own = pos(states)
+                nbr_ids.append(offset + np.minimum(pos(nbrs), len(centers) - 1))
                 nbr_reach.append(np.ones(nbrs.shape, dtype=bool) if reach is None else reach)
             cm, cvalid = self._batch(fam.block_matrix, centers, block)
             if cvalid is not None:
                 cvalid = np.concatenate([cvalid, np.ones((len(centers), 1), dtype=bool)], axis=1)
             parts.append((np.concatenate([cm, centers[:, None]], axis=1), cvalid, centers))
-            own_ids.append(offset + np.searchsorted(centers, states))
+            own_ids.append(offset + own)
             offset += len(centers)
         self.own_ids = np.stack(own_ids, axis=1)
         own_weights = self.weights

@@ -171,16 +171,16 @@ class ConditionalModel:
         return x
 
     def bind(self, points, features=None) -> Bound:
+        # the points are the flat indices of the C-ordered (rows, L) label values
         x_rows = self.feature_rows(features)
-        rows, labels = np.divmod(points, self.num_labels)
         shape = self.theta.shape
 
         def pullback(g):
             per_label = np.zeros((x_rows.shape[0], self.num_labels))
-            per_label[rows, labels] = g  # bound points are distinct
+            per_label.ravel()[points] = g  # bound points are distinct
             return (per_label.T @ x_rows).ravel()
 
-        return Bound(lambda x: (x_rows @ x.reshape(shape).T)[rows, labels], pullback)
+        return Bound(lambda x: (x_rows @ x.reshape(shape).T).ravel()[points], pullback)
 
     def log_f_labels(self, x) -> np.ndarray:
         """log f(. | x): one value per label."""

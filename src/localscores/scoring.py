@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError, InternalConsistencyError, UnsupportedError
 from .estimation import _ScoreObjective
@@ -226,8 +225,8 @@ def named_closed_form_score(family: LocalPotentialFamily, y: int, log_f) -> floa
     d = _gather(logf, nbrs) - ly
     if kind == "pl":
         return float(np.sum(np.logaddexp(0.0, d)))
-    if kind == "rm":
-        return float(np.sum(expit(d) ** 2))
+    if kind == "rm":  # sigmoid(d)^2 = exp(-2 log(1 + exp(-d)))
+        return float(np.sum(np.exp(-2.0 * np.logaddexp(0.0, -d))))
     if kind == "dp":
         g = family.gamma
         return float(np.sum(g / (1.0 + g) * np.exp((1.0 + g) * d) - np.exp(-g * d)))

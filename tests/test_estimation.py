@@ -394,6 +394,85 @@ class TestScoreObjectiveProperties:
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10 * scale)
 
 
+@st.composite
+def point_sets(draw):
+    """A point range no wider than the mark-table rule allows for one entry,
+    and one to four point arrays in it, some possibly empty, with duplicates
+    and the range's ends favoured."""
+    from localscores.estimation import _TABLE_RANGE_PER_ENTRY
+
+    size = draw(st.integers(1, _TABLE_RANGE_PER_ENTRY))
+    value = st.one_of(st.just(0), st.just(size - 1), st.integers(0, size - 1))
+    sets = draw(st.lists(st.lists(value, max_size=10), min_size=1, max_size=4).filter(
+        lambda sets: any(sets)))
+    return size, [np.array(s, dtype=np.int64) for s in sets]
+
+
+class TestIndexPoints:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(point_sets())
+    def test_matches_unique_and_searchsorted_on_both_paths(self, case):
+        from localscores.estimation import _TABLE_RANGE_PER_ENTRY, _index_points
+
+        size, arrays = case
+        entries = sum(a.size for a in arrays)
+        expected = np.unique(np.concatenate(arrays))
+        # the same points in a range that takes the table, then the sort
+        for span in (size, _TABLE_RANGE_PER_ENTRY * entries + size):
+            points, pos = _index_points(arrays, span)
+            assert np.array_equal(points, expected) and points.dtype == expected.dtype
+            queries = np.concatenate([np.arange(size), [span - 1]])  # every x, absent ones too
+            want = np.searchsorted(expected, queries)
+            assert np.array_equal(pos(queries), want) and pos(queries).dtype == want.dtype
+            grid = queries[:size].reshape(1, -1)
+            assert np.array_equal(pos(grid), np.searchsorted(expected, grid))
+
+    @pytest.mark.parametrize("size", [1, 7, 2 ** 40])
+    def test_empty_sets(self, size):
+        from localscores.estimation import _index_points
+
+        points, pos = _index_points([np.zeros(0, dtype=np.int64)] * 2, size)
+        assert points.size == 0
+        assert np.array_equal(pos(np.array([0, size - 1])), [0, 0])
+
+
+class TestSortPathFits:
+    """Hypercubes too large for a mark table over their points index the
+    universe by sorting; the fitted objective must still be the mean score."""
+
+    @pytest.mark.parametrize("spec, count", [("pl", 200), ("rm", 200), ("ps:1", 30)])
+    def test_objective_is_mean_point_score(self, monkeypatch, spec, count):
+        from localscores import estimation
+
+        paths = []
+        index = estimation._index_points
+
+        def spy(arrays, size):
+            entries = sum(np.size(a) for a in arrays)
+            paths.append(size > estimation._TABLE_RANGE_PER_ENTRY * entries)
+            return index(arrays, size)
+
+        monkeypatch.setattr(estimation, "_index_points", spy)
+        dim, l2 = 22, 0.01
+        rng = np.random.default_rng(22)
+        samples = rng.integers(0, 2 ** dim, size=count, dtype=np.int64)
+        family, _ = bind_spec(parse_score_spec(spec), HypercubeNeighborhood(dim, 1))
+        start = seeded_boltzmann(dim, 5, scale=0.05)
+        res = fit(family, start, samples, FitConfig(max_iterations=3, l2_penalty=l2))
+        assert paths and all(paths)
+        model = res.parameters
+        cache = {}
+
+        def log_f(i):
+            if i not in cache:
+                cache[i] = float(model.log_f_batch([i])[0])
+            return cache[i]
+
+        mean = np.mean([score(family, int(y), log_f) for y in samples])
+        expected = res.final_objective - l2 * float(model.upper @ model.upper)
+        assert expected == pytest.approx(mean, rel=1e-10)
+
+
 class TestMle:
     def test_tabular_recovers_empirical_frequencies(self):
         space = SampleSpace.enumerated(list("abc"))
