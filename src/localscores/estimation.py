@@ -7,10 +7,12 @@ needed. Objectives bind the model once at the points they read (`bind` in
 score's partials with respect to log f back through the bound map; finite
 differences only appear in tests.
 
-Every local score objective is one kernel. It aggregates duplicate samples
-by frequency and touches only the union of the sampled points'
-neighborhoods (the universe), so fitting never enumerates the space. It
-compiles once into padded index arrays built in batch from the
+Every local score objective is one kernel, `_ScoreKernel`, with the model
+bound at the kernel's universe; `scoring` runs its per-point and
+whole-space scores on the same kernel. It aggregates
+duplicate samples by frequency and touches only the union of the sampled
+points' neighborhoods (the universe), so fitting never enumerates the
+space. It compiles once into padded index arrays built in batch from the
 neighborhoods: an (n, degree) neighbor matrix for additive kinds, with masks
 for ragged degree and active sets, and for ps and cl a ball table: one entry
 per distinct set whose normalizer the score reads (b(z) for ps,
@@ -220,41 +222,32 @@ def _stack_balls(parts):
     return np.concatenate(members), None if valid.all() else valid
 
 
-class _ScoreObjective(_Objective):
-    """Mean score over sampled states, aggregated by state frequency.
+class _ScoreKernel:
+    """The batched score of a family at sampled states, compiled once.
 
     Compilation turns the family's neighborhoods into padded position arrays
     over the universe (the sorted points whose log f the score reads); every
-    evaluation is then a fixed sequence of array operations. A conditional
-    model's samples are labels with one feature row each; its points are
-    row * L + label, and the family acts on each point's label.
+    `_score_terms(logs)` is then a fixed sequence of array operations on the
+    logs at the universe. The kernel knows no model: an objective binds one
+    at the universe, and the per-point scoring routes read log f there.
 
+    With `conditional`, the samples are labels on one feature row each, and
+    the points are row * L + label; the family acts on each point's label.
     Points lie in [0, size): the space, or rows x L for a conditional
-    objective; `_index_points` indexes every point set over that range, by a
+    kernel; `_index_points` indexes every point set over that range, by a
     sort only where size exceeds `_TABLE_RANGE_PER_ENTRY` times its entries.
     `weights`, when given, belong to `samples` as sorted distinct states.
     """
 
-    frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
-
-    def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0,
-                 features=None):
-        if family.space.spec_string() != model.space.spec_string():
-            raise InputError(
-                f"score family lives on {family.space.spec_string()}, "
-                f"model on {model.space.spec_string()}"
-            )
+    def __init__(self, family, samples, weights=None, standard_cl=False, conditional=False):
         samples = family.space.checked_indices(samples)
         if standard_cl and family.active is not None:
             raise InputError("standard CL objectives assume the whole-space active set")
         size = family.space.size
-        if features is not None:  # label y on feature row i is the point i * L + y
-            if np.shape(features)[:1] != samples.shape:
-                raise InputError("features and labels must align")
+        if conditional:  # label y on feature row i is the point i * L + y
             samples = np.arange(samples.size) * size + samples
             size *= samples.size
-        super().__init__(model, l2)
-        self.size = size  # every point the objective reads lies in [0, size)
+        self.size = size  # every point the kernel reads lies in [0, size)
         if weights is None:
             states, pos = _index_points([samples], size)
             counts = np.bincount(pos(samples), minlength=len(states))
@@ -269,7 +262,7 @@ class _ScoreObjective(_Objective):
         self.weights = w
         self.period = family.space.size
         self.active = None if family.active is None else family.active_indices()
-        self._compile(features)
+        self._compile()
 
     def _batch(self, matrix, points, *block):
         """A family batch map (`neighbor_matrix`, `block_matrix`) on points:
@@ -287,7 +280,7 @@ class _ScoreObjective(_Objective):
             mask = mask & np.isin(points % self.period, self.active)
         return None if mask.all() else mask
 
-    def _compile(self, features):
+    def _compile(self):
         fam = self.family
         states = self.states
         if fam.additive:
@@ -309,7 +302,6 @@ class _ScoreObjective(_Objective):
             members, mvalid, centers = self._compile_cl()
             points = [states, members]
         self.universe, pos = _index_points(points, self.size)
-        self.bound = self.model.bind(self.universe, features)
         self.ypos = pos(states)
         if fam.additive:
             self.nbpos = pos(nbrs)
@@ -445,6 +437,28 @@ class _ScoreObjective(_Objective):
 
         return vals, finish
 
+
+class _ScoreObjective(_Objective):
+    """Mean score over sampled states, aggregated by state frequency: a
+    `_ScoreKernel` with the model bound at its universe. A conditional
+    model's samples are labels with one feature row each."""
+
+    frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
+
+    def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0,
+                 features=None):
+        if family.space.spec_string() != model.space.spec_string():
+            raise InputError(
+                f"score family lives on {family.space.spec_string()}, "
+                f"model on {model.space.spec_string()}"
+            )
+        kernel = _ScoreKernel(family, samples, weights, standard_cl, features is not None)
+        if features is not None and np.shape(features)[:1] != kernel.samples.shape:
+            raise InputError("features and labels must align")
+        super().__init__(model, l2)
+        self.kernel = kernel
+        self.bound = model.bind(kernel.universe, features)
+
     def evaluate(self, x):
         """(value, gradient) at x; gradient() finishes dJ/dx from the logs
         and the per-edge or per-ball arrays the value pass computed."""
@@ -452,8 +466,8 @@ class _ScoreObjective(_Objective):
         # values are treated as rejections upstream
         with np.errstate(all="ignore"):
             logs = self.bound.logs(x)
-            vals, finish = self._score_terms(logs)
-            value = float(vals @ self.weights) + self.l2 * float(x @ x)
+            vals, finish = self.kernel._score_terms(logs)
+            value = float(vals @ self.kernel.weights) + self.l2 * float(x @ x)
 
         def gradient():
             with np.errstate(all="ignore"):
@@ -467,9 +481,10 @@ class _ScoreObjective(_Objective):
     def offending_sample(self, x) -> int | None:
         """Position in the caller's samples of the first sample whose score
         is non-finite at x; None if all are finite."""
+        kernel = self.kernel
         with np.errstate(all="ignore"):
-            vals, _ = self._score_terms(self.bound.logs(x))
-        bad = np.flatnonzero(np.isin(self.samples, self.states[~np.isfinite(vals)]))
+            vals, _ = kernel._score_terms(self.bound.logs(x))
+        bad = np.flatnonzero(np.isin(kernel.samples, kernel.states[~np.isfinite(vals)]))
         return int(bad[0]) if bad.size else None
 
 
@@ -572,7 +587,7 @@ def _minimize(objective, config: FitConfig) -> FitResult:
 # public operations
 
 
-def _build_objective(spec_or_family, model, samples, features, config, weights=None):
+def _build_objective(spec_or_family, model, samples, features, l2=0.0, weights=None):
     fam, standard_cl = (
         spec_or_family if isinstance(spec_or_family, tuple) else (spec_or_family, False)
     )
@@ -581,7 +596,7 @@ def _build_objective(spec_or_family, model, samples, features, config, weights=N
     if standard_cl and fam.kind != "cl":
         raise InputError("standard CL objectives need a composite-likelihood family")
     return _ScoreObjective(fam, model, samples, weights=weights, standard_cl=standard_cl,
-                           l2=config.l2_penalty, features=features)
+                           l2=l2, features=features)
 
 
 def _mle_objective(model, samples, features=None, l2=0.0):
@@ -598,8 +613,7 @@ def _mle_objective(model, samples, features=None, l2=0.0):
 def empirical_score(spec_or_family, model, samples, features=None) -> float:
     """Mean score of the samples under the model's unnormalized values;
     conditional models score each label on its own feature row."""
-    config = FitConfig()
-    obj = _build_objective(spec_or_family, model, samples, features, config)
+    obj = _build_objective(spec_or_family, model, samples, features)
     return obj.value(obj.x0)
 
 
@@ -616,7 +630,7 @@ def fit(spec_or_family, model_init, samples, config: FitConfig | None = None,
     initial value.
     """
     config = config or FitConfig()
-    obj = _build_objective(spec_or_family, model_init, samples, features, config)
+    obj = _build_objective(spec_or_family, model_init, samples, features, config.l2_penalty)
     if gauge_fix_last:
         if not isinstance(model_init, ConditionalModel):
             raise InputError("gauge fixing applies to conditional models")
@@ -637,9 +651,8 @@ def population_gradient(spec_or_family, model, p: Probability) -> np.ndarray:
     model's parameters, over the enumerated space."""
     space = model.space
     space.require_enumerable("population_gradient")
-    config = FitConfig()
     states = np.arange(space.size, dtype=np.int64)
-    obj = _build_objective(spec_or_family, model, states, None, config, weights=p.weights)
+    obj = _build_objective(spec_or_family, model, states, None, weights=p.weights)
     _, grad = obj.value_and_grad(obj.x0)
     return grad
 

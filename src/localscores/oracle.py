@@ -38,7 +38,6 @@ from .scoring import (
     expected_score,
     generic_score,
     named_closed_form_score,
-    score,
     state_scores,
 )
 
@@ -217,8 +216,8 @@ def check_score_paths(
     family: LocalPotentialFamily, trials: int = 50, rng: RngStream = RngStream(0)
 ) -> OracleReport:
     """Max pairwise relative discrepancy among the evaluation routes: the
-    per-point score, the generic gradient path, the batched kernel's
-    whole-space vector, the closed form (when the kind has one), and a
+    score kernel (its whole-space vector, compiled once per family), the
+    generic gradient path, the closed form (when the kind has one), and a
     central finite difference of the composite potential on the log scale."""
     space = family.space
     if space.size > 256:
@@ -231,9 +230,8 @@ def check_score_paths(
         logs = gen.uniform(-3.0, 3.0, size=space.size)
         y = int(gen.integers(0, space.size))
         routes = {
-            "gradient": score(family, y, logs),
-            "generic": generic_score(family, y, logs),
             "kernel": float(state_scores(family, logs)[y]),
+            "generic": generic_score(family, y, logs),
         }
         try:
             routes["closed_form"] = named_closed_form_score(family, y, logs)

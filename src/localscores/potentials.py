@@ -268,18 +268,6 @@ class _PseudoSphericalPotential:
     def grad(self, v, valid=None):
         return _masked((v / self._norm(v, valid)[..., None]) ** self.gamma, valid)
 
-    def hess_dot(self, v, x):
-        g, n = self.gamma, self._norm(v)
-        vg = v ** g
-        return g * n ** (-g) * v ** (g - 1.0) * x - g * n ** (-2 * g - 1.0) * vg * float(vg @ x)
-
-    def hess_row(self, v, pos):
-        g, n = self.gamma, self._norm(v)
-        vg = v ** g
-        row = -g * n ** (-2 * g - 1.0) * vg[pos] * vg
-        row[pos] += g * n ** (-g) * v[pos] ** (g - 1.0)
-        return row
-
 
 class _CompositePotential:
     """phi_y(g) = -sum_l log(1 + sum over block l of g); `member` is the
@@ -302,13 +290,6 @@ class _CompositePotential:
 
     def grad(self, v, valid=None):
         return -self._per_block(1.0 / (1.0 + self._sums(v)))
-
-    def hess_dot(self, v, x):
-        return self._per_block(self._sums(x) / (1.0 + self._sums(v)) ** 2)
-
-    def hess_row(self, v, pos_idx):
-        inside = self.member[:, pos_idx]
-        return self._per_block(np.where(inside, 1.0 / (1.0 + self._sums(v)) ** 2, 0.0))
 
 
 def _scalar_triplet(kind: str, gamma: float | None):

@@ -1,25 +1,30 @@
 """Scores, composite potentials and composite local Bregman divergences.
 
-Independent evaluation routes exist for the same score and are kept
-deliberately separate so they can cross-check each other:
+Every production score comes from the batched score kernel that fits run
+on (`estimation._ScoreKernel`):
 
-- `score` / `generic_score`: one point's score through a log-value query,
-  as the gradient of the composite potential assembled from local potential
-  values and gradients (additive families use the collapsed one-dimensional
-  form);
-- `named_closed_form_score`: the per-kind explicit formula;
-- `state_scores`: every point's score at once, from the value pass of the
-  batched score kernel that fits run on (`estimation._ScoreObjective`),
-  compiled once per family over the whole space;
+- `score` / `score_and_logf_gradient`: one point's score, and its partials
+  with respect to log f, from the kernel compiled at that point. Log f is
+  read once at each point the score touches (the kernel's universe): in one
+  gather from an array or `UnnormalizedVector`, by one call per point from
+  a callable. No dense vector over the space is built, so implicit
+  hypercube neighborhoods score at dimensions far beyond enumeration size;
+- `state_scores`: every point's score at once, from the kernel compiled
+  once per family over the whole space. Expected scores are
+  p . state_scores(f).
+
+Independent routes are kept deliberately separate so they can check it:
+
+- `generic_score`: the gradient of the composite potential, assembled one
+  point at a time from local potential values and gradients;
+- `named_closed_form_score` (and `standard_cl_score` for the plain CL
+  score): the per-kind explicit formula;
 - a finite difference of `composite_potential`.
 
-Per-point scores never build a dense vector over the space, so implicit
-hypercube neighborhoods score at dimensions far beyond enumeration size.
-Expected scores are p . state_scores(f). Composite potentials and
-divergences are the local-Bregman route: every active point's local
-potential evaluated in one pass over the padded neighbor matrix, independent
-of the score kernel. These enumerate and therefore require an enumerable
-space.
+Composite potentials and divergences are the local-Bregman route: every
+active point's local potential evaluated in one pass over the padded
+neighbor matrix, independent of the score kernel. These enumerate and
+therefore require an enumerable space.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError, UnsupportedError
-from .estimation import _ScoreObjective
+from .estimation import _ScoreKernel
 from .graphs import BlockSystem
-from .models import TabularModel
 from .potentials import (
     BlockNeighborhood,
     LocalPotentialFamily,
@@ -45,28 +49,24 @@ DIVERGENCE_NEGATIVITY_TOLERANCE = 1e-12
 
 
 def _as_logf(log_f):
-    """Accept a callable point->log f, an UnnormalizedVector, or an array."""
+    """log f as a map from index arrays to values: one gather from an array
+    or UnnormalizedVector, one call per point from a callable."""
     if callable(log_f):
-        return log_f
+        return lambda points: np.array([log_f(int(i)) for i in points], dtype=np.float64)
     if isinstance(log_f, UnnormalizedVector):
-        arr = log_f.logs
-    else:
-        arr = np.asarray(log_f, dtype=np.float64)
-    return lambda i: arr[i]
+        return log_f.logs.__getitem__
+    return np.asarray(log_f, dtype=np.float64).__getitem__
 
 
 def _gather(logf, indices) -> np.ndarray:
     try:
-        return np.array([logf(int(i)) for i in indices], dtype=np.float64)
+        return logf(np.asarray(indices, dtype=np.int64))
     except (IndexError, KeyError) as exc:
         raise InputError(f"log f query failed: {exc}") from exc
 
 
 def _query(logf, i: int) -> float:
-    try:
-        return float(logf(int(i)))
-    except (IndexError, KeyError) as exc:
-        raise InputError(f"log f query failed at point {i}: {exc}") from exc
+    return float(_gather(logf, [i])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,43 +138,45 @@ def composite_potential(family: LocalPotentialFamily, f) -> float:
 # score paths
 
 
+def _point(family: LocalPotentialFamily, y) -> int:
+    """y as a point index of the family's space: integral and inside it, so
+    that nothing is truncated or wrapped."""
+    return family.space.checked_indices(y, what="point").item()
+
+
+def _point_terms(family: LocalPotentialFamily, y, log_f):
+    """(value, universe, finish) of y's score from the kernel compiled at y;
+    finish() returns its partials over the universe."""
+    kernel = _ScoreKernel(family, [_point(family, y)])
+    with np.errstate(over="ignore"):  # pl/rm sigmoids reach their limits through inf
+        vals, finish = kernel._score_terms(_gather(_as_logf(log_f), kernel.universe))
+    return float(vals[0]), kernel.universe, finish
+
+
 def score(family: LocalPotentialFamily, y: int, log_f) -> float:
     """The proper homogeneous score: minus the y-partial of the composite
-    potential. Additive families use the collapsed one-dimensional route;
-    the rest go through the generic route."""
-    if family.additive:
-        return _additive_score(family, y, log_f)
-    return generic_score(family, y, log_f)
+    potential, from the score kernel at y. `log_f` is an array or
+    `UnnormalizedVector` over the space, or a callable point -> log f."""
+    return _point_terms(family, y, log_f)[0]
 
 
-@np.errstate(over="ignore")  # pl/rm sigmoids reach their limits through inf
-def _additive_score(family, y, log_f) -> float:
-    logf = _as_logf(log_f)
-    y = int(y)
-    nbrs = family.neighbors(y)
-    d = _gather(logf, nbrs) - _query(logf, y)
-    if family.active is None:
-        value_term, _ = family.edge_terms()
-        return float(np.sum(value_term(d)))
-    return float(np.sum(_active_edge_terms(family, y, nbrs, d)))
+def score_and_logf_gradient(family: LocalPotentialFamily, y: int, log_f):
+    """Score plus its partials with respect to log f, from the score kernel
+    at y.
 
-
-def _active_edge_terms(family, y, nbrs, d, derivative=False) -> np.ndarray:
-    """y's per-edge score terms on an active subset (or their derivatives
-    with respect to each neighbor's log f): own terms when y is active, and
-    each active neighbor's term."""
-    own, nbr = (pair[derivative] for pair in family.split_edge_terms())
-    terms = np.where([family.in_active(int(z)) for z in nbrs], nbr(d), 0.0)
-    if family.in_active(y):
-        terms += own(d)
-    return terms
+    Returns (value, indices, gradient): `indices` are the sorted points the
+    score reads; the gradient entries sum to zero (scale invariance).
+    """
+    value, universe, finish = _point_terms(family, y, log_f)
+    with np.errstate(over="ignore"):
+        return value, universe, finish()
 
 
 def _has_own_term(family: LocalPotentialFamily, y: int) -> bool:
     """Whether y's own term v . grad phi_y(v) - phi_y(v), v = f over b(y) / f_y,
-    can be nonzero. ps potentials are 1-homogeneous, so for them the term and
-    its gradient hess(v) v vanish identically; computing them would only add
-    cancellation error of the size of sum(v)."""
+    can be nonzero. ps potentials are 1-homogeneous, so for them the term
+    vanishes identically; computing it would only add cancellation error of
+    the size of sum(v)."""
     return family.kind != "ps" and family.in_active(y)
 
 
@@ -185,10 +187,10 @@ def generic_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     It evaluates the local potentials on the raw ratios f over b(z) / f_z,
     so it is finite only while every log ratio it forms stays within about
     +-709: beyond that exp overflows, and a term such as
-    v . grad phi_y(v) - phi_y(v) becomes inf - inf. `score` and the kernel
-    use the stable log-scale edge terms instead."""
+    v . grad phi_y(v) - phi_y(v) becomes inf - inf. The score kernel
+    (`score`, `state_scores`) uses stable log-scale terms instead."""
     logf = _as_logf(log_f)
-    y = int(y)
+    y = _point(family, y)
     ly = _query(logf, y)
     total = 0.0
     if _has_own_term(family, y):
@@ -214,7 +216,7 @@ def named_closed_form_score(family: LocalPotentialFamily, y: int, log_f) -> floa
     if family.active is not None:
         raise UnsupportedError("closed forms are whole-space formulas")
     logf = _as_logf(log_f)
-    y = int(y)
+    y = _point(family, y)
     ly = _query(logf, y)
     kind = family.kind
     if kind == "custom":
@@ -265,7 +267,7 @@ def standard_cl_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     if family.kind != "cl":
         raise InputError("standard CL scores need a composite-likelihood family")
     logf = _as_logf(log_f)
-    y = int(y)
+    y = _point(family, y)
     ly = _query(logf, y)
     total = 0.0
     for bl in family.block_lists(y):
@@ -291,94 +293,20 @@ def additive_score_term(family: LocalPotentialFamily):
 
 
 # ---------------------------------------------------------------------------
-# score gradient with respect to log f (drives parameter fitting)
-
-
-def score_and_logf_gradient(family: LocalPotentialFamily, y: int, log_f):
-    """Score plus its partials with respect to the touched log values.
-
-    Returns (value, indices, gradient) with `indices` sorted; the gradient
-    entries sum to zero (scale invariance).
-    """
-    logf = _as_logf(log_f)
-    y = int(y)
-    if family.additive:
-        return _additive_score_grad(family, y, logf)
-    return _generic_score_grad(family, y, logf)
-
-
-@np.errstate(over="ignore")  # pl/rm sigmoids reach their limits through inf
-def _additive_score_grad(family, y, logf):
-    nbrs = family.neighbors(y)
-    ly = _query(logf, y)
-    d = _gather(logf, nbrs) - ly
-    if family.active is None:
-        value_term, grad_term = family.edge_terms()
-        value = float(np.sum(value_term(d)))
-        gnbrs = grad_term(d)
-    else:
-        value = float(np.sum(_active_edge_terms(family, y, nbrs, d)))
-        gnbrs = _active_edge_terms(family, y, nbrs, d, derivative=True)
-    indices = np.append(nbrs, y)
-    grads = np.append(gnbrs, -float(gnbrs.sum()))
-    order = np.argsort(indices)
-    return value, indices[order], grads[order]
-
-
-def _generic_score_grad(family, y, logf):
-    acc: dict[int, float] = {}
-
-    def bump(i, delta):
-        acc[i] = acc.get(i, 0.0) + delta
-
-    ly = _query(logf, y)
-    value = 0.0
-    if _has_own_term(family, y):
-        nbrs, ev = family.local(y)
-        v = np.exp(_gather(logf, nbrs) - ly)
-        value += float(v @ ev.grad(v)) - float(ev.value(v))
-        hv = ev.hess_dot(v, v)
-        contrib = hv * v
-        for i, c in zip(nbrs, contrib):
-            bump(int(i), float(c))
-        bump(y, -float(contrib.sum()))
-    for z in family.neighbors(y):
-        z = int(z)
-        if not family.in_active(z):
-            continue
-        nbrs_z, ev_z = family.local(z)
-        pos = int(np.searchsorted(nbrs_z, y))
-        if pos >= len(nbrs_z) or nbrs_z[pos] != y:
-            raise InternalConsistencyError(f"asymmetric neighborhood at ({y},{z})")
-        v_z = np.exp(_gather(logf, nbrs_z) - _query(logf, z))
-        value -= float(ev_z.grad(v_z)[pos])
-        row = ev_z.hess_row(v_z, pos)
-        contrib = row * v_z
-        for i, c in zip(nbrs_z, contrib):
-            bump(int(i), -float(c))
-        bump(z, float(contrib.sum()))
-    indices = np.array(sorted(acc), dtype=np.int64)
-    grads = np.array([acc[int(i)] for i in indices], dtype=np.float64)
-    return value, indices, grads
-
-
-# ---------------------------------------------------------------------------
 # divergence and expectations
 
 
 def state_scores(family: LocalPotentialFamily, log_f) -> np.ndarray:
     """score(y, f) for every point y of the (enumerable) space, from one
-    value pass of the batched score kernel. The kernel is compiled on the
-    first call, on a tabular model over the whole space, and kept on the
-    family; its value pass reads no sample weights, so it serves every f."""
+    value pass of the score kernel. The kernel is compiled at every point on
+    the first call and kept on the family; its universe is the whole space
+    and its value pass reads no sample weights, so it serves every f."""
     (logs,) = _space_logs(family, "state_scores", log_f)
     kernel = family._kernel
     if kernel is None:
-        space = family.space
-        kernel = _ScoreObjective(family, TabularModel.zeros(space), np.arange(space.size))
-        family._kernel = kernel
+        kernel = family._kernel = _ScoreKernel(family, np.arange(family.space.size))
     with np.errstate(over="ignore"):  # pl/rm sigmoids reach their limits through inf
-        return kernel._score_terms(kernel.bound.logs(logs))[0]
+        return kernel._score_terms(logs)[0]
 
 
 def divergence(family: LocalPotentialFamily, f, g) -> float:

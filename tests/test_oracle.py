@@ -128,19 +128,19 @@ class TestScorePaths:
         assert report.verdict == "pass"
 
     def test_kernel_route_is_compared(self, monkeypatch):
-        # for ps the per-point score is the generic route itself; a skewed
-        # kernel must still fail the check
-        from localscores.estimation import _ScoreObjective
+        # the generic route, the closed form and the finite difference are
+        # independent of the kernel; a skewed kernel must fail the check
+        from localscores.estimation import _ScoreKernel
 
         run = standard_check_registry()["score_paths_ps"]
         assert run(20, RngStream(12)).verdict == "pass"
-        ps_terms = _ScoreObjective._ps_terms
+        ps_terms = _ScoreKernel._ps_terms
 
         def skewed(self, logs):
             vals, finish = ps_terms(self, logs)
             return vals * (1.0 + 1e-3), finish
 
-        monkeypatch.setattr(_ScoreObjective, "_ps_terms", skewed)
+        monkeypatch.setattr(_ScoreKernel, "_ps_terms", skewed)
         report = run(20, RngStream(12))
         assert report.verdict == "fail"
         assert "kernel" in report.witnesses[0][1]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,6 +134,29 @@ class TestScoreValues:
 
         with pytest.raises(InputError):
             score(fam, 0, lambda i: table[i])
+
+    @pytest.mark.parametrize("y", [-1, 8, 2.5])
+    @pytest.mark.parametrize("route", [
+        "score", "score_and_logf_gradient", "generic_score", "named_closed_form_score",
+        "standard_cl_score", "cl_score",
+    ])
+    def test_points_outside_the_space_rejected(self, route, y):
+        # -1 read wrapped neighbor indices, 2.5 was truncated to 2, and 8
+        # raised a raw IndexError
+        cube = HypercubeNeighborhood(3, 1)
+        logs = np.linspace(-1.0, 1.0, 8)
+        calls = {
+            "score": lambda: score(pseudo_likelihood(cube), y, logs),
+            "score_and_logf_gradient": lambda: score_and_logf_gradient(
+                pseudo_likelihood(cube), y, logs),
+            "generic_score": lambda: generic_score(pseudo_likelihood(cube), y, logs),
+            "named_closed_form_score": lambda: named_closed_form_score(
+                pseudo_likelihood(cube), y, logs),
+            "standard_cl_score": lambda: standard_cl_score(composite_likelihood(cube), y, logs),
+            "cl_score": lambda: cl_score(BlockSystem.singletons(3), y, logs),
+        }
+        with pytest.raises(InputError, match="point index outside the space|points must be integers"):
+            calls[route]()
 
     def test_additive_routes_quiet_at_extreme_ratios(self):
         # log ratios beyond about +-709 overflow a sigmoid's exp on the way
@@ -520,7 +544,7 @@ class TestArrayRoutes:
     @given(objective_cases())
     def test_kernel_expected_score_matches_per_point_sum(self, case):
         fam, logs, p = _space_case(case)
-        ref = np.array([score(fam, y, logs) for y in range(fam.space.size)])
+        ref = np.array([generic_score(fam, y, logs) for y in range(fam.space.size)])
         scale = max(1.0, float(np.max(np.abs(ref))))
         np.testing.assert_allclose(state_scores(fam, logs), ref, rtol=1e-12, atol=1e-12 * scale)
         total = expected_score(fam, p, logs)
@@ -539,16 +563,16 @@ class TestArrayRoutes:
         assert divergence(fam, flogs, glogs) == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
 
     def test_kernel_compiled_once_per_family(self, monkeypatch):
-        from localscores.estimation import _ScoreObjective
+        from localscores.estimation import _ScoreKernel
 
         compiles = []
-        compile_ = _ScoreObjective._compile
+        compile_ = _ScoreKernel._compile
 
-        def counted(self, features):
+        def counted(self):
             compiles.append(self.family)
-            return compile_(self, features)
+            return compile_(self)
 
-        monkeypatch.setattr(_ScoreObjective, "_compile", counted)
+        monkeypatch.setattr(_ScoreKernel, "_compile", counted)
         for name, fam in all_families_on_cube3().items():
             for _ in range(3):
                 p = Probability.normalize(np.exp(random_logs(8)))
@@ -622,27 +646,30 @@ class TestActiveSubsets:
 class TestImplicitLocality:
     def test_additive_score_touches_only_neighborhood(self):
         fam = pseudo_likelihood(HypercubeNeighborhood(32, 1))
-        queried = set()
+        queried = Counter()
 
         def log_f(i):
-            queried.add(i)
+            queried[i] += 1
             return 0.01 * (int(i) % 97)
 
         y = 123456789
         score(fam, y, log_f)
         assert len(queried) == 33  # y plus its 32 neighbors
+        assert set(queried.values()) == {1}
 
     def test_non_additive_score_touches_second_ring(self):
         fam = pseudo_spherical(HypercubeNeighborhood(32, 1), 1.0)
-        queried = set()
+        queried = Counter()
 
         def log_f(i):
-            queried.add(i)
+            queried[i] += 1
             return 0.01 * (int(i) % 89)
 
         score(fam, 1 << 31, log_f)
-        # n(y) plus each neighbor's neighborhood, deduplicated
-        assert len(queried) <= 1 + 32 + 32 * 32
+        # y, its 32 neighbors and the C(32, 2) points two flips away, each
+        # read once
+        assert len(queried) == 1 + 32 + 32 * 31 // 2
+        assert set(queried.values()) == {1}
 
     def test_matches_materialized_at_small_dim(self):
         imp = pseudo_spherical(HypercubeNeighborhood(4, 1), 1.0)
