@@ -30,6 +30,7 @@ from .estimation import (
     test_error,
 )
 from .graphs import (
+    HypercubeNeighborhood,
     cl_neighborhood,
     diagnose,
     hamming_graph,
@@ -48,7 +49,7 @@ from .models import (
     save_model,
 )
 from .oracle import DEMONSTRATION_CHECKS, standard_check_registry
-from .potentials import HypercubeNeighborhood, ScoreSpec, parse_score_spec
+from .potentials import ScoreSpec, parse_score_spec
 from .reports import format_record
 from .sampling import AisConfig, RngStream, ais_log_z, exact_sample, gibbs_sample, read_samples, write_samples
 from .scoring import rank_condition
@@ -181,9 +182,20 @@ class ExperimentConfig:
             raise InputError("config needs a `train` data source")
         if cfg.model == "boltzmann" and not cfg.space.startswith("hypercube"):
             raise InputError("Boltzmann models live on hypercube spaces")
+        for key in ("radius", "n_train", "n_test"):
+            value = getattr(cfg, key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+                raise InputError(f"`{key}` must be a positive integer, got {value!r}")
+        if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):
+            raise InputError(f"`seed` must be an integer, got {cfg.seed!r}")
         return cfg
 
     def fit_config(self) -> FitConfig:
+        if not isinstance(self.fit, dict):
+            raise InputError(f"`fit` must be an object of FitConfig fields, got {self.fit!r}")
+        unknown = set(self.fit) - set(FitConfig.__dataclass_fields__)
+        if unknown:
+            raise InputError(f"unknown fit keys: {sorted(unknown)}")
         return FitConfig(**self.fit)
 
 
@@ -199,7 +211,7 @@ def _apply_overrides(doc: dict, sets: list[str]) -> dict:
     return doc
 
 
-def _score_graph(spec: ScoreSpec, space: SampleSpace, radius):
+def _score_graph(space: SampleSpace, radius):
     """The neighborhood the score binds to; implicit on hypercubes so large
     dimensions never materialize adjacency. Block families only take the
     space dimension from it."""
@@ -290,7 +302,7 @@ def cmd_fit(args) -> int:
         if cfg.objective == "mle":
             result = mle_fit(model0, y, fit_config, features=x)
         else:
-            graph = _score_graph(spec, space, cfg.radius)
+            graph = _score_graph(space, cfg.radius)
             family = spec.family(graph)
             result = fit((family, spec.standard_cl), model0, y, fit_config, features=x)
     else:
@@ -304,7 +316,7 @@ def cmd_fit(args) -> int:
         else:
             if cfg.blocks is not None and spec.kind in ("cl", "mcl") and spec.blocks_text is None:
                 spec = ScoreSpec(kind=spec.kind, gamma=spec.gamma, blocks_text=cfg.blocks)
-            graph = _score_graph(spec, space, cfg.radius)
+            graph = _score_graph(space, cfg.radius)
             family = spec.family(graph)
             result = fit((family, spec.standard_cl), model0, indices, fit_config)
 

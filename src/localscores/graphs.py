@@ -12,6 +12,11 @@ the point-neighborhood incidences, found by one numpy connected-components
 routine in near-linear time. `derived_graph_n` / `derived_graph_b` build the
 edges pairwise, in quadratic time, and serve as the small-space oracle.
 
+Every hypercube neighborhood is one XOR system, b(y) = {y ^ m} over fixed
+distinct nonzero masks m: `HypercubeNeighborhood` and `BlockNeighborhood`
+generate it on demand at any dimension, and `hamming_graph` and
+`cl_neighborhood` materialize it.
+
 All graph values are immutable after construction and safe to share across
 threads.
 """
@@ -139,11 +144,6 @@ def pad_rows(rows, fill) -> tuple[np.ndarray, np.ndarray | None]:
     return out, None if valid.all() else valid
 
 
-def xor_neighbors(points, masks: np.ndarray) -> np.ndarray:
-    """Rows sorted(y ^ masks) for a batch of hypercube indices y."""
-    return np.sort(np.asarray(points, dtype=np.int64)[:, None] ^ masks, axis=1)
-
-
 def graph_from_edges(space: SampleSpace, edges) -> NeighborhoodGraph:
     """Build a graph from an iterable of index pairs (either orientation)."""
     nbrs: list[set[int]] = [set() for _ in range(space.size)]
@@ -171,15 +171,52 @@ def masks_up_to_weight(dim: int, radius: int) -> list[int]:
     return out
 
 
+class _XorNeighborhood:
+    """Adjacency on {-1,+1}^D generated by index XOR: b(y) = {y ^ m} over
+    distinct nonzero bit masks m. Nothing is materialized."""
+
+    def __init__(self, dim: int, masks):
+        self.space = SampleSpace.hypercube(dim)
+        self._masks = np.asarray(masks, dtype=np.int64)
+
+    def neighbors(self, i: int) -> np.ndarray:
+        return np.sort(int(i) ^ self._masks)
+
+    def neighbor_matrix(self, points) -> tuple[np.ndarray, None]:
+        """Rows sorted(y ^ masks) for a batch of points y."""
+        return np.sort(np.asarray(points, dtype=np.int64)[:, None] ^ self._masks, axis=1), None
+
+
+class HypercubeNeighborhood(_XorNeighborhood):
+    """Hamming-ball adjacency on {-1,+1}^D: distance 1..radius."""
+
+    def __init__(self, dim: int, radius: int):
+        if not 1 <= radius <= dim:
+            raise InputError(f"radius must be in 1..{dim}, got {radius}")
+        super().__init__(dim, masks_up_to_weight(dim, radius))
+        self.radius = radius
+
+
+def neighbor_rows(graph, points) -> tuple[np.ndarray, np.ndarray | None]:
+    """b(y) for a batch of points as `pad_rows` lays them out: from the
+    graph's batch form, or one point at a time for graphs without one."""
+    points = np.asarray(points, dtype=np.int64)
+    if hasattr(graph, "neighbor_matrix"):
+        return graph.neighbor_matrix(points)
+    return pad_rows([graph.neighbors(int(p)) for p in points], points)
+
+
+def _materialize(neighborhood: _XorNeighborhood) -> NeighborhoodGraph:
+    """The adjacency of an XOR neighborhood over its whole (enumerable) space."""
+    points = np.arange(neighborhood.space.size, dtype=np.int64)
+    table, _ = neighborhood.neighbor_matrix(points)
+    return NeighborhoodGraph(space=neighborhood.space, adjacency=_table_rows(table))
+
+
 def hamming_graph(dim: int, radius: int) -> NeighborhoodGraph:
     """Hypercube graph joining sign vectors at Hamming distance 1..radius."""
-    if not 1 <= radius <= dim:
-        raise InputError(f"radius must be in 1..{dim}, got {radius}")
-    space = SampleSpace.hypercube(dim)
-    space.require_enumerable("hamming_graph")
-    masks = np.array(masks_up_to_weight(dim, radius), dtype=np.int64)
-    table = xor_neighbors(np.arange(space.size, dtype=np.int64), masks)
-    return NeighborhoodGraph(space=space, adjacency=_table_rows(table))
+    SampleSpace.hypercube(dim).require_enumerable("hamming_graph")
+    return _materialize(HypercubeNeighborhood(dim, radius))
 
 
 def label_band_graph(num_labels: int, band: int) -> NeighborhoodGraph:
@@ -250,7 +287,9 @@ def _sorted_intersects(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _check_subset(graph: NeighborhoodGraph, active) -> np.ndarray:
+def _check_subset(graph, active) -> np.ndarray:
+    if not isinstance(graph, NeighborhoodGraph):  # diagnostics allocate per point
+        graph.space.require_enumerable("diagnosing an implicit neighborhood")
     values = active if isinstance(active, np.ndarray) else list(active)
     active = np.sort(graph.space.checked_indices(values, "active point"))
     if np.any(active[1:] == active[:-1]):
@@ -329,10 +368,10 @@ def is_connected(graph) -> bool:
     return not np.any(_labels(graph))
 
 
-def _neighborhood_rows(graph: NeighborhoodGraph, verts: np.ndarray, mode: str):
+def _neighborhood_rows(graph, verts: np.ndarray, mode: str):
     """n(y) (mode 'n') or b(y) (mode 'b') of each active point as a padded
     table and the mask of its real entries."""
-    table, valid = graph.neighbor_matrix(verts)
+    table, valid = neighbor_rows(graph, verts)
     if mode == "n":
         # padding repeats the row's own point, which n(y) holds
         rows = np.concatenate([table, verts[:, None]], axis=1)
@@ -340,7 +379,7 @@ def _neighborhood_rows(graph: NeighborhoodGraph, verts: np.ndarray, mode: str):
     return table, np.ones(table.shape, dtype=bool) if valid is None else valid
 
 
-def covers(graph: NeighborhoodGraph, active, mode: str) -> bool:
+def covers(graph, active, mode: str) -> bool:
     """Does the union of n(y) (mode 'n') or b(y) (mode 'b') over Y0 equal Y?"""
     verts = _check_subset(graph, active)
     if mode not in ("n", "b"):
@@ -348,14 +387,14 @@ def covers(graph: NeighborhoodGraph, active, mode: str) -> bool:
     return _covered(graph, verts, mode)
 
 
-def _covered(graph: NeighborhoodGraph, verts: np.ndarray, mode: str) -> bool:
+def _covered(graph, verts: np.ndarray, mode: str) -> bool:
     rows, real = _neighborhood_rows(graph, verts, mode)
     hit = np.zeros(graph.space.size, dtype=bool)
     hit[rows[real]] = True
     return bool(hit.all())
 
 
-def _derived_component_count(graph: NeighborhoodGraph, verts: np.ndarray, mode: str) -> int:
+def _derived_component_count(graph, verts: np.ndarray, mode: str) -> int:
     """Components of the derived graph on the active points joining y, y'
     whose n- (mode 'n') or b-neighborhoods (mode 'b') intersect, without
     building it: two active points share a component exactly when the
@@ -419,20 +458,6 @@ def parse_blocks(text: str, dim: int) -> BlockSystem:
     return BlockSystem(dim=dim, blocks=tuple(blocks))
 
 
-def block_neighbor_arrays(system: BlockSystem, index: int) -> list[np.ndarray]:
-    """b_l(y) for each block: flip any nonempty subset of the block's bits."""
-    out = []
-    for mask in system.masks:
-        submasks = _nonzero_submasks(mask)
-        out.append(np.sort(np.array([index ^ m for m in submasks], dtype=np.int64)))
-    return out
-
-
-def block_submasks(system: BlockSystem) -> list[np.ndarray]:
-    """Per block, the XOR masks that map y onto b_l(y)."""
-    return [np.array(_nonzero_submasks(mask), dtype=np.int64) for mask in system.masks]
-
-
 def _nonzero_submasks(mask: int) -> list[int]:
     sub = mask
     out = []
@@ -442,27 +467,37 @@ def _nonzero_submasks(mask: int) -> list[int]:
     return out
 
 
+class BlockNeighborhood(_XorNeighborhood):
+    """Block-conditional adjacency on {-1,+1}^D: flip within any one block.
+    b_l(y) is y XOR a nonzero submask of block l, and b(y) is the union of
+    the b_l(y)."""
+
+    def __init__(self, system: BlockSystem):
+        self._blocks = tuple(_XorNeighborhood(system.dim, _nonzero_submasks(m)) for m in system.masks)
+        super().__init__(system.dim, np.unique(np.concatenate([b._masks for b in self._blocks])))
+        self.system = system
+
+    def block_neighbors(self, i: int) -> list[np.ndarray]:
+        return [block.neighbors(i) for block in self._blocks]
+
+
 def cl_neighborhood(system: BlockSystem):
     """Materialize the block-conditional neighborhood system on {-1,+1}^D.
 
     Returns the union graph (b(y) = union of the b_l(y)) and the per-point
     per-block neighbor lists.
     """
-    space = SampleSpace.hypercube(system.dim)
-    space.require_enumerable("cl_neighborhood")
-    points = np.arange(space.size, dtype=np.int64)
-    tables = [xor_neighbors(points, masks) for masks in block_submasks(system)]
-    union = np.sort(np.concatenate(tables, axis=1), axis=1)
-    first = np.ones(union.shape, dtype=bool)  # blocks sharing a coordinate repeat flips
-    first[:, 1:] = union[:, 1:] != union[:, :-1]
-    graph = NeighborhoodGraph(space=space, adjacency=_table_rows(union, None if first.all() else first))
-    return graph, tuple(zip(*(_table_rows(t) for t in tables)))
+    SampleSpace.hypercube(system.dim).require_enumerable("cl_neighborhood")
+    neighborhood = BlockNeighborhood(system)
+    per_block = [_materialize(block).adjacency for block in neighborhood._blocks]
+    return _materialize(neighborhood), tuple(zip(*per_block))
 
 
 def cl_connectivity_matches_cover(system: BlockSystem) -> bool:
     """Self-test: block-union coverage of {1..D} must equal connectivity of
     the derived n-intersection graph over the whole space."""
-    graph, _ = cl_neighborhood(system)
+    graph = BlockNeighborhood(system)
+    graph.space.require_enumerable("cl_connectivity_matches_cover")
     points = np.arange(graph.space.size, dtype=np.int64)
     connected = _derived_component_count(graph, points, "n") == 1
     return connected == system.covers_all_coordinates()
@@ -485,8 +520,10 @@ class GraphDiagnostics:
     guaranteed: bool
 
 
-def diagnose(graph: NeighborhoodGraph, active, potential_class: str) -> GraphDiagnostics:
+def diagnose(graph, active, potential_class: str) -> GraphDiagnostics:
     """Decide the coincidence guarantee for a potential class on (G, Y0).
+
+    `graph` is any neighborhood system a family accepts, on an enumerable space.
 
     Strictly convex local potentials need n-coverage plus a connected
     n-intersection graph; pseudo-spherical ones need b-coverage plus a

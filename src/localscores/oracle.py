@@ -17,16 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .graphs import (
-    BlockSystem,
-    NeighborhoodGraph,
-    cl_connectivity_matches_cover,
-    diagnose,
-    graph_from_edges,
-)
+from .errors import InputError, UnsupportedError
+from .graphs import BlockSystem, HypercubeNeighborhood, cl_connectivity_matches_cover, diagnose
 from .potentials import (
-    HypercubeNeighborhood,
     LocalPotentialFamily,
     Probability,
     UnnormalizedVector,
@@ -91,29 +84,14 @@ def _random_probability(gen, size: int) -> Probability:
     return Probability.normalize(_random_positive(gen, size))
 
 
-def _materialized(graph) -> NeighborhoodGraph:
-    if isinstance(graph, NeighborhoodGraph):
-        return graph
-    graph.space.require_enumerable("materializing an implicit neighborhood")
-    edges = []
-    for i in range(graph.space.size):
-        edges += [(i, int(j)) for j in graph.neighbors(i) if i < j]
-    return graph_from_edges(graph.space, edges)
-
-
 def _is_radius1_hypercube(family: LocalPotentialFamily) -> bool:
-    graph = family.graph
-    if isinstance(graph, HypercubeNeighborhood):
-        return graph.radius == 1
-    space = graph.space
+    """Is b(y) the D single flips of y at every point of an enumerable hypercube?"""
+    space = family.space
     if space.kind != "hypercube" or not space.enumerable:
         return False
-    dim = space.dim
-    for i in range(space.size):
-        nbrs = graph.neighbors(i)
-        if len(nbrs) != dim or any((int(z) ^ i).bit_count() != 1 for z in nbrs):
-            return False
-    return True
+    points = np.arange(space.size, dtype=np.int64)
+    table, _ = family.neighbor_matrix(points)  # short rows hold y, never a flip
+    return np.array_equal(table, HypercubeNeighborhood(space.dim, 1).neighbor_matrix(points)[0])
 
 
 def registered_counterexamples(family: LocalPotentialFamily):
@@ -197,11 +175,8 @@ def check_coincidence(
         if div <= COINCIDENCE_MINIMUM and len(witnesses) < MAX_WITNESSES:
             witnesses.append((tuple(p.weights), tuple(q.weights)))
         details.append(f"counterexample[{label}]={div:.3g}")
-    try:
-        diag = diagnose(_materialized(family.graph), family.active_indices(), family.potential_class)
-        details.append(f"diagnose_guaranteed={diag.guaranteed}")
-    except Exception:
-        pass  # implicit graph beyond enumeration; diagnostics unavailable
+    diag = diagnose(family.graph, family.active_indices(), family.potential_class)
+    details.append(f"diagnose_guaranteed={diag.guaranteed}")
     return OracleReport.build(
         f"coincidence[{family.describe()}]",
         count,
@@ -235,8 +210,8 @@ def check_score_paths(
         }
         try:
             routes["closed_form"] = named_closed_form_score(family, y, logs)
-        except Exception:
-            pass
+        except UnsupportedError:
+            pass  # custom kinds and active subsets have no closed form
         up = logs.copy()
         up[y] += step
         down = logs.copy()
@@ -296,7 +271,6 @@ def check_divergence_identity(
     gen = rng.generator()
     worst = 0.0
     witnesses = []
-    graph = _materialized(family.graph)
     for _ in range(trials):
         flogs = gen.uniform(-3.0, 3.0, size=space.size)
         glogs = gen.uniform(-3.0, 3.0, size=space.size)
@@ -311,8 +285,8 @@ def check_divergence_identity(
         if spread > DIVERGENCE_IDENTITY_TOLERANCE and len(witnesses) < MAX_WITNESSES:
             witnesses.append((float(lhs), float(rhs)))
         a = gen.normal(size=(space.size, space.size))
-        lhs_terms = [a[x, int(z)] for x in range(space.size) for z in graph.adjacency[x]]
-        rhs_terms = [a[int(z), x] for x in range(space.size) for z in graph.adjacency[x]]
+        lhs_terms = [a[x, int(z)] for x in range(space.size) for z in family.neighbors(x)]
+        rhs_terms = [a[int(z), x] for x in range(space.size) for z in family.neighbors(x)]
         if math.fsum(lhs_terms) != math.fsum(rhs_terms):
             worst = max(worst, 1.0)
             if len(witnesses) < MAX_WITNESSES:

@@ -16,7 +16,8 @@ also read the neighbors' neighborhoods.
 
 Families never enumerate the space: they only need a neighbor generator, so
 hypercubes far beyond enumeration size (D up to 62) can be scored through
-the implicit neighborhoods defined here.
+the implicit XOR neighborhoods of `graphs` (`HypercubeNeighborhood`,
+`BlockNeighborhood`), which this module re-exports.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import (
+    BlockNeighborhood,
     BlockSystem,
+    HypercubeNeighborhood,
     NeighborhoodGraph,
-    block_neighbor_arrays,
-    block_submasks,
-    masks_up_to_weight,
-    pad_rows,
+    neighbor_rows,
     parse_blocks,
-    xor_neighbors,
 )
 from .spaces import SampleSpace
 
@@ -188,46 +187,6 @@ class Probability:
 
 
 # ---------------------------------------------------------------------------
-# implicit neighborhoods (no materialized adjacency)
-
-
-class HypercubeNeighborhood:
-    """Hamming-ball adjacency on {-1,+1}^D generated by index XOR."""
-
-    def __init__(self, dim: int, radius: int):
-        if not 1 <= radius <= dim:
-            raise InputError(f"radius must be in 1..{dim}, got {radius}")
-        self.space = SampleSpace.hypercube(dim)
-        self.radius = radius
-        self._masks = np.array(masks_up_to_weight(dim, radius), dtype=np.int64)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.sort(int(i) ^ self._masks)
-
-    def neighbor_matrix(self, points) -> tuple[np.ndarray, None]:
-        return xor_neighbors(points, self._masks), None
-
-
-class BlockNeighborhood:
-    """Block-conditional adjacency on {-1,+1}^D: flip within any one block."""
-
-    def __init__(self, system: BlockSystem):
-        self.space = SampleSpace.hypercube(system.dim)
-        self.system = system
-        # b(y) is the union of the b_l(y), so y XOR the union of the submasks
-        self._masks = np.unique(np.concatenate(block_submasks(system)))
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.sort(int(i) ^ self._masks)
-
-    def neighbor_matrix(self, points) -> tuple[np.ndarray, None]:
-        return xor_neighbors(points, self._masks), None
-
-    def block_neighbors(self, i: int) -> list[np.ndarray]:
-        return block_neighbor_arrays(self.system, int(i))
-
-
-# ---------------------------------------------------------------------------
 # potential evaluators: value and gradient act on ratio vectors g = f_b(y) / f_y
 # along the last axis, so one call serves a single point or a padded
 # (points x width) batch, whose `valid` mask (None: no padding) drops the
@@ -322,16 +281,18 @@ class LocalPotentialFamily:
     """A potential kind bound to a neighborhood system and an active set.
 
     `graph` is anything exposing `.space` and `.neighbors(i)` (a materialized
-    NeighborhoodGraph or an implicit neighborhood). `active` is None for the
-    whole space or a set of point indices; every active point must have at
-    least one neighbor.
+    NeighborhoodGraph or an implicit XOR neighborhood). A cl family reads its
+    blocks from the graph: a `BlockNeighborhood` gives the block system, any
+    other graph the single block b(y). `active` is None for the whole space
+    or a set of point indices; every active point must have at least one
+    neighbor.
 
-    Families are immutable apart from three internal memos, each filled on
-    first use: the per-point `local(y)` entries, the batch of every active
-    point's neighbors and evaluator (`active_local`, which divergences and
-    composite potentials read), and the whole-space score kernel that
-    `scoring.state_scores` compiles once per family and reuses for every log
-    f. Concurrent evaluation is safe: racing writers store identical entries.
+    Families are immutable apart from two internal memos, each filled on
+    first use: the batch of every active point's neighbors and evaluator
+    (`active_local`, which divergences and composite potentials read), and
+    the whole-space score kernel that `scoring.state_scores` compiles once
+    per family and reuses for every log f. Concurrent evaluation is safe:
+    racing writers store identical entries.
     """
 
     def __init__(
@@ -340,7 +301,6 @@ class LocalPotentialFamily:
         graph,
         *,
         gamma: float | None = None,
-        blocks: BlockSystem | None = None,
         active=None,
         phi=None,
         dphi=None,
@@ -353,8 +313,6 @@ class LocalPotentialFamily:
                 raise InputError(f"kind {kind!r} needs gamma > 0")
         elif gamma is not None:
             raise InputError(f"kind {kind!r} takes no gamma")
-        if blocks is not None and kind != "cl":
-            raise InputError("blocks only apply to composite-likelihood families")
         if kind == "custom":
             if phi is None or dphi is None:
                 raise InputError("custom families need phi and dphi")
@@ -362,11 +320,9 @@ class LocalPotentialFamily:
         self.kind = kind
         self.graph = graph
         self.gamma = gamma
-        self.blocks = blocks
         self.phi, self.dphi = phi, dphi
         self.d2phi = d2phi if d2phi is not None else _numeric_second(dphi)
         self.active = None if active is None else frozenset(int(a) for a in active)
-        self._local_cache: dict[int, object] = {}
         self._active_local = None
         self._kernel = None
         if self.active is not None and not self.active:
@@ -405,52 +361,37 @@ class LocalPotentialFamily:
     def neighbor_matrix(self, points) -> tuple[np.ndarray, np.ndarray | None]:
         """b(y) for a batch of points: sorted rows, short rows padded with
         the point itself, and the mask of real entries (None when no row is
-        short). Graphs without a batch form are read one point at a time."""
-        points = np.asarray(points, dtype=np.int64)
-        if hasattr(self.graph, "neighbor_matrix"):
-            return self.graph.neighbor_matrix(points)
-        return pad_rows([self.graph.neighbors(int(p)) for p in points], points)
+        short)."""
+        return neighbor_rows(self.graph, points)
 
     @property
-    def _block_system(self) -> BlockSystem | None:
-        if self.blocks is not None:
-            return self.blocks
-        if isinstance(self.graph, BlockNeighborhood):
-            return self.graph.system
-        return None
+    def blocks(self) -> BlockSystem | None:
+        """The block system of a `BlockNeighborhood` graph, else None."""
+        return self.graph.system if isinstance(self.graph, BlockNeighborhood) else None
+
+    @property
+    def _block_graphs(self) -> tuple:
+        """The neighborhood system of each block l, b_l; the graph itself,
+        as the single block b, when the family has no block structure."""
+        return (self.graph,) if self.blocks is None else self.graph._blocks
 
     @property
     def num_blocks(self) -> int:
-        system = self._block_system
-        return 1 if system is None else len(system.blocks)
+        return len(self._block_graphs)
 
     def block_lists(self, y: int) -> list[np.ndarray]:
-        """Per-block neighbor arrays b_l(y); a single block b(y) when the
-        family has no block structure."""
-        system = self._block_system
-        if system is None:
-            return [self.neighbors(y)]
-        return block_neighbor_arrays(system, int(y))
+        """Per-block neighbor arrays b_l(y)."""
+        return [block.neighbors(int(y)) for block in self._block_graphs]
 
     def block_matrix(self, points, block: int) -> tuple[np.ndarray, np.ndarray | None]:
         """b_l(y) of one block l for a batch of points, as `neighbor_matrix`."""
-        system = self._block_system
-        if system is None:
-            return self.neighbor_matrix(points)
-        return xor_neighbors(points, block_submasks(system)[block]), None
+        return neighbor_rows(self._block_graphs[block], points)
 
     def local(self, y: int):
         """(neighbor array, potential evaluator) for the point y: the one-row
-        case of `active_local`, memoized per point."""
-        y = int(y)
-        hit = self._local_cache.get(y)
-        if hit is not None:
-            return hit
+        case of `active_local`."""
         nbrs = self.neighbors(y)
-        hit = nbrs, self._evaluator(y, nbrs, None)
-        if len(self._local_cache) < 65536:
-            self._local_cache[y] = hit
-        return hit
+        return nbrs, self._evaluator(int(y), nbrs, None)
 
     def active_local(self):
         """(points, neighbor matrix, valid, evaluator) for every active point:
@@ -476,11 +417,10 @@ class LocalPotentialFamily:
         a block system z lies in b_l(y) iff y ^ z is a nonzero submask of
         block l; without one, b(y) is the single block."""
         real = np.ones(np.shape(nbrs), dtype=bool) if valid is None else valid
-        system = self._block_system
-        if system is None:
+        if self.blocks is None:
             return real[..., None, :]
         flips = nbrs ^ np.asarray(points)[..., None]
-        outside = ~np.array(system.masks, dtype=np.int64)[:, None]
+        outside = ~np.array(self.blocks.masks, dtype=np.int64)[:, None]
         return ((flips[..., None, :] & outside) == 0) & real[..., None, :]
 
     def scalar_terms(self):
@@ -617,11 +557,8 @@ def pseudo_spherical(graph, gamma: float, active=None) -> LocalPotentialFamily:
 def composite_likelihood(source, active=None) -> LocalPotentialFamily:
     """CL family from a BlockSystem (hypercube) or from any graph, in which
     case each point gets the single block b(y)."""
-    if isinstance(source, BlockSystem):
-        return LocalPotentialFamily(
-            "cl", BlockNeighborhood(source), blocks=source, active=active
-        )
-    return LocalPotentialFamily("cl", source, active=active)
+    graph = BlockNeighborhood(source) if isinstance(source, BlockSystem) else source
+    return LocalPotentialFamily("cl", graph, active=active)
 
 
 def custom_additive(graph, phi, dphi, d2phi=None, active=None) -> LocalPotentialFamily:

@@ -35,9 +35,8 @@ import numpy as np
 
 from .errors import InputError, InternalConsistencyError, UnsupportedError
 from .estimation import _ScoreKernel
-from .graphs import BlockSystem
+from .graphs import BlockNeighborhood, BlockSystem
 from .potentials import (
-    BlockNeighborhood,
     LocalPotentialFamily,
     Probability,
     UnnormalizedVector,
@@ -73,28 +72,27 @@ def _query(logf, i: int) -> float:
 # local potentials
 
 
-def _check_local_args(family: LocalPotentialFamily, y: int, g) -> np.ndarray:
+def _checked_local(family: LocalPotentialFamily, y: int, g):
+    """(g checked as a positive vector over b(y), y's potential evaluator)."""
     if not family.in_active(y):
         raise InputError(f"point {y} is outside the active set")
     g = np.asarray(g, dtype=np.float64)
-    nbrs = family.neighbors(y)
+    nbrs, ev = family.local(y)
     if g.shape != (len(nbrs),):
         raise InputError(f"expected {len(nbrs)} neighbor values, got shape {g.shape}")
     if np.any(g <= 0):
         raise InputError("neighbor values must be strictly positive")
-    return g
+    return g, ev
 
 
 def local_potential(family: LocalPotentialFamily, y: int, g) -> float:
     """phi_y evaluated on a positive vector over b(y)."""
-    g = _check_local_args(family, y, g)
-    _, ev = family.local(y)
+    g, ev = _checked_local(family, y, g)
     return float(ev.value(g))
 
 
 def local_potential_gradient(family: LocalPotentialFamily, y: int, g) -> np.ndarray:
-    g = _check_local_args(family, y, g)
-    _, ev = family.local(y)
+    g, ev = _checked_local(family, y, g)
     return np.asarray(ev.grad(g), dtype=np.float64)
 
 
@@ -344,8 +342,9 @@ def rank_condition(system: BlockSystem, y: int = 0) -> bool:
     rank |b(y)|. Rank is computed over the rationals, so the verdict is
     deterministic. Block systems are coordinate-symmetric, so the answer does
     not depend on y."""
-    nbrs = BlockNeighborhood(system).neighbors(y)
-    blocks = [set(map(int, b)) for b in BlockNeighborhood(system).block_neighbors(y)]
+    neighborhood = BlockNeighborhood(system)
+    nbrs = neighborhood.neighbors(y)
+    blocks = [set(map(int, b)) for b in neighborhood.block_neighbors(y)]
     rows = [
         [Fraction(1) if int(z) in blk else Fraction(0) for blk in blocks] for z in nbrs
     ]

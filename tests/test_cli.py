@@ -264,6 +264,47 @@ class TestFitCommand:
         fitted = load_model(out_model)
         assert np.allclose(normalize(fitted).weights, [0.5, 0.25, 0.25], atol=1e-6)
 
+    def small_fit_config(self, tmp_path):
+        """A valid hypercube:3 fit config with a test file, for --set overrides."""
+        from localscores import SampleSpace, write_samples
+
+        true_path = tmp_path / "true.json"
+        save_model(seeded_bm(3, 6, scale=0.5), true_path)
+        test_path = tmp_path / "test.txt"
+        write_samples(test_path, SampleSpace.hypercube(3), [0, 1, 2, 3], seed=0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "score": "pl", "space": "hypercube:3", "radius": 1, "model": "boltzmann",
+            "train": {"model": str(true_path), "n": 50, "sampler": "exact"},
+            "test": str(test_path), "seed": 1, "fit": {"max_iterations": 3},
+        }))
+        return cfg_path
+
+    def test_valid_overrides_fit(self, capsys, tmp_path):
+        cfg_path = self.small_fit_config(tmp_path)
+        code, out, _ = run(
+            capsys, "fit", "--config", str(cfg_path), "--set", "radius=2", "--set", "n_train=5",
+            "--set", "n_test=2", "--set", "seed=3", "--set", 'fit={"max_iterations": 2}',
+        )
+        assert code == 0 and "record=test_metrics" in out
+
+    @pytest.mark.parametrize("override, named", [
+        ('fit={"max_iteration": 10}', "max_iteration"),  # unknown FitConfig field
+        ("fit=[1]", "fit"),
+        ('radius="x"', "radius"),
+        ('n_train="5"', "n_train"),
+        ("radius=0", "radius"),  # would fit radius 1
+        ("radius=true", "radius"),  # would fit radius 1
+        ("n_train=-1", "n_train"),  # would drop the last sample
+        ("n_test=-1", "n_test"),  # would drop the last test sample
+        ("seed=a", "seed"),  # would print seed=a
+    ])
+    def test_bad_override_exits_2(self, capsys, tmp_path, override, named):
+        cfg_path = self.small_fit_config(tmp_path)
+        code, _, err = run(capsys, "fit", "--config", str(cfg_path), "--set", override)
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"space": "labels:3", "train": "x", "bogus": 1}))

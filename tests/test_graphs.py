@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localscores import (
+    BlockNeighborhood,
     BlockSystem,
     GraphDiagnostics,
+    HypercubeNeighborhood,
     InputError,
     NeighborhoodGraph,
     SampleSpace,
@@ -31,6 +33,7 @@ from localscores import (
     parse_blocks,
     read_edge_list,
     write_edge_list,
+    UnsupportedError,
 )
 
 
@@ -397,6 +400,25 @@ class TestDiagnose:
     def test_unknown_class(self):
         with pytest.raises(InputError):
             diagnose(hamming_graph(2, 1), range(4), "convex")
+
+    def test_accepts_every_graph_a_family_accepts(self):
+        class Pointwise:  # no batch form: `.space` and `.neighbors(i)` only
+            def __init__(self, graph):
+                self.space, self.neighbors = graph.space, graph.neighbors
+
+        system = BlockSystem.of(3, {1, 2}, {2, 3})
+        rng = np.random.default_rng(2)
+        for mat, implicit in ((hamming_graph(3, 1), HypercubeNeighborhood(3, 1)),
+                              (cl_neighborhood(system)[0], BlockNeighborhood(system))):
+            for active in (range(8), [0, 3], sorted(rng.choice(8, 5, replace=False))):
+                for klass in ("strictly-convex", "pseudo-spherical"):
+                    expected = diagnose(mat, active, klass)
+                    assert diagnose(implicit, active, klass) == expected
+                    assert diagnose(Pointwise(mat), active, klass) == expected
+
+    def test_refuses_implicit_graphs_beyond_enumeration(self):
+        with pytest.raises(UnsupportedError):
+            diagnose(HypercubeNeighborhood(40, 1), [0, 1], "strictly-convex")
 
     def test_non_integer_active_points_rejected(self):
         g = hamming_graph(2, 1)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from localscores import (
+    BlockNeighborhood,
     BlockSystem,
     HypercubeNeighborhood,
     InputError,
+    LocalPotentialFamily,
     OracleReport,
     Probability,
     RngStream,
@@ -24,7 +26,17 @@ from localscores import (
     registered_counterexamples,
     standard_check_registry,
 )
+from localscores import oracle
 from localscores.oracle import DEMONSTRATION_CHECKS
+
+
+class PointwiseGraph:
+    """A neighborhood system without a batch form: only `.space` and
+    `.neighbors(i)`."""
+
+    def __init__(self, graph):
+        self.space = graph.space
+        self.neighbors = graph.neighbors
 
 
 class TestProperness:
@@ -86,6 +98,18 @@ class TestCoincidence:
         report2 = check_coincidence(fam2, 50, RngStream(7))
         assert "diagnose_guaranteed=True" in report2.details
 
+    def test_diagnoses_the_family_graph_in_every_form(self):
+        # the same details whether the graph is materialized, implicit or
+        # read one point at a time
+        for radius, guaranteed in ((1, False), (2, True)):
+            details = {
+                check_coincidence(pseudo_spherical(g, 1.0), 20, RngStream(7)).details
+                for g in (hamming_graph(2, radius), HypercubeNeighborhood(2, radius),
+                          PointwiseGraph(hamming_graph(2, radius)))
+            }
+            assert len(details) == 1
+            assert f"diagnose_guaranteed={guaranteed}" in details.pop()
+
 
 class TestCounterexampleRegistry:
     def test_d2_pair_is_registered_and_exact(self):
@@ -108,6 +132,21 @@ class TestCounterexampleRegistry:
         assert registered_counterexamples(pseudo_likelihood(hamming_graph(2, 1))) == []
         assert registered_counterexamples(pseudo_spherical(hamming_graph(2, 2), 1.0)) == []
 
+    def test_radius1_recognized_in_every_graph_form(self):
+        singletons = BlockNeighborhood(BlockSystem.singletons(3))
+        for graph in (hamming_graph(3, 1), HypercubeNeighborhood(3, 1), singletons,
+                      PointwiseGraph(hamming_graph(3, 1))):
+            assert len(registered_counterexamples(pseudo_spherical(graph, 1.0))) == 1
+        two_blocks = BlockNeighborhood(BlockSystem.of(3, {1, 2}, {3}))
+        for graph in (HypercubeNeighborhood(3, 2), two_blocks, PointwiseGraph(hamming_graph(3, 2))):
+            assert registered_counterexamples(pseudo_spherical(graph, 1.0)) == []
+
+    def test_no_entries_beyond_enumeration_size(self):
+        # divergences refuse |Y| > 2^16, so a pair of 2^17-entry vectors is
+        # never built there
+        fam = pseudo_spherical(HypercubeNeighborhood(17, 1), 1.0)
+        assert registered_counterexamples(fam) == []
+
 
 class TestScorePaths:
     def test_pl_routes_agree(self):
@@ -126,6 +165,26 @@ class TestScorePaths:
         fam = composite_likelihood(BlockSystem.of(3, {1}, {2, 3}))
         report = check_score_paths(fam, 30, RngStream(11))
         assert report.verdict == "pass"
+
+    def test_family_on_block_neighborhood_agrees(self):
+        # the blocks come from the graph, so every route reads the same b_l(y)
+        fam = LocalPotentialFamily("cl", BlockNeighborhood(BlockSystem.of(3, {1, 2}, {3})))
+        assert check_score_paths(fam, 30, RngStream(11)).verdict == "pass"
+
+    def test_routes_without_closed_form_still_compared(self):
+        g = hamming_graph(3, 1)
+        active = pseudo_likelihood(g, active=[0, 1, 2, 5])
+        custom = LocalPotentialFamily("custom", g, phi=lambda t: -np.log1p(t), dphi=lambda t: -1 / (1 + t))
+        for fam in (active, custom):
+            assert check_score_paths(fam, 10, RngStream(3)).verdict == "pass"
+
+    def test_closed_form_errors_propagate(self, monkeypatch):
+        def broken(family, y, log_f):
+            raise ValueError("closed form bug")
+
+        monkeypatch.setattr(oracle, "named_closed_form_score", broken)
+        with pytest.raises(ValueError, match="closed form bug"):
+            check_score_paths(pseudo_likelihood(hamming_graph(3, 1)), 5, RngStream(0))
 
     def test_kernel_route_is_compared(self, monkeypatch):
         # the generic route, the closed form and the finite difference are

@@ -175,28 +175,105 @@ class TestFamilyConstruction:
             LocalPotentialFamily("custom", hamming_graph(2, 1), phi=lambda t: t * t)
 
 
-class TestImplicitNeighborhoods:
-    def test_hypercube_matches_materialized(self):
-        imp = HypercubeNeighborhood(4, 2)
-        mat = hamming_graph(4, 2)
-        for i in range(16):
-            assert np.array_equal(imp.neighbors(i), mat.neighbors(i))
+def brute_ball(dim, radius, y):
+    """b(y) of the Hamming ball: z with 1 <= popcount(y ^ z) <= radius."""
+    return [z for z in range(2 ** dim) if 1 <= (y ^ z).bit_count() <= radius]
 
-    def test_block_matches_materialized(self):
+
+def brute_block(dim, block, y):
+    """b_l(y): z != y that differs from y only on the block's coordinates."""
+    outside = ~sum(1 << (i - 1) for i in block)
+    return [z for z in range(2 ** dim) if z != y and (y ^ z) & outside == 0]
+
+
+@st.composite
+def block_systems(draw):
+    dim = draw(st.integers(1, 5))
+    coords = st.sets(st.integers(1, dim), min_size=1)  # blocks may overlap
+    return BlockSystem.of(dim, *draw(st.lists(coords, min_size=1, max_size=4)))
+
+
+class TestImplicitNeighborhoods:
+    def test_hypercube_matches_brute_force(self):
+        for dim, radius in ((1, 1), (4, 1), (4, 2), (5, 3), (4, 4)):
+            imp = HypercubeNeighborhood(dim, radius)
+            mat = hamming_graph(dim, radius)
+            table, valid = imp.neighbor_matrix(np.arange(2 ** dim))
+            assert valid is None
+            for y in range(2 ** dim):
+                expected = brute_ball(dim, radius, y)
+                assert imp.neighbors(y).tolist() == expected
+                assert mat.neighbors(y).tolist() == expected
+                assert table[y].tolist() == expected
+
+    def test_block_matches_brute_force(self):
         from localscores import cl_neighborhood
 
         system = BlockSystem.of(3, {1}, {2, 3})
         imp = BlockNeighborhood(system)
         mat, per_point = cl_neighborhood(system)
-        for i in range(8):
-            assert np.array_equal(imp.neighbors(i), mat.neighbors(i))
-            for a, b in zip(imp.block_neighbors(i), per_point[i]):
-                assert np.array_equal(a, b)
+        for y in range(8):
+            blocks = [brute_block(3, b, y) for b in system.blocks]
+            union = sorted(set().union(*blocks))
+            assert imp.neighbors(y).tolist() == union
+            assert mat.neighbors(y).tolist() == union
+            assert [b.tolist() for b in imp.block_neighbors(y)] == blocks
+            assert [b.tolist() for b in per_point[y]] == blocks
+
+    @given(system=block_systems())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_random_block_systems_match_brute_force(self, system):
+        from localscores import cl_neighborhood
+
+        dim = system.dim
+        imp = BlockNeighborhood(system)
+        mat, per_point = cl_neighborhood(system)
+        family = composite_likelihood(system)
+        for y in range(2 ** dim):
+            blocks = [brute_block(dim, b, y) for b in system.blocks]
+            union = sorted(set().union(*blocks))
+            assert imp.neighbors(y).tolist() == union
+            assert mat.neighbors(y).tolist() == union
+            assert [b.tolist() for b in imp.block_neighbors(y)] == blocks
+            assert [b.tolist() for b in per_point[y]] == blocks
+            assert [b.tolist() for b in family.block_lists(y)] == blocks
+        for block, rows in enumerate(zip(*per_point)):
+            table, valid = family.block_matrix(np.arange(2 ** dim), block)
+            assert valid is None and table.tolist() == [r.tolist() for r in rows]
 
     def test_large_dimension_neighbor_count(self):
         imp = HypercubeNeighborhood(32, 1)
         assert len(imp.neighbors(0)) == 32
         assert len(imp.neighbors(2 ** 31)) == 32
+
+    def test_radius2_far_beyond_enumeration(self):
+        # every z with popcount(y ^ z) in 1..2, each once: C(40,1) + C(40,2)
+        imp = HypercubeNeighborhood(40, 2)
+        rng = np.random.default_rng(5)
+        for y in [0, 2 ** 40 - 1, *rng.integers(0, 2 ** 40, size=6).tolist()]:
+            nbrs = imp.neighbors(y).tolist()
+            assert len(nbrs) == 40 + 780 and nbrs == sorted(set(nbrs))
+            assert all(1 <= (y ^ z).bit_count() <= 2 and 0 <= z < 2 ** 40 for z in nbrs)
+            table, _ = imp.neighbor_matrix([y])
+            assert table[0].tolist() == nbrs
+
+    def test_family_blocks_come_from_the_graph(self):
+        # a `blocks=` keyword could disagree with the family's graph; it is gone
+        system = BlockSystem.of(3, {1, 2}, {3})
+        with pytest.raises(TypeError):
+            LocalPotentialFamily("cl", hamming_graph(3, 1), blocks=system)
+        assert LocalPotentialFamily("cl", hamming_graph(3, 1)).blocks is None
+        fam = LocalPotentialFamily("cl", BlockNeighborhood(system))
+        assert fam.blocks is system and fam.describe() == "cl:1,2;3"
+        assert fam.describe() == composite_likelihood(system).describe()
+
+    def test_potentials_module_reexports_the_neighborhoods(self):
+        import localscores.graphs
+        import localscores.potentials
+
+        assert localscores.potentials.HypercubeNeighborhood is localscores.graphs.HypercubeNeighborhood
+        assert localscores.potentials.BlockNeighborhood is localscores.graphs.BlockNeighborhood
+        assert HypercubeNeighborhood is localscores.graphs.HypercubeNeighborhood
 
 
 class TestScoreSpecGrammar:
