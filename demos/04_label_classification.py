@@ -45,10 +45,8 @@ for name in ("mle", "pl", "rm", "ps:1", "cl", "mcl"):
     if name == "mle":
         fitted = ls.mle_fit(model0, y_train, config, features=x_train).parameters
     else:
-        spec = ls.parse_score_spec(name)
-        fitted = ls.fit(
-            ls.bind_spec(spec, graph), model0, y_train, config, features=x_train
-        ).parameters
+        family = ls.parse_score_spec(name).family(graph)
+        fitted = ls.fit(family, model0, y_train, config, features=x_train).parameters
     err = ls.test_error(fitted, x_test, y_test)
     loss = ls.negative_log_loss(fitted, y_test, features=x_test)
     results[name] = (err, loss)
@@ -58,9 +56,9 @@ for name in ("mle", "pl", "rm", "ps:1", "cl", "mcl"):
 # The cl/mcl gap on label graphs. On hypercube block systems the two scores
 # coincide identically; on a band graph the correction terms survive.
 
-fam = ls.composite_likelihood(graph)
+cl, mcl = (ls.parse_score_spec(text).family(graph) for text in ("cl", "mcl"))
 logs = np.random.default_rng(3).uniform(-1, 1, NUM_LABELS)
-gaps = [abs(ls.standard_cl_score(fam, y, logs) - ls.score(fam, y, logs)) for y in range(NUM_LABELS)]
+gaps = [abs(ls.score(cl, y, logs) - ls.score(mcl, y, logs)) for y in range(NUM_LABELS)]
 print("\nmax |standard CL - modified CL| on a random label vector:", max(gaps))
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,13 @@ class ExperimentConfig:
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         cfg = ExperimentConfig(**doc)
+        for key in ("space", "score"):
+            if not isinstance(getattr(cfg, key), str):
+                raise InputError(f"`{key}` must be a string, got {getattr(cfg, key)!r}")
+        for key in ("blocks", "test", "out_model", "report"):
+            value = getattr(cfg, key)  # an integer path would name a file descriptor
+            if value is not None and not isinstance(value, str):
+                raise InputError(f"`{key}` must be a string, got {value!r}")
         if not cfg.space:
             raise InputError("config needs a `space`")
         if cfg.model not in ("boltzmann", "tabular", "conditional"):
@@ -178,8 +185,16 @@ class ExperimentConfig:
             raise InputError(f"unknown objective {cfg.objective!r}")
         if cfg.blocks is not None and not cfg.space.startswith("hypercube"):
             raise InputError("blocks only combine with hypercube spaces")
+        if cfg.blocks is not None:
+            spec = parse_score_spec(cfg.score)
+            if spec.kind not in ("cl", "mcl") or spec.blocks_text is not None:
+                raise InputError(f"`blocks` needs a blockless cl or mcl score, got {cfg.score!r}")
         if cfg.train is None:
             raise InputError("config needs a `train` data source")
+        if isinstance(cfg.train, dict):
+            _check_synthetic_source(cfg.train)
+        elif not isinstance(cfg.train, str):
+            raise InputError("`train` must be a sample file path or a synthetic-source dict")
         if cfg.model == "boltzmann" and not cfg.space.startswith("hypercube"):
             raise InputError("Boltzmann models live on hypercube spaces")
         for key in ("radius", "n_train", "n_test"):
@@ -197,6 +212,21 @@ class ExperimentConfig:
         if unknown:
             raise InputError(f"unknown fit keys: {sorted(unknown)}")
         return FitConfig(**self.fit)
+
+
+def _check_synthetic_source(src: dict) -> None:
+    unknown = set(src) - {"model", "n", "sampler", "stream"}
+    if unknown:
+        raise InputError(f"unknown synthetic-data keys: {sorted(unknown)}")
+    if not isinstance(src.get("model"), str):
+        raise InputError(f"`train.model` must be a model file path, got {src.get('model')!r}")
+    n, stream = src.get("n"), src.get("stream", 0)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"`train.n` must be a positive integer, got {n!r}")
+    if isinstance(stream, bool) or not isinstance(stream, int):
+        raise InputError(f"`train.stream` must be an integer, got {stream!r}")
+    if src.get("sampler", "exact") not in ("exact", "gibbs"):
+        raise InputError(f"unknown sampler {src['sampler']!r}")
 
 
 def _apply_overrides(doc: dict, sets: list[str]) -> dict:
@@ -229,23 +259,14 @@ def _load_train_indices(cfg: ExperimentConfig, space: SampleSpace):
             raise InputError(
                 f"sample file space {file_space.spec_string()} does not match {cfg.space}"
             )
-    elif isinstance(cfg.train, dict):
-        src = dict(cfg.train)
-        model = load_model(src.pop("model"))
-        n = int(src.pop("n"))
-        sampler = src.pop("sampler", "exact")
-        stream = int(src.pop("stream", 0))
-        if src:
-            raise InputError(f"unknown synthetic-data keys: {sorted(src)}")
-        rng = RngStream(cfg.seed, stream)
-        if sampler == "exact":
-            idx = exact_sample(normalize(model), n, rng)
-        elif sampler == "gibbs":
-            idx = gibbs_sample(model, n, rng=rng)
+    else:  # a synthetic source, checked by `ExperimentConfig.from_dict`
+        src = cfg.train
+        model = load_model(src["model"])
+        rng = RngStream(cfg.seed, src.get("stream", 0))
+        if src.get("sampler", "exact") == "exact":
+            idx = exact_sample(normalize(model), src["n"], rng)
         else:
-            raise InputError(f"unknown sampler {sampler!r}")
-    else:
-        raise InputError("`train` must be a sample file path or a synthetic-source dict")
+            idx = gibbs_sample(model, src["n"], rng=rng)
     if cfg.n_train is not None:
         if cfg.n_train > len(idx):
             raise InputError(f"n_train={cfg.n_train} exceeds available {len(idx)} samples")
@@ -304,7 +325,7 @@ def cmd_fit(args) -> int:
         else:
             graph = _score_graph(space, cfg.radius)
             family = spec.family(graph)
-            result = fit((family, spec.standard_cl), model0, y, fit_config, features=x)
+            result = fit(family, model0, y, fit_config, features=x)
     else:
         indices = _load_train_indices(cfg, space)
         if cfg.model == "boltzmann":
@@ -314,11 +335,11 @@ def cmd_fit(args) -> int:
         if cfg.objective == "mle":
             result = mle_fit(model0, indices, fit_config)
         else:
-            if cfg.blocks is not None and spec.kind in ("cl", "mcl") and spec.blocks_text is None:
-                spec = ScoreSpec(kind=spec.kind, gamma=spec.gamma, blocks_text=cfg.blocks)
+            if cfg.blocks is not None:
+                spec = ScoreSpec(kind=spec.kind, blocks_text=cfg.blocks)
             graph = _score_graph(space, cfg.radius)
             family = spec.family(graph)
-            result = fit((family, spec.standard_cl), model0, indices, fit_config)
+            result = fit(family, model0, indices, fit_config)
 
     fitted = result.parameters
     report_lines += result.report_lines()

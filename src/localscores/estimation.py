@@ -43,21 +43,14 @@ block holding every other label, so conditional MLE is that kernel too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import InputError
 from .graphs import label_band_graph
 from .models import ConditionalModel
-from .potentials import (
-    LocalPotentialFamily,
-    Probability,
-    ScoreSpec,
-    _logsumexp,
-    _masked,
-    composite_likelihood,
-)
+from .potentials import LocalPotentialFamily, Probability, ScoreSpec, _logsumexp, _masked
 
 STEP_FLOOR = 1e-20
 
@@ -74,6 +67,11 @@ class FitConfig:
     def __post_init__(self):
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
             raise InputError("max_iterations must be an integer")
+        for name in ("gradient_tolerance", "initial_step", "armijo_c", "backtrack_factor",
+                     "l2_penalty"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise InputError(f"{name} must be a real number, got {value!r}")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be positive")
         if not np.all(np.isfinite([self.gradient_tolerance, self.initial_step, self.l2_penalty])):
@@ -124,9 +122,10 @@ class NonFiniteObjectiveError(InputError):
 
 
 def bind_spec(spec: ScoreSpec, graph):
-    """Bind a parsed score spec to a graph: (family, standard_cl objective
-    flag), the shape `fit`/`empirical_score` accept."""
-    return spec.family(graph), spec.standard_cl
+    """(family, family.standard_cl) for a score spec on a graph, a pair that
+    `fit`/`empirical_score` accept as a checked spelling of the family."""
+    family = spec.family(graph)
+    return family, family.standard_cl
 
 
 class _Objective:
@@ -239,10 +238,8 @@ class _ScoreKernel:
     `weights`, when given, belong to `samples` as sorted distinct states.
     """
 
-    def __init__(self, family, samples, weights=None, standard_cl=False, conditional=False):
+    def __init__(self, family, samples, weights=None, conditional=False):
         samples = family.space.checked_indices(samples)
-        if standard_cl and family.active is not None:
-            raise InputError("standard CL objectives assume the whole-space active set")
         size = family.space.size
         if conditional:  # label y on feature row i is the point i * L + y
             samples = np.arange(samples.size) * size + samples
@@ -256,7 +253,6 @@ class _ScoreKernel:
             states = samples
             w = np.asarray(weights, dtype=np.float64)
         self.family = family
-        self.standard_cl = standard_cl
         self.samples = samples
         self.states = states
         self.weights = w
@@ -319,7 +315,7 @@ class _ScoreKernel:
         offset = 0
         for block in range(fam.num_blocks):
             nbrs, valid = self._batch(fam.block_matrix, states, block)
-            if self.standard_cl:  # the states are sorted and distinct
+            if fam.standard_cl:  # the states are sorted and distinct
                 centers, own = states, np.arange(len(states))
             else:
                 reach = self._reach(nbrs, valid)
@@ -344,7 +340,7 @@ class _ScoreKernel:
         self.ball_log_weight = np.bincount(
             self.own_ids.ravel(), weights=np.repeat(own_weights, fam.num_blocks), minlength=offset
         )
-        if not self.standard_cl:
+        if not fam.standard_cl:
             self.nbr_ids = np.concatenate(nbr_ids, axis=1)
             reach = np.concatenate(nbr_reach, axis=1)
             self.nbr_reach = None if reach.all() else reach
@@ -417,7 +413,7 @@ class _ScoreKernel:
         balls = self.balls
         s, a = balls.log_norms(logs)
         own = s[self.own_ids]
-        if self.standard_cl:
+        if self.family.standard_cl:
             vals = own.sum(axis=1)
         else:
             q = np.exp(-s)
@@ -428,7 +424,7 @@ class _ScoreKernel:
 
         def finish():
             coef = self.ball_log_weight
-            if not self.standard_cl:
+            if not self.family.standard_cl:
                 coef = coef - self.ball_q_weight * q
             n_u = len(self.universe)
             dj = balls.pullback(coef, s, a, n_u)
@@ -445,14 +441,13 @@ class _ScoreObjective(_Objective):
 
     frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
 
-    def __init__(self, family, model, samples, weights=None, standard_cl=False, l2=0.0,
-                 features=None):
+    def __init__(self, family, model, samples, weights=None, l2=0.0, features=None):
         if family.space.spec_string() != model.space.spec_string():
             raise InputError(
                 f"score family lives on {family.space.spec_string()}, "
                 f"model on {model.space.spec_string()}"
             )
-        kernel = _ScoreKernel(family, samples, weights, standard_cl, features is not None)
+        kernel = _ScoreKernel(family, samples, weights, features is not None)
         if features is not None and np.shape(features)[:1] != kernel.samples.shape:
             raise InputError("features and labels must align")
         super().__init__(model, l2)
@@ -587,16 +582,15 @@ def _minimize(objective, config: FitConfig) -> FitResult:
 # public operations
 
 
-def _build_objective(spec_or_family, model, samples, features, l2=0.0, weights=None):
-    fam, standard_cl = (
-        spec_or_family if isinstance(spec_or_family, tuple) else (spec_or_family, False)
-    )
-    if not isinstance(fam, LocalPotentialFamily):
+def _build_objective(family, model, samples, features, l2=0.0, weights=None):
+    if isinstance(family, tuple):
+        # the pair `bind_spec` returns selects nothing: its flag must be the family's
+        family, standard_cl = family
+        if standard_cl != getattr(family, "standard_cl", None):
+            raise InputError(f"pair flag {standard_cl!r} is not the family's standard_cl")
+    if not isinstance(family, LocalPotentialFamily):
         raise InputError("expected a potential family (bind ScoreSpecs to a graph first)")
-    if standard_cl and fam.kind != "cl":
-        raise InputError("standard CL objectives need a composite-likelihood family")
-    return _ScoreObjective(fam, model, samples, weights=weights, standard_cl=standard_cl,
-                           l2=l2, features=features)
+    return _ScoreObjective(family, model, samples, weights=weights, l2=l2, features=features)
 
 
 def _mle_objective(model, samples, features=None, l2=0.0):
@@ -604,25 +598,25 @@ def _mle_objective(model, samples, features=None, l2=0.0):
         # -log q(y | x) is the standard CL score of the one block holding
         # every other label
         labels = model.num_labels
-        complete = composite_likelihood(label_band_graph(labels, labels - 1))
-        return _ScoreObjective(complete, model, samples, standard_cl=True, l2=l2,
-                               features=features)
+        complete = LocalPotentialFamily("cl", label_band_graph(labels, labels - 1),
+                                        standard_cl=True)
+        return _ScoreObjective(complete, model, samples, l2=l2, features=features)
     return _MleObjective(model, samples, l2=l2)
 
 
-def empirical_score(spec_or_family, model, samples, features=None) -> float:
+def empirical_score(family, model, samples, features=None) -> float:
     """Mean score of the samples under the model's unnormalized values;
     conditional models score each label on its own feature row."""
-    obj = _build_objective(spec_or_family, model, samples, features)
+    obj = _build_objective(family, model, samples, features)
     return obj.value(obj.x0)
 
 
-def fit(spec_or_family, model_init, samples, config: FitConfig | None = None,
+def fit(family, model_init, samples, config: FitConfig | None = None,
         features=None, gauge_fix_last: bool = False) -> FitResult:
     """Minimize the empirical score over the model's parameters.
 
-    `spec_or_family` is a LocalPotentialFamily (gradient score objective) or
-    a (family, standard_cl) pair for the plain composite likelihood.
+    `family` is a LocalPotentialFamily, and its score is the objective: a cl
+    family's `standard_cl` picks the plain composite likelihood over mCL.
     Conditional models take labels in `samples`, one row of the feature
     matrix `features` per label, and a family on their label space; every
     row is scored on its own copy of the family's label graph.
@@ -630,7 +624,7 @@ def fit(spec_or_family, model_init, samples, config: FitConfig | None = None,
     initial value.
     """
     config = config or FitConfig()
-    obj = _build_objective(spec_or_family, model_init, samples, features, config.l2_penalty)
+    obj = _build_objective(family, model_init, samples, features, config.l2_penalty)
     if gauge_fix_last:
         if not isinstance(model_init, ConditionalModel):
             raise InputError("gauge fixing applies to conditional models")
@@ -646,13 +640,13 @@ def mle_fit(model_init, samples, config: FitConfig | None = None, features=None)
     return _minimize(_mle_objective(model_init, samples, features, config.l2_penalty), config)
 
 
-def population_gradient(spec_or_family, model, p: Probability) -> np.ndarray:
+def population_gradient(family, model, p: Probability) -> np.ndarray:
     """Gradient of the population objective sum_y p_y S(y, f_theta) at the
     model's parameters, over the enumerated space."""
     space = model.space
     space.require_enumerable("population_gradient")
     states = np.arange(space.size, dtype=np.int64)
-    obj = _build_objective(spec_or_family, model, states, None, weights=p.weights)
+    obj = _build_objective(family, model, states, None, weights=p.weights)
     _, grad = obj.value_and_grad(obj.x0)
     return grad
 

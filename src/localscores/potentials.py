@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError
 from .graphs import (
     BlockNeighborhood,
     BlockSystem,
@@ -198,8 +198,8 @@ class _AdditivePotential:
 
     additive = True
 
-    def __init__(self, f0, f1, f2):
-        self.f0, self.f1, self.f2 = f0, f1, f2
+    def __init__(self, f0, f1):
+        self.f0, self.f1 = f0, f1
 
     def value(self, v, valid=None):
         return np.sum(_masked(self.f0(v), valid), axis=-1)
@@ -251,25 +251,13 @@ class _CompositePotential:
         return -self._per_block(1.0 / (1.0 + self._sums(v)))
 
 
-def _scalar_triplet(kind: str, gamma: float | None):
+def _scalar_pair(kind: str, gamma: float | None):
     if kind == "pl":
-        return (
-            lambda t: -np.log1p(t),
-            lambda t: -1.0 / (1.0 + t),
-            lambda t: 1.0 / (1.0 + t) ** 2,
-        )
+        return lambda t: -np.log1p(t), lambda t: -1.0 / (1.0 + t)
     if kind == "rm":
-        return (
-            lambda t: -0.5 * t / (1.0 + t),
-            lambda t: -0.5 / (1.0 + t) ** 2,
-            lambda t: 1.0 / (1.0 + t) ** 3,
-        )
+        return lambda t: -0.5 * t / (1.0 + t), lambda t: -0.5 / (1.0 + t) ** 2
     if kind == "dp":
-        return (
-            lambda t: t ** (1.0 + gamma) / (1.0 + gamma),
-            lambda t: t ** gamma,
-            lambda t: gamma * t ** (gamma - 1.0),
-        )
+        return lambda t: t ** (1.0 + gamma) / (1.0 + gamma), lambda t: t ** gamma
     raise InputError(f"no scalar potential for kind {kind!r}")
 
 
@@ -286,6 +274,11 @@ class LocalPotentialFamily:
     other graph the single block b(y). `active` is None for the whole space
     or a set of point indices; every active point must have at least one
     neighbor.
+
+    A cl family scores mCL, the gradient score of its potential, or with
+    `standard_cl=True` (whole space only) the plain composite likelihood.
+    Off equivalence-class blocks that is not the potential's gradient, so a
+    standard family answers the score routes and refuses the potential ones.
 
     Families are immutable apart from two internal memos, each filled on
     first use: the batch of every active point's neighbors and evaluator
@@ -305,6 +298,7 @@ class LocalPotentialFamily:
         phi=None,
         dphi=None,
         d2phi=None,
+        standard_cl=False,
     ):
         if kind not in ALL_KINDS:
             raise InputError(f"unknown potential kind {kind!r}")
@@ -317,7 +311,10 @@ class LocalPotentialFamily:
             if phi is None or dphi is None:
                 raise InputError("custom families need phi and dphi")
             _spot_check_convexity(phi)
+        if standard_cl and (kind != "cl" or active is not None):
+            raise InputError("standard CL needs a cl family on the whole-space active set")
         self.kind = kind
+        self.standard_cl = bool(standard_cl)
         self.graph = graph
         self.gamma = gamma
         self.phi, self.dphi = phi, dphi
@@ -405,6 +402,8 @@ class LocalPotentialFamily:
         return self._active_local
 
     def _evaluator(self, points, nbrs, valid):
+        if self.standard_cl:
+            raise UnsupportedError("standard CL is not its potential's gradient: score routes only")
         if self.kind == "ps":
             return _PseudoSphericalPotential(self.gamma)
         if self.kind == "cl":
@@ -424,16 +423,16 @@ class LocalPotentialFamily:
         return ((flips[..., None, :] & outside) == 0) & real[..., None, :]
 
     def scalar_terms(self):
-        """(f0, f1, f2) of the one-dimensional term for additive kinds."""
+        """(f0, f1): the one-dimensional term phi and its derivative for
+        additive kinds."""
         if not self.additive:
             raise InputError(f"kind {self.kind!r} is not additive")
         if self.kind == "custom":
             return (
                 np.vectorize(self.phi, otypes=[float]),
                 np.vectorize(self.dphi, otypes=[float]),
-                np.vectorize(self.d2phi, otypes=[float]),
             )
-        return _scalar_triplet(self.kind, self.gamma)
+        return _scalar_pair(self.kind, self.gamma)
 
     def edge_terms(self):
         """Stable per-edge maps of float arrays on the log-ratio scale for
@@ -481,7 +480,8 @@ class LocalPotentialFamily:
                  lambda d: g * np.exp((1.0 + g) * d)),
                 (lambda d: -np.exp(-g * d), lambda d: g * np.exp(-g * d)),
             )
-        f0, f1, f2 = self.scalar_terms()
+        f0, f1 = self.scalar_terms()
+        f2 = np.vectorize(self.d2phi, otypes=[float])
 
         def own(d):
             r = np.exp(d)
@@ -509,10 +509,12 @@ class LocalPotentialFamily:
                 raise InputError(f"active point {y} has an empty neighborhood")
 
     def describe(self) -> str:
+        """The family's score in the score-kind grammar (`parse_score_spec`)."""
         if self.kind in ("dp", "ps"):
             return f"{self.kind}:{self.gamma:g}"
-        if self.kind == "cl" and self.blocks is not None:
-            return f"cl:{self.blocks.spec_string()}"
+        if self.kind == "cl":
+            name = "cl" if self.standard_cl else "mcl"
+            return name if self.blocks is None else f"{name}:{self.blocks.spec_string()}"
         return self.kind
 
 
@@ -555,7 +557,7 @@ def pseudo_spherical(graph, gamma: float, active=None) -> LocalPotentialFamily:
 
 
 def composite_likelihood(source, active=None) -> LocalPotentialFamily:
-    """CL family from a BlockSystem (hypercube) or from any graph, in which
+    """mCL family from a BlockSystem (hypercube) or from any graph, in which
     case each point gets the single block b(y)."""
     graph = BlockNeighborhood(source) if isinstance(source, BlockSystem) else source
     return LocalPotentialFamily("cl", graph, active=active)
@@ -576,24 +578,16 @@ class ScoreSpec:
     gamma: float | None = None
     blocks_text: str | None = None
 
-    @property
-    def standard_cl(self) -> bool:
-        """True when the estimation objective is the plain block-conditional
-        likelihood rather than the gradient (mCL) score."""
-        return self.kind == "cl"
-
     def family(self, graph) -> LocalPotentialFamily:
-        if self.kind in ("pl", "rm"):
-            return LocalPotentialFamily(self.kind, graph)
-        if self.kind in ("dp", "ps"):
+        """The family on `graph`, or on the block system of a block list."""
+        if self.kind not in ("cl", "mcl"):
             return LocalPotentialFamily(self.kind, graph, gamma=self.gamma)
-        # cl / mcl share the block-conditional potential
-        if self.blocks_text is None:
-            return composite_likelihood(graph)
-        space = graph.space
-        if space.kind != "hypercube":
-            raise InputError("block lists require a hypercube space")
-        return composite_likelihood(parse_blocks(self.blocks_text, space.dim))
+        if self.blocks_text is not None:
+            space = graph.space
+            if space.kind != "hypercube":
+                raise InputError("block lists require a hypercube space")
+            graph = BlockNeighborhood(parse_blocks(self.blocks_text, space.dim))
+        return LocalPotentialFamily("cl", graph, standard_cl=self.kind == "cl")
 
     def text(self) -> str:
         if self.kind in ("dp", "ps"):

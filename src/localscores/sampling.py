@@ -37,7 +37,6 @@ class RngStream:
 class AisConfig:
     num_temperatures: int = 1000
     num_chains: int = 100
-    schedule: str = "linear"
     sweeps_per_temperature: int = 1
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class AisConfig:
             raise InputError("AIS needs at least 2 temperatures")
         if self.num_chains < 1 or self.sweeps_per_temperature < 1:
             raise InputError("chain count and sweeps must be positive")
-        if self.schedule != "linear":
-            raise InputError(f"unknown schedule {self.schedule!r}")
 
 
 def _require_count(name: str, value, least: int) -> None:

@@ -17,14 +17,18 @@ Independent routes are kept deliberately separate so they can check it:
 
 - `generic_score`: the gradient of the composite potential, assembled one
   point at a time from local potential values and gradients;
-- `named_closed_form_score` (and `standard_cl_score` for the plain CL
-  score): the per-kind explicit formula;
+- `named_closed_form_score`: the per-kind explicit formula
+  (`standard_cl_score` for a standard CL family);
 - a finite difference of `composite_potential`.
 
 Composite potentials and divergences are the local-Bregman route: every
 active point's local potential evaluated in one pass over the padded
 neighbor matrix, independent of the score kernel. These enumerate and
 therefore require an enumerable space.
+
+A standard CL family's score is not its potential's gradient: the kernel
+routes and closed forms answer it, and the potential routes (local and
+composite potentials, divergences, `generic_score`) raise UnsupportedError.
 """
 
 from __future__ import annotations
@@ -213,6 +217,8 @@ def named_closed_form_score(family: LocalPotentialFamily, y: int, log_f) -> floa
     the potential-gradient machinery. Whole-space active set only."""
     if family.active is not None:
         raise UnsupportedError("closed forms are whole-space formulas")
+    if family.standard_cl:
+        return standard_cl_score(family, y, log_f)
     logf = _as_logf(log_f)
     y = _point(family, y)
     ly = _query(logf, y)
@@ -260,8 +266,8 @@ def standard_cl_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     """Plain block-conditional likelihood score: sum_l -log q(y | n_l(y)).
 
     Proper only where each block neighborhood is an equivalence function
-    (always true on hypercube block systems); the gradient score from
-    `score` is the safe general-space variant."""
+    (always true on hypercube block systems); the gradient (mCL) score of a
+    family without `standard_cl` is the safe general-space variant."""
     if family.kind != "cl":
         raise InputError("standard CL scores need a composite-likelihood family")
     logf = _as_logf(log_f)
@@ -281,7 +287,7 @@ def cl_score(system: BlockSystem, y: int, log_f) -> float:
 def additive_score_term(family: LocalPotentialFamily):
     """The one-dimensional map psi with score(y) = sum_z psi(f_z / f_y)
     for additive whole-space families: psi(r) = r phi'(r) - phi(r) - phi'(1/r)."""
-    f0, f1, _ = family.scalar_terms()
+    f0, f1 = family.scalar_terms()
 
     def psi(r):
         r = np.asarray(r, dtype=np.float64)

@@ -298,10 +298,24 @@ class TestFitCommand:
         ("n_train=-1", "n_train"),  # would drop the last sample
         ("n_test=-1", "n_test"),  # would drop the last test sample
         ("seed=a", "seed"),  # would print seed=a
+        ("space=5", "space"),  # AttributeError
+        ("score=5", "score"),  # AttributeError
+        ('fit={"gradient_tolerance": "x"}', "gradient_tolerance"),  # TypeError
+        ('train={"model": "true.json", "n": "x"}', "train.n"),  # ValueError from int()
+        ('train={"model": "true.json", "n": 5, "stream": "a"}', "train.stream"),
+        ('train={"n": 5}', "train.model"),  # KeyError
+        pytest.param(("blocks=5", "score=cl"), "blocks", id="blocks=5 score=cl"),  # AttributeError
+        ("out_model=1", "out_model"),  # would write the model to file descriptor 1
+        ("report=1", "report"),  # would write the report to file descriptor 1
+        ("test=1", "test"),  # would read samples from file descriptor 1
+        ("blocks=1,2", "blocks"),  # ignored by the pl score
+        pytest.param(("blocks=1,2", "score=mcl:1;2,3"), "blocks", id="blocks=1,2 score=mcl:1;2,3"),
     ])
     def test_bad_override_exits_2(self, capsys, tmp_path, override, named):
         cfg_path = self.small_fit_config(tmp_path)
-        code, _, err = run(capsys, "fit", "--config", str(cfg_path), "--set", override)
+        overrides = (override,) if isinstance(override, str) else override
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code, _, err = run(capsys, "fit", "--config", str(cfg_path), *sets)
         assert code == 2
         assert err.startswith("error: ") and named in err
 

@@ -222,7 +222,8 @@ class TestGradientAssembly:
             "dp": density_power(HypercubeNeighborhood(3, 1), 1.0),
             "ps": pseudo_spherical(HypercubeNeighborhood(3, 2), 1.0),
             "mcl": composite_likelihood(BlockSystem.of(3, {1}, {2, 3})),
-            "cl": (composite_likelihood(BlockSystem.of(3, {1}, {2, 3})), True),
+            "cl": LocalPotentialFamily("cl", BlockNeighborhood(BlockSystem.of(3, {1}, {2, 3})),
+                                       standard_cl=True),
             "mle": None,
         }
         band = label_band_graph(4, 1)
@@ -232,7 +233,7 @@ class TestGradientAssembly:
             "dp": density_power(band, 1.0),
             "ps": pseudo_spherical(label_band_graph(4, 2), 1.0),
             "mcl": composite_likelihood(band),
-            "cl": (composite_likelihood(band), True),
+            "cl": LocalPotentialFamily("cl", band, standard_cl=True),
             "mle": None,
         }
         cases = [
@@ -297,7 +298,6 @@ def objective_cases(draw):
         shapes = ("ragged", "plain", "hamming", "blocks")
     kind = draw(st.sampled_from(("pl", "rm", "dp", "ps", "mcl", "cl", "custom")))
     shape = draw(st.sampled_from(shapes))
-    system = None
     if shape in ("ragged", "plain"):
         # a path through every point keeps each degree positive
         order = draw(st.permutations(range(size)))
@@ -315,15 +315,15 @@ def objective_cases(draw):
         graph = HypercubeNeighborhood(dim, draw(st.integers(1, 2)))
     else:
         coords = st.sets(st.integers(1, dim), min_size=1, max_size=dim)
-        system = BlockSystem.of(dim, *draw(st.lists(coords, min_size=1, max_size=3)))
-        graph = BlockNeighborhood(system)
+        blocks = draw(st.lists(coords, min_size=1, max_size=3))
+        graph = BlockNeighborhood(BlockSystem.of(dim, *blocks))
     standard_cl = kind == "cl"
     active = None
     if not standard_cl and draw(st.booleans()):
         active = draw(st.sets(st.integers(0, size - 1), min_size=1))
     gamma = draw(st.sampled_from((0.5, 1.0, 2.0)))
     if kind in ("mcl", "cl"):
-        fam = composite_likelihood(system if system is not None else graph, active=active)
+        fam = LocalPotentialFamily("cl", graph, active=active, standard_cl=standard_cl)
     elif kind == "custom":
         fam = custom_additive(graph, lambda t: 0.5 * t * t, lambda t: t, lambda t: 1.0,
                               active=active)
@@ -341,18 +341,17 @@ def objective_cases(draw):
         model = BoltzmannModel(dim=dim, upper=rng.normal(size=dim * (dim - 1) // 2) * 0.5)
     else:
         model = TabularModel(space=space, eta=rng.normal(size=size) * 0.5)
-    return (fam, standard_cl) if standard_cl else fam, model, samples, features
+    return fam, model, samples, features
 
 
-def _per_state_reference(target, model, samples, features, h=1e-5):
+def _per_state_reference(fam, model, samples, features, h=1e-5):
     """Mean score and its parameter gradient through the kernel-free point
     routes: values from `generic_score` (`standard_cl_score` for the plain
     CL objective), log-f partials from their central differences with step
     h. A conditional sample is scored on the logs theta @ x_i of its own
     row; unconditional samples share one logs vector, so each distinct
     state is scored once, weighted by its count."""
-    fam, standard_cl = target if isinstance(target, tuple) else (target, False)
-    point_score = standard_cl_score if standard_cl else generic_score
+    point_score = standard_cl_score if fam.standard_cl else generic_score
     if features is None:
         logs = model.log_f_batch(np.arange(model.space.size))
         states, counts = np.unique(samples, return_counts=True)
@@ -383,9 +382,9 @@ class TestScoreObjectiveProperties:
     def test_batched_objective_matches_per_state_routes(self, case):
         from localscores.estimation import _build_objective
 
-        target, model, samples, features = case
-        obj = _build_objective(target, model, samples, features)
-        ref_value, ref_grad = _per_state_reference(target, model, samples, features)
+        fam, model, samples, features = case
+        obj = _build_objective(fam, model, samples, features)
+        ref_value, ref_grad = _per_state_reference(fam, model, samples, features)
         x = np.array(obj.x0)
         value, grad = obj.value_and_grad(x)
         assert obj.value(x) == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
@@ -609,19 +608,27 @@ class TestConditional:
     def test_every_local_kind_learns(self):
         x, y = self.make_separable()
         graph = label_band_graph(4, 1)
+        config = FitConfig(l2_penalty=1e-3)
         specs = ["pl", "rm", "ps:1", "cl", "mcl"]
         for text in specs:
             spec = parse_score_spec(text)
-            objective = bind_spec(spec, graph)
-            result = fit(
-                objective,
-                ConditionalModel.zeros(4, 4),
-                y,
-                FitConfig(l2_penalty=1e-3),
-                features=x,
-            )
+            family = spec.family(graph)
+            result = fit(family, ConditionalModel.zeros(4, 4), y, config, features=x)
             err = error_rate(result.parameters, x, y)
             assert err < 0.2, (text, err)
+            # the pair bind_spec returns spells the same family and selects nothing
+            pair = bind_spec(spec, graph)
+            paired = fit(pair, ConditionalModel.zeros(4, 4), y, config, features=x)
+            assert paired.trace == result.trace, text
+            assert np.array_equal(paired.parameters.theta, result.parameters.theta), text
+            fitted = result.parameters
+            held_out = empirical_score(family, fitted, y, features=x)
+            assert empirical_score(pair, fitted, y, features=x) == held_out, text
+            mismatched = (family, not family.standard_cl)
+            with pytest.raises(InputError, match="standard_cl"):
+                fit(mismatched, ConditionalModel.zeros(4, 4), y, config, features=x)
+            with pytest.raises(InputError, match="standard_cl"):
+                empirical_score(mismatched, fitted, y, features=x)
 
     def test_density_power_learns_full_support_data(self):
         # heavy label noise keeps every conditional ratio bounded away from

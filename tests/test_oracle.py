@@ -51,6 +51,14 @@ class TestProperness:
         assert report.verdict == "pass"
         assert report.worst_violation <= 1e-9
 
+    def test_standard_cl_improper_off_block_systems(self):
+        # plain CL is proper only where block neighborhoods are equivalence
+        # classes; mCL, the gradient score of the same potential, on any graph
+        graph = label_band_graph(4, 1)
+        standard = LocalPotentialFamily("cl", graph, standard_cl=True)
+        assert check_properness(standard, 1000, RngStream(1)).verdict == "fail"
+        assert check_properness(composite_likelihood(graph), 1000, RngStream(1)).verdict == "pass"
+
     def test_ps_radius1_still_proper(self):
         # properness holds even where coincidence fails
         report = check_properness(pseudo_spherical(hamming_graph(2, 1), 1.0), 300, RngStream(2))

@@ -264,7 +264,7 @@ class TestImplicitNeighborhoods:
             LocalPotentialFamily("cl", hamming_graph(3, 1), blocks=system)
         assert LocalPotentialFamily("cl", hamming_graph(3, 1)).blocks is None
         fam = LocalPotentialFamily("cl", BlockNeighborhood(system))
-        assert fam.blocks is system and fam.describe() == "cl:1,2;3"
+        assert fam.blocks is system and fam.describe() == "mcl:1,2;3"
         assert fam.describe() == composite_likelihood(system).describe()
 
     def test_potentials_module_reexports_the_neighborhoods(self):
@@ -289,17 +289,20 @@ class TestScoreSpecGrammar:
     def test_block_kinds(self):
         spec = parse_score_spec("cl:1,2;3,4")
         assert spec.kind == "cl" and spec.blocks_text == "1,2;3,4"
-        assert spec.standard_cl
+        g = hamming_graph(4, 1)
+        assert spec.family(g).standard_cl
         mcl = parse_score_spec("mcl:1,2;3,4")
-        assert not mcl.standard_cl
+        assert mcl.family(g).kind == "cl" and not mcl.family(g).standard_cl
 
     def test_blockless_cl(self):
         spec = parse_score_spec("mcl")
         assert spec.blocks_text is None
 
     def test_text_round_trip(self):
-        for text in ("pl", "rm", "dp:0.5", "ps:3", "cl:1,2;3", "mcl:1;2"):
+        g = hamming_graph(3, 1)
+        for text in ("pl", "rm", "dp:0.5", "ps:3", "cl", "mcl", "cl:1,2;3", "mcl:1;2"):
             assert parse_score_spec(text).text() == text
+            assert parse_score_spec(text).family(g).describe() == text
 
     def test_rejects_bad_specs(self):
         for bad in ("pl:1", "dp", "dp:x", "ps:-1", "brier"):
@@ -313,13 +316,23 @@ class TestScoreSpecGrammar:
         fam2 = parse_score_spec("mcl").family(g)
         assert fam2.blocks is None and fam2.kind == "cl"
 
+    @pytest.mark.parametrize("kind, gamma, active", [
+        ("pl", None, None), ("ps", 1.0, None), ("cl", None, [0, 1, 2]),
+    ])
+    def test_standard_cl_needs_a_whole_space_cl_family(self, kind, gamma, active):
+        with pytest.raises(InputError, match="standard CL"):
+            LocalPotentialFamily(kind, hamming_graph(3, 1), gamma=gamma, active=active,
+                                 standard_cl=True)
+        assert not LocalPotentialFamily(kind, hamming_graph(3, 1), gamma=gamma,
+                                        active=active).standard_cl
+
 
 class TestEdgeTerms:
     def test_match_psi_definition(self):
         # psi(r) = r phi'(r) - phi(r) - phi'(1/r) on the log-ratio scale
         g = hamming_graph(2, 1)
         for fam in (pseudo_likelihood(g), ratio_matching(g), density_power(g, 1.4)):
-            f0, f1, _ = fam.scalar_terms()
+            f0, f1 = fam.scalar_terms()
             value_term, grad_term = fam.edge_terms()
             for d in np.linspace(-4, 4, 33):
                 r = math.exp(d)

@@ -259,8 +259,6 @@ class TestAis:
     def test_config_validation(self):
         with pytest.raises(InputError):
             AisConfig(num_temperatures=1)
-        with pytest.raises(InputError):
-            AisConfig(schedule="sigmoid")
 
 
 class TestSampleFiles:

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from scipy.special import expit
 
 from localscores import (
+    BlockNeighborhood,
     BlockSystem,
     BoltzmannModel,
     HypercubeNeighborhood,
     InputError,
     InternalConsistencyError,
+    LocalPotentialFamily,
     Probability,
     SampleSpace,
     UnnormalizedVector,
@@ -29,6 +31,8 @@ from localscores import (
     graph_from_edges,
     hamming_graph,
     label_band_graph,
+    local_potential,
+    local_potential_gradient,
     named_closed_form_score,
     pseudo_likelihood,
     pseudo_spherical,
@@ -339,6 +343,54 @@ class TestCompositeLikelihoodScores:
         with pytest.raises(InputError):
             standard_cl_score(pseudo_likelihood(hamming_graph(2, 1)), 0, np.zeros(4))
 
+    @pytest.mark.parametrize("graph", [
+        label_band_graph(6, 1),
+        label_band_graph(6, 2),
+        BlockNeighborhood(BlockSystem.of(3, {1, 2}, {2, 3})),
+        BlockNeighborhood(BlockSystem.of(4, {1, 2}, {2, 3, 4}, {1, 4})),
+    ], ids=["band1", "band2", "blocks3", "blocks4"])
+    def test_standard_family_score_routes_are_standard_cl(self, graph):
+        standard = LocalPotentialFamily("cl", graph, standard_cl=True)
+        size = graph.space.size
+        logs = random_logs(size)
+        ref = np.array([standard_cl_score(standard, y, logs) for y in range(size)])
+        kernel = state_scores(standard, logs)
+        np.testing.assert_allclose(kernel, ref, rtol=0, atol=1e-12)
+        h = 1e-6
+        for y in range(size):
+            value, idx, grad = score_and_logf_gradient(standard, y, logs)
+            assert abs(score(standard, y, logs) - ref[y]) <= 1e-12
+            assert abs(value - ref[y]) <= 1e-12
+            assert named_closed_form_score(standard, y, logs) == ref[y]
+            for pos, i in enumerate(idx):
+                up = logs.copy(); up[i] += h
+                dn = logs.copy(); dn[i] -= h
+                fd = standard_cl_score(standard, y, up) - standard_cl_score(standard, y, dn)
+                fd /= 2 * h
+                assert grad[pos] == pytest.approx(fd, rel=1e-6, abs=1e-8), (y, i)
+        if isinstance(graph, BlockNeighborhood):
+            # block neighborhoods are equivalence classes: mCL's extra terms cancel
+            mcl = state_scores(LocalPotentialFamily("cl", graph), logs)
+            np.testing.assert_allclose(kernel, mcl, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("route", [
+        "local_potential", "local_potential_gradient", "composite_potential", "divergence",
+        "generic_score",
+    ])
+    def test_standard_family_refuses_potential_routes(self, route):
+        # off equivalence classes standard CL is not the gradient of the cl potential
+        fam = LocalPotentialFamily("cl", label_band_graph(4, 1), standard_cl=True)
+        logs = random_logs(4)
+        calls = {
+            "local_potential": lambda: local_potential(fam, 0, np.ones(1)),
+            "local_potential_gradient": lambda: local_potential_gradient(fam, 0, np.ones(1)),
+            "composite_potential": lambda: composite_potential(fam, logs),
+            "divergence": lambda: divergence(fam, logs, logs),
+            "generic_score": lambda: generic_score(fam, 0, logs),
+        }
+        with pytest.raises(UnsupportedError, match="standard CL"):
+            calls[route]()
+
 
 class TestDivergence:
     def test_zero_on_diagonal(self):
@@ -528,8 +580,7 @@ def _space_case(case):
     """A family with log f over its whole space and a probability there,
     from an objective case: a conditional model gives the label logs of its
     first feature row."""
-    target, model, samples, features = case
-    fam = target[0] if isinstance(target, tuple) else target
+    fam, model, samples, features = case
     size = fam.space.size
     if features is None:
         logs = model.log_f_batch(np.arange(size))
@@ -544,7 +595,8 @@ class TestArrayRoutes:
     @given(objective_cases())
     def test_kernel_expected_score_matches_per_point_sum(self, case):
         fam, logs, p = _space_case(case)
-        ref = np.array([generic_score(fam, y, logs) for y in range(fam.space.size)])
+        point_score = standard_cl_score if fam.standard_cl else generic_score
+        ref = np.array([point_score(fam, y, logs) for y in range(fam.space.size)])
         scale = max(1.0, float(np.max(np.abs(ref))))
         np.testing.assert_allclose(state_scores(fam, logs), ref, rtol=1e-12, atol=1e-12 * scale)
         total = expected_score(fam, p, logs)
@@ -554,6 +606,8 @@ class TestArrayRoutes:
     @given(objective_cases())
     def test_batched_divergence_and_potential_match_loops(self, case):
         fam, flogs, _ = _space_case(case)
+        if fam.standard_cl:  # its cl potential, without the standard score
+            fam = LocalPotentialFamily("cl", fam.graph)
         glogs = 0.7 * np.roll(flogs, 1) + 0.3
         for logs in (flogs, glogs):
             ref = _loop_composite_potential(fam, logs)

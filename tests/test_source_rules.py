@@ -30,6 +30,30 @@ def test_nothing_in_the_library_swallows_errors():
     assert offenders == []
 
 
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_only_the_family_constructor_takes_standard_cl():
+    # the choice of CL score lives on the family; everything else reads
+    # family.standard_cl instead of passing the flag along
+    takers = [
+        f"{path.name}:{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name, fn in _functions(ast.parse(path.read_text(), filename=str(path)))
+        if "standard_cl" in {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+    ]
+    assert takers == ["potentials.py:LocalPotentialFamily.__init__"]
+
+
 def test_catch_all_detection():
     tree = ast.parse(
         "try:\n    pass\nexcept:\n    pass\n"
