@@ -30,12 +30,12 @@ from .estimation import (
     test_error,
 )
 from .graphs import (
+    BlockNeighborhood,
     HypercubeNeighborhood,
-    cl_neighborhood,
     diagnose,
-    hamming_graph,
     is_connected,
     label_band_graph,
+    materialize,
     parse_blocks,
     write_edge_list,
 )
@@ -69,41 +69,58 @@ def _default_seed() -> int:
 
 
 # ---------------------------------------------------------------------------
-# graph
+# neighborhood systems
 
 
-def _build_graph(space: SampleSpace, radius, blocks_text):
+def _neighborhood_system(space: SampleSpace, spec: ScoreSpec | None, radius,
+                         blocks_text: str | None = None, default_radius: int | None = None):
+    """The neighborhood system a command's settings name, implicit on
+    hypercubes: the block lists of the score spec or of `blocks_text` (never
+    both, and never with a radius), else the Hamming ball (hypercubes) or
+    label band (label spaces) of `radius`, which falls back to
+    `default_radius`. The score's family is `spec.family` of the result."""
+    if spec is not None and spec.blocks_text is not None:
+        if blocks_text is not None:
+            raise InputError(f"blocks {blocks_text!r} given twice: also in the score {spec.text()!r}")
+        blocks_text = spec.blocks_text
     if blocks_text is not None:
+        if radius is not None:
+            raise InputError(f"radius {radius} does not combine with blocks {blocks_text!r}")
         if space.kind != "hypercube":
             raise InputError("block systems need a hypercube space")
-        system = parse_blocks(blocks_text, space.dim)
-        graph, _ = cl_neighborhood(system)
-        return graph, system
+        return BlockNeighborhood(parse_blocks(blocks_text, space.dim))
+    radius = default_radius if radius is None else radius
     if radius is None:
-        raise InputError("give either --radius or --blocks")
+        raise InputError("give either --radius or block lists (--blocks or the potential's)")
     if space.kind == "hypercube":
-        return hamming_graph(space.dim, radius), None
+        return HypercubeNeighborhood(space.dim, radius)
     if space.kind == "labels":
-        return label_band_graph(space.size, radius), None
+        return label_band_graph(space.size, radius)
     raise InputError("enumerated spaces need an explicit edge list; use the library API")
+
+
+# ---------------------------------------------------------------------------
+# graph
 
 
 def cmd_graph(args) -> int:
     space = parse_space_spec(args.space)
-    graph, system = _build_graph(space, args.radius, args.blocks)
+    space.require_enumerable("graph")  # before a radius asks for every mask up to it
+    spec = parse_score_spec(args.potential) if args.potential else None
+    system = _neighborhood_system(space, spec, args.radius, args.blocks)
+    graph = materialize(system)
     active = (
         [int(t) for t in args.y0.split(",")] if args.y0 else range(space.size)
     )
     if args.export:
         write_edge_list(graph, args.export)
-    if args.potential:
-        spec = parse_score_spec(args.potential)
-        klass = "pseudo-spherical" if spec.kind == "ps" else "strictly-convex"
-        diag = diagnose(graph, active, klass)
+    if spec is not None:
+        family = spec.family(system)
+        diag = diagnose(graph, active, family.potential_class)
         guaranteed = diag.guaranteed
         rank_ok = None
-        if spec.kind in ("cl", "mcl") and system is not None:
-            rank_ok = rank_condition(system)
+        if family.kind == "cl" and family.blocks is not None:
+            rank_ok = rank_condition(family.blocks)
             guaranteed = guaranteed and rank_ok
         fields = dict(
             record="graph_diagnostics",
@@ -123,11 +140,12 @@ def cmd_graph(args) -> int:
         print(f"coincidence {word}; G0' components: {diag.component_count_g0prime}")
     else:
         connected = is_connected(graph)
-        if system is not None:
-            cover = system.covers_all_coordinates()
+        if args.blocks is not None:
+            blocks = system.system
+            cover = blocks.covers_all_coordinates()
             print(format_record(
                 record="graph_summary", space=space.spec_string(),
-                blocks=system.spec_string(), block_cover=cover, connected=connected,
+                blocks=blocks.spec_string(), block_cover=cover, connected=connected,
             ))
             print(
                 f"cover {'holds' if cover else 'fails'}; "
@@ -151,7 +169,6 @@ class ExperimentConfig:
     score: str = "pl"
     space: str = ""
     radius: int | None = None
-    blocks: str | None = None
     model: str = "boltzmann"
     objective: str = "score"  # or "mle"
     train: object = None  # path, or {"model": path, "n": int, "sampler": ...}
@@ -173,7 +190,7 @@ class ExperimentConfig:
         for key in ("space", "score"):
             if not isinstance(getattr(cfg, key), str):
                 raise InputError(f"`{key}` must be a string, got {getattr(cfg, key)!r}")
-        for key in ("blocks", "test", "out_model", "report"):
+        for key in ("test", "out_model", "report"):
             value = getattr(cfg, key)  # an integer path would name a file descriptor
             if value is not None and not isinstance(value, str):
                 raise InputError(f"`{key}` must be a string, got {value!r}")
@@ -183,12 +200,9 @@ class ExperimentConfig:
             raise InputError(f"unknown model kind {cfg.model!r}")
         if cfg.objective not in ("score", "mle"):
             raise InputError(f"unknown objective {cfg.objective!r}")
-        if cfg.blocks is not None and not cfg.space.startswith("hypercube"):
-            raise InputError("blocks only combine with hypercube spaces")
-        if cfg.blocks is not None:
-            spec = parse_score_spec(cfg.score)
-            if spec.kind not in ("cl", "mcl") or spec.blocks_text is not None:
-                raise InputError(f"`blocks` needs a blockless cl or mcl score, got {cfg.score!r}")
+        unread = [key for key in ("score", "radius") if doc.get(key) is not None]
+        if cfg.objective == "mle" and unread:
+            raise InputError(f"an mle fit reads no {' or '.join(unread)}")
         if cfg.train is None:
             raise InputError("config needs a `train` data source")
         if isinstance(cfg.train, dict):
@@ -241,20 +255,16 @@ def _apply_overrides(doc: dict, sets: list[str]) -> dict:
     return doc
 
 
-def _score_graph(space: SampleSpace, radius):
-    """The neighborhood the score binds to; implicit on hypercubes so large
-    dimensions never materialize adjacency. Block families only take the
-    space dimension from it."""
-    if space.kind == "hypercube":
-        return HypercubeNeighborhood(space.dim, radius or 1)
-    if space.kind == "labels":
-        return label_band_graph(space.size, radius or 1)
-    raise InputError("fitting on enumerated spaces needs an explicit graph")
-
-
-def _load_train_indices(cfg: ExperimentConfig, space: SampleSpace):
-    if isinstance(cfg.train, str):
-        file_space, idx, _ = read_samples(cfg.train)
+def _load_train(cfg: ExperimentConfig, space: SampleSpace):
+    """(data, features) to fit: a feature CSV's labels and rows for
+    conditional models, sample indices and None otherwise."""
+    features = None
+    if cfg.model == "conditional":
+        if not isinstance(cfg.train, str):
+            raise InputError("conditional fits read a feature CSV from `train`")
+        features, data = read_feature_csv(cfg.train)
+    elif isinstance(cfg.train, str):
+        file_space, data, _ = read_samples(cfg.train)
         if file_space.spec_string() != space.spec_string():
             raise InputError(
                 f"sample file space {file_space.spec_string()} does not match {cfg.space}"
@@ -264,14 +274,16 @@ def _load_train_indices(cfg: ExperimentConfig, space: SampleSpace):
         model = load_model(src["model"])
         rng = RngStream(cfg.seed, src.get("stream", 0))
         if src.get("sampler", "exact") == "exact":
-            idx = exact_sample(normalize(model), src["n"], rng)
+            data = exact_sample(normalize(model), src["n"], rng)
         else:
-            idx = gibbs_sample(model, src["n"], rng=rng)
+            data = gibbs_sample(model, src["n"], rng=rng)
     if cfg.n_train is not None:
-        if cfg.n_train > len(idx):
-            raise InputError(f"n_train={cfg.n_train} exceeds available {len(idx)} samples")
-        idx = idx[: cfg.n_train]
-    return idx
+        if cfg.n_train > len(data):
+            raise InputError(f"n_train={cfg.n_train} exceeds available {len(data)} samples")
+        data = data[: cfg.n_train]
+        if features is not None:
+            features = features[: cfg.n_train]
+    return data, features
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -313,46 +325,22 @@ def cmd_fit(args) -> int:
         "objective": cfg.objective, "seed": cfg.seed,
     })]
 
+    data, features = _load_train(cfg, space)
     if cfg.model == "conditional":
-        if not isinstance(cfg.train, str):
-            raise InputError("conditional fits read a feature CSV from `train`")
-        x, y = read_feature_csv(cfg.train)
-        if cfg.n_train is not None:
-            x, y = x[: cfg.n_train], y[: cfg.n_train]
-        model0 = ConditionalModel.zeros(space.size, x.shape[1])
-        if cfg.objective == "mle":
-            result = mle_fit(model0, y, fit_config, features=x)
-        else:
-            graph = _score_graph(space, cfg.radius)
-            family = spec.family(graph)
-            result = fit(family, model0, y, fit_config, features=x)
+        model0 = ConditionalModel.zeros(space.size, features.shape[1])
+    elif cfg.model == "boltzmann":
+        model0 = BoltzmannModel.zeros(space.dim)
     else:
-        indices = _load_train_indices(cfg, space)
-        if cfg.model == "boltzmann":
-            model0 = BoltzmannModel.zeros(space.dim)
-        else:
-            model0 = TabularModel.zeros(space)
-        if cfg.objective == "mle":
-            result = mle_fit(model0, indices, fit_config)
-        else:
-            if cfg.blocks is not None:
-                spec = ScoreSpec(kind=spec.kind, blocks_text=cfg.blocks)
-            graph = _score_graph(space, cfg.radius)
-            family = spec.family(graph)
-            result = fit(family, model0, indices, fit_config)
+        model0 = TabularModel.zeros(space)
+    if cfg.objective == "mle":
+        result = mle_fit(model0, data, fit_config, features=features)
+    else:
+        family = spec.family(_neighborhood_system(space, spec, cfg.radius, default_radius=1))
+        result = fit(family, model0, data, fit_config, features=features)
 
     fitted = result.parameters
-    report_lines += result.report_lines()
-    summary = format_record(
-        record="fit_summary",
-        objective=result.final_objective,
-        grad_norm=result.gradient_norm,
-        iterations=result.iterations_used,
-        converged=result.converged,
-        evaluations=result.evaluations,
-        gradients=result.gradients,
-    )
-    report_lines.append(summary)
+    summary = result.record_line("fit_summary")
+    report_lines += result.report_lines() + [summary]
     print(summary)
 
     if cfg.test:
@@ -484,33 +472,14 @@ def cmd_classify(args) -> int:
 def ingest_optdigits(path, feature_indices, binarize: bool):
     """Read comma-separated digit rows (64 features then a 0..9 label), keep
     the requested feature columns, and optionally binarize: 0 -> -1, else +1."""
-    rows, labels = [], []
+    features, labels = read_feature_csv(path)
+    if not np.all(np.isfinite(features) & (features == np.round(features))):
+        raise InputError(f"{path}: features must be integers")
     feature_indices = list(feature_indices)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                cells = [int(t) for t in line.split(",")]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if len(cells) < 2:
-                raise InputError(f"{path}:{lineno}: need features and a label")
-            label = cells[-1]
-            feats = cells[:-1]
-            if any(not 0 <= i < len(feats) for i in feature_indices):
-                raise InputError(
-                    f"{path}:{lineno}: feature index outside 0..{len(feats) - 1}"
-                )
-            picked = [feats[i] for i in feature_indices]
-            if binarize:
-                picked = [-1 if v == 0 else 1 for v in picked]
-            rows.append(picked)
-            labels.append(label)
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64)
+    if any(not 0 <= i < features.shape[1] for i in feature_indices):
+        raise InputError(f"{path}: feature index outside 0..{features.shape[1] - 1}")
+    picked = features[:, feature_indices].astype(np.int64)
+    return (np.where(picked == 0, -1, 1) if binarize else picked), labels
 
 
 def inject_label_noise(labels, rate: float, rng: RngStream, num_labels: int = 10) -> np.ndarray:

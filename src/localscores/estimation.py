@@ -51,6 +51,7 @@ from .errors import InputError
 from .graphs import label_band_graph
 from .models import ConditionalModel
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec, _logsumexp, _masked
+from .reports import format_record
 
 STEP_FLOOR = 1e-20
 
@@ -95,18 +96,19 @@ class FitResult:
     evaluations: int  # objective values: the start point and every line-search trial
     gradients: int  # gradients finished: the start point and every accepted step
 
+    def record_line(self, record: str) -> str:
+        """The fit's outcome as one `format_record` line named `record`."""
+        return format_record(
+            record=record, objective=self.final_objective, grad_norm=self.gradient_norm,
+            iterations=self.iterations_used, converged=self.converged,
+            evaluations=self.evaluations, gradients=self.gradients,
+        )
+
     def report_lines(self) -> list[str]:
-        lines = [
-            "record=fit "
-            f"objective={self.final_objective!r} grad_norm={self.gradient_norm!r} "
-            f"iterations={self.iterations_used} converged={self.converged} "
-            f"evaluations={self.evaluations} gradients={self.gradients}"
-        ]
-        lines += [
-            f"record=trace iteration={i} objective={obj!r} grad_norm={gn!r}"
+        return [self.record_line("fit")] + [
+            format_record(record="trace", iteration=i, objective=obj, grad_norm=gn)
             for i, (obj, gn) in enumerate(self.trace)
         ]
-        return lines
 
 
 class NonFiniteObjectiveError(InputError):

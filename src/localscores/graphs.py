@@ -14,8 +14,8 @@ edges pairwise, in quadratic time, and serve as the small-space oracle.
 
 Every hypercube neighborhood is one XOR system, b(y) = {y ^ m} over fixed
 distinct nonzero masks m: `HypercubeNeighborhood` and `BlockNeighborhood`
-generate it on demand at any dimension, and `hamming_graph` and
-`cl_neighborhood` materialize it.
+generate it on demand at any dimension, and `materialize` (behind
+`hamming_graph` and `cl_neighborhood`) lists its adjacency.
 
 All graph values are immutable after construction and safe to share across
 threads.
@@ -206,17 +206,17 @@ def neighbor_rows(graph, points) -> tuple[np.ndarray, np.ndarray | None]:
     return pad_rows([graph.neighbors(int(p)) for p in points], points)
 
 
-def _materialize(neighborhood: _XorNeighborhood) -> NeighborhoodGraph:
-    """The adjacency of an XOR neighborhood over its whole (enumerable) space."""
-    points = np.arange(neighborhood.space.size, dtype=np.int64)
-    table, _ = neighborhood.neighbor_matrix(points)
-    return NeighborhoodGraph(space=neighborhood.space, adjacency=_table_rows(table))
+def materialize(system) -> NeighborhoodGraph:
+    """The adjacency of any neighborhood system over its whole space."""
+    system.space.require_enumerable("materialize")
+    points = np.arange(system.space.size, dtype=np.int64)
+    return NeighborhoodGraph(space=system.space, adjacency=_table_rows(*neighbor_rows(system, points)))
 
 
 def hamming_graph(dim: int, radius: int) -> NeighborhoodGraph:
     """Hypercube graph joining sign vectors at Hamming distance 1..radius."""
     SampleSpace.hypercube(dim).require_enumerable("hamming_graph")
-    return _materialize(HypercubeNeighborhood(dim, radius))
+    return materialize(HypercubeNeighborhood(dim, radius))
 
 
 def label_band_graph(num_labels: int, band: int) -> NeighborhoodGraph:
@@ -489,8 +489,8 @@ def cl_neighborhood(system: BlockSystem):
     """
     SampleSpace.hypercube(system.dim).require_enumerable("cl_neighborhood")
     neighborhood = BlockNeighborhood(system)
-    per_block = [_materialize(block).adjacency for block in neighborhood._blocks]
-    return _materialize(neighborhood), tuple(zip(*per_block))
+    per_block = [materialize(block).adjacency for block in neighborhood._blocks]
+    return materialize(neighborhood), tuple(zip(*per_block))
 
 
 def cl_connectivity_matches_cover(system: BlockSystem) -> bool:

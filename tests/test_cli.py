@@ -15,6 +15,7 @@ from localscores import (
     save_model,
 )
 from localscores.cli import ingest_optdigits, inject_label_noise, main
+from localscores.errors import InputError
 from localscores.reports import format_record, parse_record
 
 
@@ -93,6 +94,18 @@ class TestGraphCommand:
                 patch.setattr(localscores.cli, "diagnose", oracle_diagnose)
                 assert run(capsys, "graph", *argv, "--potential", potential) == fast
 
+    @pytest.mark.parametrize("blocks", ["1;2", "1;2,3", "1,2;3"])
+    def test_potential_block_lists_name_the_same_system(self, capsys, blocks):
+        # the verdict is for the family's own blocks, not a radius-1 graph
+        from_flag = run(capsys, "graph", "--space", "hypercube:3", "--blocks", blocks,
+                        "--potential", "mcl")
+        from_spec = run(capsys, "graph", "--space", "hypercube:3", "--potential", f"mcl:{blocks}")
+        assert from_flag[0] == from_spec[0] == 0
+        flag_record, spec_record = (parse_record(r[1].splitlines()[0]) for r in (from_flag, from_spec))
+        assert spec_record.pop("potential") == f"mcl:{blocks}"
+        assert flag_record.pop("potential") == "mcl"
+        assert spec_record == flag_record and "rank_condition" in spec_record
+
     def test_export(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         code, _, _ = run(
@@ -105,6 +118,18 @@ class TestGraphCommand:
         code, _, err = run(capsys, "graph", "--space", "torus:3", "--radius", "1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--space", "hypercube:3"], "radius"),
+        (["--space", "hypercube:3", "--radius", "1", "--potential", "mcl:1;2"], "radius"),
+        (["--space", "hypercube:3", "--blocks", "1;2", "--potential", "mcl:1,2,3"], "blocks"),
+        (["--space", "hypercube:3", "--blocks", "1;2", "--radius", "2"], "radius"),
+        (["--space", "labels:4", "--blocks", "1;2"], "hypercube"),
+    ])
+    def test_conflicting_system_settings_exit_2(self, capsys, argv, named):
+        code, _, err = run(capsys, "graph", *argv)
+        assert code == 2
+        assert err.startswith("error: ") and named in err
 
 
 class TestSampleAndEval:
@@ -251,7 +276,6 @@ class TestFitCommand:
         write_samples(samples_path, SampleSpace.label_range(3), [0, 0, 1, 2], seed=0)
         out_model = tmp_path / "tab.json"
         cfg = {
-            "score": "pl",
             "objective": "mle",
             "space": "labels:3",
             "model": "tabular",
@@ -310,6 +334,12 @@ class TestFitCommand:
         ("test=1", "test"),  # would read samples from file descriptor 1
         ("blocks=1,2", "blocks"),  # ignored by the pl score
         pytest.param(("blocks=1,2", "score=mcl:1;2,3"), "blocks", id="blocks=1,2 score=mcl:1;2,3"),
+        # the block family would ignore the radius
+        pytest.param(("score=mcl:1,2;3", "radius=3"), "radius", id="score=mcl:1,2;3 radius=3"),
+        # an mle fit would ignore the score and the radius
+        pytest.param(("objective=mle",), "score", id="objective=mle score"),
+        pytest.param(("objective=mle", "radius=3"), "radius", id="objective=mle radius=3"),
+        pytest.param(("objective=mle", "score=cl"), "score", id="objective=mle score=cl"),
     ])
     def test_bad_override_exits_2(self, capsys, tmp_path, override, named):
         cfg_path = self.small_fit_config(tmp_path)
@@ -392,6 +422,16 @@ class TestIngest:
         src.write_text("1,2,3\n1,x,3\n")
         with pytest.raises(Exception, match=":2"):
             ingest_optdigits(src, [0], binarize=False)
+
+    @pytest.mark.parametrize("text, match", [
+        ("1,2,3\n1,2,3,4,5\n", ":2: malformed row"),  # ragged: would keep label 5
+        ("1,2,3\n1,2.5,3\n", "features must be integers"),
+    ])
+    def test_refused_rows(self, tmp_path, text, match):
+        src = tmp_path / "digits.csv"
+        src.write_text(text)
+        with pytest.raises(InputError, match=match):
+            ingest_optdigits(src, [0, 1], binarize=False)
 
     def test_noise_exact_count(self):
         labels = np.zeros(100, dtype=np.int64)

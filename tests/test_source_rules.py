@@ -54,6 +54,19 @@ def test_only_the_family_constructor_takes_standard_cl():
     assert takers == ["potentials.py:LocalPotentialFamily.__init__"]
 
 
+def test_one_cli_function_builds_neighborhood_systems():
+    # `graph` diagnoses exactly the system `fit` trains on only while one
+    # function turns command settings into a neighborhood system
+    builders = {"HypercubeNeighborhood", "BlockNeighborhood", "label_band_graph"}
+    path = SOURCE / "cli.py"
+    referrers = [
+        name
+        for name, fn in _functions(ast.parse(path.read_text(), filename=str(path)))
+        if any(isinstance(n, ast.Name) and n.id in builders for n in ast.walk(fn))
+    ]
+    assert referrers == ["_neighborhood_system"]
+
+
 def test_catch_all_detection():
     tree = ast.parse(
         "try:\n    pass\nexcept:\n    pass\n"
