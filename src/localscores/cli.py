@@ -109,9 +109,10 @@ def cmd_graph(args) -> int:
     spec = parse_score_spec(args.potential) if args.potential else None
     system = _neighborhood_system(space, spec, args.radius, args.blocks)
     graph = materialize(system)
-    active = (
-        [int(t) for t in args.y0.split(",")] if args.y0 else range(space.size)
-    )
+    try:
+        active = [int(t) for t in args.y0.split(",")] if args.y0 else range(space.size)
+    except ValueError as exc:
+        raise InputError(f"--y0 takes comma-separated point indices, got {args.y0!r}") from exc
     if args.export:
         write_edge_list(graph, args.export)
     if spec is not None:
@@ -320,9 +321,9 @@ def cmd_fit(args) -> int:
     space = parse_space_spec(cfg.space)
     fit_config = cfg.fit_config()
     spec = parse_score_spec(cfg.score)
-    report_lines = [format_record(record="config", **{
-        "score": cfg.score, "space": cfg.space, "model": cfg.model,
-        "objective": cfg.objective, "seed": cfg.seed,
+    scored = {} if cfg.objective == "mle" else {"score": cfg.score}  # mle fits read no score
+    report_lines = [format_record(record="config", **scored, **{
+        "space": cfg.space, "model": cfg.model, "objective": cfg.objective, "seed": cfg.seed,
     })]
 
     data, features = _load_train(cfg, space)
@@ -344,19 +345,7 @@ def cmd_fit(args) -> int:
     print(summary)
 
     if cfg.test:
-        if cfg.model == "conditional":
-            xt, yt = read_feature_csv(cfg.test)
-            if cfg.n_test is not None:
-                xt, yt = xt[: cfg.n_test], yt[: cfg.n_test]
-            loss = negative_log_loss(fitted, yt, features=xt)
-            err = test_error(fitted, xt, yt)
-            line = format_record(record="test_metrics", log_loss=loss, error=err)
-        else:
-            _, test_idx, _ = read_samples(cfg.test)
-            if cfg.n_test is not None:
-                test_idx = test_idx[: cfg.n_test]
-            loss = negative_log_loss(fitted, test_idx, log_z=exact_log_z(fitted))
-            line = format_record(record="test_metrics", log_loss=loss)
+        line = format_record(record="test_metrics", **_test_metrics(fitted, cfg.test, cfg.n_test))
         report_lines.append(line)
         print(line)
 
@@ -372,29 +361,33 @@ def cmd_fit(args) -> int:
 # eval / sample
 
 
+def _test_metrics(model, path, n=None, log_z=None) -> dict:
+    """Log loss on the first n rows of a test file (all rows for None), and
+    the error for a conditional model; an unconditional model's log Z is
+    exact unless given."""
+    if isinstance(model, ConditionalModel):
+        x, y = read_feature_csv(path)
+        x, y = x[:n], y[:n]
+        return dict(log_loss=negative_log_loss(model, y, features=x), error=test_error(model, x, y))
+    idx = read_samples(path)[1][:n]
+    log_z = exact_log_z(model) if log_z is None else log_z
+    return dict(log_loss=negative_log_loss(model, idx, log_z=log_z))
+
+
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     if isinstance(model, ConditionalModel):
-        x, y = read_feature_csv(args.test)
-        loss = negative_log_loss(model, y, features=x)
-        err = test_error(model, x, y)
-        print(format_record(record="eval", log_loss=loss, error=err))
-        return 0
-    _, idx, _ = read_samples(args.test)
-    if args.logz == "exact":
-        log_z = exact_log_z(model)
-        print_fields = dict(record="eval", method="exact", log_z=log_z)
+        fields = {}
+    elif args.logz == "exact":
+        fields = dict(method="exact", log_z=exact_log_z(model))
     else:
         if not isinstance(model, BoltzmannModel):
             raise InputError("annealed estimates apply to Boltzmann models")
-        config = AisConfig(
-            num_temperatures=args.ais_temperatures, num_chains=args.ais_chains
-        )
+        config = AisConfig(num_temperatures=args.ais_temperatures, num_chains=args.ais_chains)
         log_z, se = ais_log_z(model, config, RngStream(args.seed))
-        print_fields = dict(record="eval", method="ais", log_z=log_z, log_z_se=se)
-    loss = negative_log_loss(model, idx, log_z=log_z)
-    print_fields["log_loss"] = loss
-    print(format_record(**print_fields))
+        fields = dict(method="ais", log_z=log_z, log_z_se=se)
+    metrics = _test_metrics(model, args.test, log_z=fields.get("log_z"))
+    print(format_record(record="eval", **fields, **metrics))
     return 0
 
 

@@ -238,7 +238,7 @@ def _bind_point(model, y, x) -> Bound:
     if np.ndim(y) != 0:
         if space.kind != "hypercube" or np.shape(y) != (space.dim,):
             raise InputError(f"point {y!r} is neither an index nor a sign vector of the space")
-        y = signs_to_index(np.asarray(y).tolist())
+        y = signs_to_index(y)
     point = space.checked_indices(y, "point")
     return model.bind(point, None if x is None else np.asarray(x, dtype=np.float64)[np.newaxis])
 

@@ -19,11 +19,7 @@ import numpy as np
 
 from .errors import InputError, UnsupportedError
 from .graphs import BlockSystem, HypercubeNeighborhood, cl_connectivity_matches_cover, diagnose
-from .potentials import (
-    LocalPotentialFamily,
-    Probability,
-    UnnormalizedVector,
-)
+from .potentials import LocalPotentialFamily, Probability
 from .sampling import RngStream
 from .scoring import (
     composite_potential,
@@ -216,9 +212,7 @@ def check_score_paths(
         up[y] += step
         down = logs.copy()
         down[y] -= step
-        delta = composite_potential(family, UnnormalizedVector.from_logs(up)) - composite_potential(
-            family, UnnormalizedVector.from_logs(down)
-        )
+        delta = composite_potential(family, up) - composite_potential(family, down)
         routes["finite_difference"] = -delta / (2.0 * math.exp(logs[y]) * math.sinh(step))
         vals = list(routes.values())
         scale = max(1.0, max(abs(v) for v in vals))
@@ -275,9 +269,7 @@ def check_divergence_identity(
         flogs = gen.uniform(-3.0, 3.0, size=space.size)
         glogs = gen.uniform(-3.0, 3.0, size=space.size)
         lhs = divergence(family, flogs, glogs)
-        rhs = float(np.exp(flogs) @ state_scores(family, glogs)) + composite_potential(
-            family, UnnormalizedVector.from_logs(flogs)
-        )
+        rhs = float(np.exp(flogs) @ state_scores(family, glogs)) + composite_potential(family, flogs)
         scale = max(1.0, abs(lhs), abs(rhs))
         spread = abs(lhs - rhs) / scale
         if spread > worst:

@@ -245,17 +245,16 @@ def read_samples(path) -> tuple[SampleSpace, np.ndarray, int]:
     if not body or body.isspace():
         return space, np.empty(0, dtype=np.int64), seed
     width = space.dim if space.kind == "hypercube" else 1
-    rows, error = None, None
+    error = None
     try:
         rows = np.loadtxt(path, dtype=np.int64, comments=None, skiprows=header_lineno, ndmin=2)
-    except ValueError as exc:
-        error = exc
-    if rows is not None and rows.shape[1] == width:
-        if space.kind == "hypercube":
-            if np.all(np.abs(rows) == 1):
+        if rows.shape[1] == width:
+            if space.kind == "hypercube":
                 return space, signs_matrix_to_indices(rows), seed
-        elif rows.min() >= 0 and rows.max() < space.size:
-            return space, rows[:, 0], seed
+            if rows.min() >= 0 and rows.max() < space.size:
+                return space, rows[:, 0], seed
+    except ValueError as exc:  # a parse failure, or the encoder's InputError
+        error = exc
     # the fast parse refused the body: name the first bad line
     bad = _first_bad_line(space, body.split("\n"), header_lineno + 1)
     if bad is None:

@@ -1,13 +1,18 @@
 """Scores, composite potentials and composite local Bregman divergences.
 
+Every route reads log f the same way: as an array of logs over the space,
+an `UnnormalizedVector`, a `Probability`, or a callable point -> log f. A
+log f that is not finite, does not match the space, or whose callable
+fails has no score, and every route raises InputError for it. An array is
+checked once per call; a callable is called once per point read.
+
 Every production score comes from the batched score kernel that fits run
 on (`estimation._ScoreKernel`):
 
 - `score` / `score_and_logf_gradient`: one point's score, and its partials
   with respect to log f, from the kernel compiled at that point. Log f is
-  read once at each point the score touches (the kernel's universe): in one
-  gather from an array or `UnnormalizedVector`, by one call per point from
-  a callable. No dense vector over the space is built, so implicit
+  read only at the points the score touches (the kernel's universe), so
+  with a callable no dense vector over the space is built and implicit
   hypercube neighborhoods score at dimensions far beyond enumeration size;
 - `state_scores`: every point's score at once, from the kernel compiled
   once per family over the whole space. Expected scores are
@@ -51,25 +56,35 @@ from .potentials import (
 DIVERGENCE_NEGATIVITY_TOLERANCE = 1e-12
 
 
-def _as_logf(log_f):
-    """log f as a map from index arrays to values: one gather from an array
-    or UnnormalizedVector, one call per point from a callable."""
+def _log_f_reader(space, log_f):
+    """log f as read(points) -> finite float64 logs at an index array, or
+    over the whole space when no points are given. The one place that
+    decides what a log f is; anything else raises InputError."""
     if callable(log_f):
-        return lambda points: np.array([log_f(int(i)) for i in points], dtype=np.float64)
+        def read(points=None):
+            points = range(space.size) if points is None else points
+            try:
+                logs = np.array([log_f(int(i)) for i in points], dtype=np.float64)
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"log f query failed: {exc}") from exc
+            if not np.isfinite(logs).all():
+                raise InputError("log f values must be finite")
+            return logs
+        return read
     if isinstance(log_f, UnnormalizedVector):
-        return log_f.logs.__getitem__
-    return np.asarray(log_f, dtype=np.float64).__getitem__
-
-
-def _gather(logf, indices) -> np.ndarray:
-    try:
-        return logf(np.asarray(indices, dtype=np.int64))
-    except (IndexError, KeyError) as exc:
-        raise InputError(f"log f query failed: {exc}") from exc
-
-
-def _query(logf, i: int) -> float:
-    return float(_gather(logf, [i])[0])
+        logs = log_f.logs
+    elif isinstance(log_f, Probability):
+        logs = np.log(log_f.weights)
+    else:
+        try:
+            logs = np.ascontiguousarray(log_f, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"log f must be an array of logs: {exc}") from exc
+        if not np.isfinite(logs).all():
+            raise InputError("log f values must be finite")
+    if logs.shape != (space.size,):
+        raise InputError(f"log f has shape {logs.shape}; the space has {space.size} points")
+    return lambda points=None: logs if points is None else logs[points]
 
 
 # ---------------------------------------------------------------------------
@@ -104,21 +119,10 @@ def local_potential_gradient(family: LocalPotentialFamily, y: int, g) -> np.ndar
 # composite potential
 
 
-def _logs_of(f) -> np.ndarray:
-    if isinstance(f, UnnormalizedVector):
-        return f.logs
-    if isinstance(f, Probability):
-        return f.log().logs
-    return UnnormalizedVector.from_logs(f).logs
-
-
 def _space_logs(family, what, *vectors):
     """Logs of value vectors over the whole (enumerable) space."""
-    logs = [_logs_of(f) for f in vectors]
     family.space.require_enumerable(what)
-    if any(len(lg) != family.space.size for lg in logs):
-        raise InputError("value vectors do not match the space")
-    return logs
+    return [_log_f_reader(family.space, f)() for f in vectors]
 
 
 def _ratios(logs, points, nbrs):
@@ -146,19 +150,26 @@ def _point(family: LocalPotentialFamily, y) -> int:
     return family.space.checked_indices(y, what="point").item()
 
 
+def _read_at(family: LocalPotentialFamily, y, log_f):
+    """(y checked as a point, log f's reader, log f at y)."""
+    y, read = _point(family, y), _log_f_reader(family.space, log_f)
+    return y, read, float(read([y])[0])
+
+
 def _point_terms(family: LocalPotentialFamily, y, log_f):
     """(value, universe, finish) of y's score from the kernel compiled at y;
     finish() returns its partials over the universe."""
     kernel = _ScoreKernel(family, [_point(family, y)])
+    logs = _log_f_reader(family.space, log_f)(kernel.universe)
     with np.errstate(over="ignore"):  # pl/rm sigmoids reach their limits through inf
-        vals, finish = kernel._score_terms(_gather(_as_logf(log_f), kernel.universe))
+        vals, finish = kernel._score_terms(logs)
     return float(vals[0]), kernel.universe, finish
 
 
 def score(family: LocalPotentialFamily, y: int, log_f) -> float:
     """The proper homogeneous score: minus the y-partial of the composite
-    potential, from the score kernel at y. `log_f` is an array or
-    `UnnormalizedVector` over the space, or a callable point -> log f."""
+    potential, from the score kernel at y. `log_f` is any log f the module
+    docstring accepts."""
     return _point_terms(family, y, log_f)[0]
 
 
@@ -191,13 +202,11 @@ def generic_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     +-709: beyond that exp overflows, and a term such as
     v . grad phi_y(v) - phi_y(v) becomes inf - inf. The score kernel
     (`score`, `state_scores`) uses stable log-scale terms instead."""
-    logf = _as_logf(log_f)
-    y = _point(family, y)
-    ly = _query(logf, y)
+    y, read, ly = _read_at(family, y, log_f)
     total = 0.0
     if _has_own_term(family, y):
         nbrs, ev = family.local(y)
-        v = np.exp(_gather(logf, nbrs) - ly)
+        v = np.exp(read(nbrs) - ly)
         total += float(v @ ev.grad(v)) - float(ev.value(v))
     for z in family.neighbors(y):
         z = int(z)
@@ -207,7 +216,7 @@ def generic_score(family: LocalPotentialFamily, y: int, log_f) -> float:
         pos = int(np.searchsorted(nbrs_z, y))
         if pos >= len(nbrs_z) or nbrs_z[pos] != y:
             raise InternalConsistencyError(f"asymmetric neighborhood at ({y},{z})")
-        v_z = np.exp(_gather(logf, nbrs_z) - _query(logf, z))
+        v_z = np.exp(read(nbrs_z) - read([z])[0])
         total -= float(ev_z.grad(v_z)[pos])
     return total
 
@@ -219,16 +228,14 @@ def named_closed_form_score(family: LocalPotentialFamily, y: int, log_f) -> floa
         raise UnsupportedError("closed forms are whole-space formulas")
     if family.standard_cl:
         return standard_cl_score(family, y, log_f)
-    logf = _as_logf(log_f)
-    y = _point(family, y)
-    ly = _query(logf, y)
+    y, read, ly = _read_at(family, y, log_f)
     kind = family.kind
     if kind == "custom":
         raise UnsupportedError("custom additive families have no named closed form")
     if kind == "cl":
-        return _mcl_closed_form(family, y, logf, ly)
+        return _mcl_closed_form(family, y, read, ly)
     nbrs = family.neighbors(y)
-    d = _gather(logf, nbrs) - ly
+    d = read(nbrs) - ly
     if kind == "pl":
         return float(np.sum(np.logaddexp(0.0, d)))
     if kind == "rm":  # sigmoid(d)^2 = exp(-2 log(1 + exp(-d)))
@@ -240,23 +247,22 @@ def named_closed_form_score(family: LocalPotentialFamily, y: int, log_f) -> floa
     g = family.gamma
     total = 0.0
     for z in nbrs:
-        dz = _gather(logf, family.neighbors(int(z))) - ly
+        dz = read(family.neighbors(int(z))) - ly
         log_norm = _logsumexp((1.0 + g) * dz) / (1.0 + g)
         total -= float(np.exp(-g * log_norm))
     return total
 
 
-def _mcl_closed_form(family, y, logf, ly) -> float:
+def _mcl_closed_form(family, y, read, ly) -> float:
     # per block: -log q(y | n_l(y)) + sum_{z in n_l(y)} q(z | n_l(z)) - 1
     total = 0.0
     for block_index, bl in enumerate(family.block_lists(y)):
-        lse_y = float(_logsumexp(np.append(_gather(logf, bl), ly)))
+        lse_y = float(_logsumexp(np.append(read(bl), ly)))
         total += lse_y - ly
-        members = [y] + [int(z) for z in bl]
-        for z in members:
-            lz = _query(logf, z)
+        members = [y, *map(int, bl)]
+        for z, lz in zip(members, read(members)):
             bl_z = family.block_lists(z)[block_index]
-            lse_z = float(_logsumexp(np.append(_gather(logf, bl_z), lz)))
+            lse_z = float(_logsumexp(np.append(read(bl_z), lz)))
             total += float(np.exp(lz - lse_z))
         total -= 1.0
     return total
@@ -270,12 +276,10 @@ def standard_cl_score(family: LocalPotentialFamily, y: int, log_f) -> float:
     family without `standard_cl` is the safe general-space variant."""
     if family.kind != "cl":
         raise InputError("standard CL scores need a composite-likelihood family")
-    logf = _as_logf(log_f)
-    y = _point(family, y)
-    ly = _query(logf, y)
+    y, read, ly = _read_at(family, y, log_f)
     total = 0.0
     for bl in family.block_lists(y):
-        total += float(_logsumexp(np.append(_gather(logf, bl), ly))) - ly
+        total += float(_logsumexp(np.append(read(bl), ly))) - ly
     return total
 
 

@@ -136,30 +136,31 @@ def parse_space_spec(text: str) -> SampleSpace:
 
 def signs_to_index(signs) -> int:
     """Canonical index of a sign vector: bit j set iff coordinate j is +1."""
-    idx = 0
-    for j, s in enumerate(signs):
-        if s == 1:
-            idx |= 1 << j
-        elif s != -1:
-            raise InputError(f"hypercube coordinates must be +1/-1, got {s!r}")
-    return idx
+    return int(signs_matrix_to_indices(np.asarray(signs)[np.newaxis])[0])
 
 
 def index_to_signs(index: int, dim: int) -> np.ndarray:
     """Sign vector of a canonical hypercube index."""
-    return np.array([1 if (index >> j) & 1 else -1 for j in range(dim)], dtype=np.int64)
+    return indices_to_signs([index], dim)[0]
 
 
 def indices_to_signs(indices, dim: int) -> np.ndarray:
-    """Vectorized decoding: (n,) indices -> (n, dim) sign matrix."""
+    """Vectorized decoding: (n,) indices in 0..2**dim-1 -> (n, dim) sign matrix."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if np.bitwise_or.reduce(idx) >> dim:  # a bit at or above dim; negative indices set them all
+        raise InputError(f"hypercube indices must lie in 0..{2 ** dim - 1}")
     bits = (idx[:, None] >> np.arange(dim)[None, :]) & 1
     return (2 * bits - 1).astype(np.int64)
 
 
-def signs_matrix_to_indices(signs: np.ndarray) -> np.ndarray:
-    """Vectorized encoding: (n, dim) sign matrix -> (n,) indices."""
+def signs_matrix_to_indices(signs) -> np.ndarray:
+    """Vectorized encoding: (n, dim) matrix of +1/-1 entries -> (n,) indices."""
     signs = np.asarray(signs)
+    if signs.ndim != 2 or signs.dtype.kind not in "iuf":
+        raise InputError(f"expected a numeric (n, dim) sign matrix, got {signs.dtype} {signs.shape}")
+    off = np.abs(signs) != 1
+    if off.any():
+        raise InputError(f"hypercube coordinates must be +1/-1, got {signs[off][0].item()!r}")
     bits = (signs > 0).astype(np.int64)
     weights = (np.int64(1) << np.arange(signs.shape[1], dtype=np.int64))
     return bits @ weights

@@ -125,6 +125,7 @@ class TestGraphCommand:
         (["--space", "hypercube:3", "--blocks", "1;2", "--potential", "mcl:1,2,3"], "blocks"),
         (["--space", "hypercube:3", "--blocks", "1;2", "--radius", "2"], "radius"),
         (["--space", "labels:4", "--blocks", "1;2"], "hypercube"),
+        (["--space", "hypercube:2", "--radius", "1", "--y0", "a"], "--y0"),
     ])
     def test_conflicting_system_settings_exit_2(self, capsys, argv, named):
         code, _, err = run(capsys, "graph", *argv)
@@ -275,18 +276,24 @@ class TestFitCommand:
         samples_path = tmp_path / "s.txt"
         write_samples(samples_path, SampleSpace.label_range(3), [0, 0, 1, 2], seed=0)
         out_model = tmp_path / "tab.json"
+        report = tmp_path / "report.txt"
         cfg = {
             "objective": "mle",
             "space": "labels:3",
             "model": "tabular",
             "train": str(samples_path),
             "out_model": str(out_model),
+            "report": str(report),
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run(capsys, "fit", "--config", str(cfg_path))[0] == 0
         fitted = load_model(out_model)
         assert np.allclose(normalize(fitted).weights, [0.5, 0.25, 0.25], atol=1e-6)
+        # an mle fit reads no score, so its config record names none
+        config = parse_record(report.read_text().splitlines()[0])
+        assert config["record"] == "config" and config["objective"] == "mle"
+        assert "score" not in config
 
     def small_fit_config(self, tmp_path):
         """A valid hypercube:3 fit config with a test file, for --set overrides."""

@@ -69,6 +69,24 @@ def all_families_on_cube3():
     }
 
 
+CUBE3 = HypercubeNeighborhood(3, 1)
+POINT_ROUTES = {  # route(y, log_f) for every per-point scoring route
+    "score": lambda y, lf: score(pseudo_likelihood(CUBE3), y, lf),
+    "score_and_logf_gradient": lambda y, lf: score_and_logf_gradient(pseudo_likelihood(CUBE3), y, lf),
+    "generic_score": lambda y, lf: generic_score(pseudo_likelihood(CUBE3), y, lf),
+    "named_closed_form_score": lambda y, lf: named_closed_form_score(pseudo_likelihood(CUBE3), y, lf),
+    "standard_cl_score": lambda y, lf: standard_cl_score(composite_likelihood(CUBE3), y, lf),
+    "cl_score": lambda y, lf: cl_score(BlockSystem.singletons(3), y, lf),
+}
+ALL_ROUTES = {  # the whole-space routes ignore y
+    **POINT_ROUTES,
+    "state_scores": lambda y, lf: state_scores(pseudo_likelihood(CUBE3), lf),
+    "expected_score": lambda y, lf: expected_score(pseudo_likelihood(CUBE3), Probability.uniform(8), lf),
+    "composite_potential": lambda y, lf: composite_potential(pseudo_likelihood(CUBE3), lf),
+    "divergence": lambda y, lf: divergence(pseudo_likelihood(CUBE3), lf, lf),
+}
+
+
 class TestCompositePotential:
     def test_pl_two_point_space(self):
         space = SampleSpace.hypercube(1)
@@ -140,27 +158,30 @@ class TestScoreValues:
             score(fam, 0, lambda i: table[i])
 
     @pytest.mark.parametrize("y", [-1, 8, 2.5])
-    @pytest.mark.parametrize("route", [
-        "score", "score_and_logf_gradient", "generic_score", "named_closed_form_score",
-        "standard_cl_score", "cl_score",
-    ])
+    @pytest.mark.parametrize("route", list(POINT_ROUTES))
     def test_points_outside_the_space_rejected(self, route, y):
         # -1 read wrapped neighbor indices, 2.5 was truncated to 2, and 8
         # raised a raw IndexError
-        cube = HypercubeNeighborhood(3, 1)
-        logs = np.linspace(-1.0, 1.0, 8)
-        calls = {
-            "score": lambda: score(pseudo_likelihood(cube), y, logs),
-            "score_and_logf_gradient": lambda: score_and_logf_gradient(
-                pseudo_likelihood(cube), y, logs),
-            "generic_score": lambda: generic_score(pseudo_likelihood(cube), y, logs),
-            "named_closed_form_score": lambda: named_closed_form_score(
-                pseudo_likelihood(cube), y, logs),
-            "standard_cl_score": lambda: standard_cl_score(composite_likelihood(cube), y, logs),
-            "cl_score": lambda: cl_score(BlockSystem.singletons(3), y, logs),
-        }
         with pytest.raises(InputError, match="point index outside the space|points must be integers"):
-            calls[route]()
+            POINT_ROUTES[route](y, np.linspace(-1.0, 1.0, 8))
+
+    @pytest.mark.parametrize("log_f", [
+        np.zeros(5), np.zeros(9), np.array([0.0] * 7 + [np.nan]), np.array([np.inf] + [0.0] * 7),
+        {}.__getitem__, lambda i: math.nan,
+    ], ids=["short", "long", "nan", "inf", "callable_key_error", "callable_nan"])
+    @pytest.mark.parametrize("route", list(ALL_ROUTES))
+    def test_bad_log_f_rejected(self, route, log_f):
+        # wrong lengths were read by index (or wrapped), non-finite logs
+        # returned nan, and whole-space routes refused callables with a TypeError
+        with pytest.raises(InputError):
+            ALL_ROUTES[route](3, log_f)
+
+    @pytest.mark.parametrize("route", list(ALL_ROUTES))
+    def test_probability_reads_as_its_logs(self, route):
+        p = Probability.normalize(np.exp(random_logs(8)))
+        got, expected = ALL_ROUTES[route](3, p), ALL_ROUTES[route](3, np.log(p.weights))
+        for a, b in zip(*(v if isinstance(v, tuple) else (v,) for v in (got, expected))):
+            np.testing.assert_array_equal(a, b)
 
     def test_additive_routes_quiet_at_extreme_ratios(self):
         # log ratios beyond about +-709 overflow a sigmoid's exp on the way

@@ -67,6 +67,24 @@ def test_one_cli_function_builds_neighborhood_systems():
     assert referrers == ["_neighborhood_system"]
 
 
+def _log_f_decisions(node):
+    """`callable(...)` calls and `.logs` reads under node."""
+    return [
+        n for n in ast.walk(node)
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "callable")
+        or (isinstance(n, ast.Attribute) and n.attr == "logs")
+    ]
+
+
+def test_one_reader_decides_what_log_f_is():
+    # every scoring route accepts and refuses the same log f only while one
+    # function tells the forms apart and reads their values
+    path = SOURCE / "scoring.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    deciders = [name for name, fn in _functions(tree) if _log_f_decisions(fn)]
+    assert deciders == ["_log_f_reader"]
+
+
 def test_catch_all_detection():
     tree = ast.parse(
         "try:\n    pass\nexcept:\n    pass\n"

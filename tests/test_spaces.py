@@ -58,6 +58,20 @@ class TestHypercubeIndexing:
         with pytest.raises(InputError):
             signs_to_index([1, 0])
 
+    @pytest.mark.parametrize("signs", [[1, 2], [0.5, -1.0]], ids=["two", "half"])
+    def test_encoder_rejects_non_sign_entries(self, signs):
+        # the batch encoder read every positive entry as +1 and the rest as -1
+        for encode in (signs_to_index, lambda s: signs_matrix_to_indices([s])):
+            with pytest.raises(InputError, match="must be \\+1/-1"):
+                encode(signs)
+
+    @pytest.mark.parametrize("index", [-1, 2 ** 3])
+    def test_decoder_rejects_indices_outside_the_cube(self, index):
+        # -1 decoded to all +1 and 8 to the signs of 0 with high bits dropped
+        for decode in (index_to_signs, lambda i, dim: indices_to_signs([0, i], dim)):
+            with pytest.raises(InputError, match="0..7"):
+                decode(index, 3)
+
 
 class TestHammingDistance:
     def test_identity(self):
