@@ -1,11 +1,11 @@
 """Empirical score minimization over model parameters.
 
-The optimizer is plain gradient descent with Armijo backtracking: descent is
-guaranteed, every run is deterministic, and at desk scale nothing faster is
-needed. Objectives bind the model once at the points they read (`bind` in
-`models`) and assemble their parameter gradient analytically, pulling the
-score's partials with respect to log f back through the bound map; finite
-differences only appear in tests.
+The optimizer is deterministic gradient descent with Armijo backtracking. Each
+search starts at the last move's Barzilai-Borwein step s'y / y'y capped at
+twice the last step, or at twice it where s'y <= 0. Objectives bind the model
+once at the points they read (`bind` in `models`) and assemble their parameter
+gradient analytically, pulling the score's partials with respect to log f back
+through the bound map; finite differences only appear in tests.
 
 Every local score objective is one kernel, `_ScoreKernel`, with the model
 bound at the kernel's universe; `scoring` runs its per-point and
@@ -563,7 +563,10 @@ def _minimize(objective, config: FitConfig) -> FitResult:
         # the accepted trial is the next point: finish its gradient
         x, fx, gx = xt, ft, finish()
         gradients += 1
-        step = 2.0 * t
+        y = gx + direction  # the gradient's change over the step s = t * direction
+        with np.errstate(all="ignore"):
+            bb = float(t * (direction @ y) / (y @ y))  # the Barzilai-Borwein step s'y / y'y
+        step = min(bb, 2.0 * t) if 0.0 < bb < np.inf else 2.0 * t  # 2t where s'y <= 0 or y = 0
         iterations += 1
         gnorm = float(np.max(np.abs(gx)))
         trace.append((fx, gnorm))

@@ -99,8 +99,8 @@ def _checked_local(family: LocalPotentialFamily, y: int, g):
     nbrs, ev = family.local(y)
     if g.shape != (len(nbrs),):
         raise InputError(f"expected {len(nbrs)} neighbor values, got shape {g.shape}")
-    if np.any(g <= 0):
-        raise InputError("neighbor values must be strictly positive")
+    if not np.all(np.isfinite(g) & (g > 0)):
+        raise InputError("neighbor values must be finite and strictly positive")
     return g, ev
 
 
@@ -338,6 +338,8 @@ def divergence(family: LocalPotentialFamily, f, g) -> float:
 def expected_score(family: LocalPotentialFamily, p: Probability, f) -> float:
     """S(p, f) = sum_y p_y S(y, f) over the whole (enumerable) space."""
     family.space.require_enumerable("expected_score")
+    if not isinstance(p, Probability):
+        raise InputError(f"expected a Probability, got {type(p).__name__}")
     if len(p) != family.space.size:
         raise InputError("probability does not match the space")
     return float(p.weights @ state_scores(family, f))

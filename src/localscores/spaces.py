@@ -90,12 +90,9 @@ class SampleSpace:
     def checked_indices(self, values, what: str = "sample") -> np.ndarray:
         """Values as a flat index array, checked nonempty, integral and inside
         the space (before the cast, so nothing is truncated or wrapped)."""
-        values = np.asarray(values).reshape(-1)
+        values = _integral(values, f"{what}s")
         if values.size == 0:
             raise InputError(f"{what}s must be nonempty")
-        kind = values.dtype.kind
-        if kind not in "iuf" or (kind == "f" and np.any(values != np.trunc(values))):
-            raise InputError(f"{what}s must be integers")
         if values.min() < 0 or values.max() >= self.size:
             raise InputError(f"{what} index outside the space")
         return values.astype(np.int64, copy=False)
@@ -134,6 +131,15 @@ def parse_space_spec(text: str) -> SampleSpace:
     raise InputError(f"bad space spec {text!r}")
 
 
+def _integral(values, what: str) -> np.ndarray:
+    """Values as a flat numeric array whose entries are all integers."""
+    values = np.asarray(values).reshape(-1)
+    kind = values.dtype.kind
+    if kind not in "iuf" or (kind == "f" and np.any(values != np.trunc(values))):
+        raise InputError(f"{what} must be integers")
+    return values
+
+
 def signs_to_index(signs) -> int:
     """Canonical index of a sign vector: bit j set iff coordinate j is +1."""
     return int(signs_matrix_to_indices(np.asarray(signs)[np.newaxis])[0])
@@ -146,9 +152,10 @@ def index_to_signs(index: int, dim: int) -> np.ndarray:
 
 def indices_to_signs(indices, dim: int) -> np.ndarray:
     """Vectorized decoding: (n,) indices in 0..2**dim-1 -> (n, dim) sign matrix."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if np.bitwise_or.reduce(idx) >> dim:  # a bit at or above dim; negative indices set them all
+    idx = _integral(indices, "hypercube indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= 2 ** dim):  # checked before the cast
         raise InputError(f"hypercube indices must lie in 0..{2 ** dim - 1}")
+    idx = idx.astype(np.int64, copy=False)
     bits = (idx[:, None] >> np.arange(dim)[None, :]) & 1
     return (2 * bits - 1).astype(np.int64)
 

@@ -42,6 +42,7 @@ from localscores import (
     standard_cl_score,
 )
 from localscores import test_error as error_rate
+from localscores.estimation import _minimize
 
 
 def seeded_boltzmann(dim, seed, scale=1.0):
@@ -201,6 +202,79 @@ class TestFitMechanics:
         with pytest.raises(NonFiniteObjectiveError) as err:
             fit(fam, init, np.array([1, 1, 2]), FitConfig())
         assert err.value.sample_index == 2
+
+
+class _Curve:
+    """A one-parameter objective f with derivative df, started at x0, in the
+    protocol `_minimize` drives; its fitted "model" is the parameter array."""
+
+    def __init__(self, f, df, x0):
+        self.f, self.df = f, df
+        self.x0 = np.array([x0])
+        self.model = self
+
+    def evaluate(self, x):
+        return self.f(x[0]), lambda: np.array([self.df(x[0])])
+
+    def with_params(self, x):
+        return x
+
+    def offending_sample(self, x):
+        return None
+
+
+class TestStepRule:
+    # the first trial of each line search is the Barzilai-Borwein step
+    # s'y / y'y, capped at twice the last accepted step
+    @pytest.mark.parametrize("spec, dim", [
+        ("pl", 6), ("rm", 6), ("ps:1", 6), ("mcl:1;2;3;4;5", 5),
+    ], ids=["pl", "rm", "ps", "mcl-singletons"])
+    def test_few_trials_are_rejected(self, spec, dim):
+        model = seeded_boltzmann(dim, 2, scale=0.2)
+        samples = exact_sample(normalize(model), 2000, RngStream(2))
+        target = bind_spec(parse_score_spec(spec), HypercubeNeighborhood(dim, 1))
+        result = fit(target, BoltzmannModel.zeros(dim), samples)
+        assert result.converged
+        objectives = [obj for obj, _ in result.trace]
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+        # doubling the last step rejected about one trial per iteration
+        rejected = result.evaluations - result.gradients
+        assert rejected / result.iterations_used <= 0.3
+
+    def test_growth_is_capped_at_doubling(self):
+        # on a x^2 / 2 the quotient is 1/a = 100, fifty times the doubled step
+        a = 0.01
+        curve = _Curve(lambda x: 0.5 * a * x * x, lambda x: a * x, 1.0)
+        result = _minimize(curve, FitConfig())
+        x1 = 1.0 - a  # the first trial, at the initial step 1
+        assert result.trace[1][0] == pytest.approx(0.5 * a * x1 * x1, rel=1e-15)
+        assert result.trace[2][0] == pytest.approx(0.5 * a * (x1 - 2.0 * a * x1) ** 2, rel=1e-15)
+        assert result.converged
+        assert result.evaluations == result.gradients  # no trial rejected
+
+    def test_concave_stretch_falls_back_to_doubling(self):
+        # cos is concave on the first step from 0.5, so s'y < 0 there
+        curve = _Curve(math.cos, lambda x: -math.sin(x), 0.5)
+        result = _minimize(curve, FitConfig())
+        x1 = 0.5 + math.sin(0.5)  # the first trial, at the initial step 1
+        assert result.trace[1][0] == pytest.approx(math.cos(x1), rel=1e-15)
+        assert result.trace[2][0] == pytest.approx(math.cos(x1 + 2.0 * math.sin(x1)), rel=1e-15)
+        assert result.converged
+        assert result.parameters[0] == pytest.approx(math.pi, abs=1e-6)
+
+    def test_unchanged_gradient_falls_back_to_doubling(self):
+        # the Huber function's slope is 1 beyond |x| = 1, so y = 0 and the
+        # quotient is 0/0 until the iterate reaches the quadratic part
+        def huber(x):
+            return 0.5 * x * x if abs(x) <= 1 else abs(x) - 0.5
+
+        curve = _Curve(huber, lambda x: max(-1.0, min(1.0, x)), 10.0)
+        result = _minimize(curve, FitConfig())
+        # steps 1, 2, 4 (doubled), 8 rejected at -5 then 4, then the
+        # quotient's 2 rejected at 1 and 1 accepted at the minimum
+        assert [obj for obj, _ in result.trace] == [9.5, 8.5, 6.5, 2.5, 0.5, 0.0]
+        assert result.converged
+        assert result.evaluations - result.gradients == 2
 
 
 class TestGradientAssembly:

@@ -573,6 +573,22 @@ class TestExpectedScore:
             assert gap == pytest.approx(divergence(fam, p.log(), q.log()), rel=1e-9, abs=1e-11)
             assert gap >= -1e-9, name
 
+    def test_requires_a_probability(self):
+        # a bare array ended in an AttributeError on `.weights`
+        fam = pseudo_likelihood(hamming_graph(3, 1))
+        with pytest.raises(InputError, match="expected a Probability"):
+            expected_score(fam, np.full(8, 1 / 8), np.zeros(8))
+
+
+class TestLocalPotential:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("route", [local_potential, local_potential_gradient])
+    def test_refuses_non_finite_and_non_positive_values(self, route, bad):
+        # NaN passed the `<= 0` test and came back as a nan potential
+        fam = pseudo_likelihood(hamming_graph(3, 1))
+        with pytest.raises(InputError, match="finite and strictly positive"):
+            route(fam, 0, [1.0, bad, 1.0])
+
 
 def _loop_composite_potential(fam, logs):
     """composite_potential one active point at a time (the reference for the

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from localscores import (
+    BoltzmannModel,
     InputError,
     SampleSpace,
     hamming_distance,
@@ -71,6 +72,15 @@ class TestHypercubeIndexing:
         for decode in (index_to_signs, lambda i, dim: indices_to_signs([0, i], dim)):
             with pytest.raises(InputError, match="0..7"):
                 decode(index, 3)
+
+    @pytest.mark.parametrize("index", [2.5, np.nan, "1"], ids=["half", "nan", "text"])
+    def test_decoder_refuses_non_integral_indices(self, index):
+        # 2.5 was truncated to 2 by the cast, and decoded as the signs of 2
+        for decode in (lambda i: indices_to_signs([i], 3),
+                       lambda i: BoltzmannModel.zeros(3).log_f_batch([i])):
+            with pytest.raises(InputError, match="must be integers"):
+                decode(index)
+        assert np.array_equal(indices_to_signs([2.0], 3), indices_to_signs([2], 3))
 
 
 class TestHammingDistance:
