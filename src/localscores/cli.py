@@ -51,7 +51,7 @@ from .models import (
 from .oracle import DEMONSTRATION_CHECKS, standard_check_registry
 from .potentials import ScoreSpec, parse_score_spec
 from .reports import format_record
-from .sampling import AisConfig, RngStream, ais_log_z, exact_sample, gibbs_sample, read_samples, write_samples
+from .sampling import AisConfig, RngStream, _ais, exact_sample, gibbs_sample, read_samples, write_samples
 from .scoring import rank_condition
 from .spaces import SampleSpace, parse_space_spec
 
@@ -384,8 +384,8 @@ def cmd_eval(args) -> int:
         if not isinstance(model, BoltzmannModel):
             raise InputError("annealed estimates apply to Boltzmann models")
         config = AisConfig(num_temperatures=args.ais_temperatures, num_chains=args.ais_chains)
-        log_z, se = ais_log_z(model, config, RngStream(args.seed))
-        fields = dict(method="ais", log_z=log_z, log_z_se=se)
+        log_z, se, ess = _ais(model, config, RngStream(args.seed))
+        fields = dict(method="ais", log_z=log_z, log_z_se=se, ais_ess=ess)
     metrics = _test_metrics(model, args.test, log_z=fields.get("log_z"))
     print(format_record(record="eval", **fields, **metrics))
     return 0

@@ -228,7 +228,7 @@ class TabularModel:
         return Bound(lambda x: x[points], pullback)
 
     def log_f_batch(self, indices) -> np.ndarray:
-        return self.eta[np.asarray(indices, dtype=np.int64)]
+        return self.eta[self.space.checked_indices(indices)]
 
 
 def _bind_point(model, y, x) -> Bound:

@@ -40,10 +40,9 @@ class AisConfig:
     sweeps_per_temperature: int = 1
 
     def __post_init__(self):
-        if self.num_temperatures < 2:
-            raise InputError("AIS needs at least 2 temperatures")
-        if self.num_chains < 1 or self.sweeps_per_temperature < 1:
-            raise InputError("chain count and sweeps must be positive")
+        _require_count("AIS temperature count", self.num_temperatures, 2)
+        _require_count("AIS chain count", self.num_chains, 1)
+        _require_count("AIS sweeps per temperature", self.sweeps_per_temperature, 1)
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -59,15 +58,18 @@ def exact_sample(p: Probability, n: int, rng: RngStream) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def _sweep_states(states: np.ndarray, w: np.ndarray, logit_u: np.ndarray, beta: float) -> None:
-    """One systematic-scan sweep over every row of `states`, in place.
-
-    Site i flips to +1 when logit(u) < 4*beta*h_i, the log odds of the
-    conditional distribution given the other coordinates."""
-    dim = states.shape[1]
+def _sweep_states(aug: np.ndarray, coef: np.ndarray) -> None:
+    """One systematic-scan sweep, in place, over chains held as columns: `aug`
+    stacks D state rows (row i is site i of every chain) over D rows of
+    logit(u). With coef = [4*beta*W, -I], coef[i] @ aug = 4*beta*h_i - logit(u_i)
+    and site i takes its sign (+1 at +0.0). A -inf logit (u = 0) is first
+    raised to the most negative float, as 0 * -inf would make other fields NaN."""
+    dim = coef.shape[0]
+    np.maximum(aug[dim:], -np.finfo(np.float64).max, out=aug[dim:])
+    h = np.empty(aug.shape[1])
     for i in range(dim):
-        h = states @ w[:, i]
-        states[:, i] = np.where(logit_u[:, i] < 4.0 * beta * h, 1.0, -1.0)
+        np.dot(coef[i], aug, out=h)
+        np.copysign(1.0, h, out=aug[i])
 
 
 def _byte_tables(w: np.ndarray) -> list[list[list[float]]]:
@@ -140,8 +142,28 @@ def gibbs_sample(
     return np.array(out, dtype=np.int64)
 
 
-def _energies(states: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", states @ w, states)
+def _ais(model: BoltzmannModel, config: AisConfig, rng: RngStream) -> tuple[float, float, float]:
+    """`ais_log_z`'s estimate and standard error, and the Kish effective
+    sample size (sum w)^2 / sum w^2 of the same chain weights."""
+    dim, m, w = model.dim, config.num_chains, model.matrix
+    gen = rng.generator()
+    betas = np.linspace(0.0, 1.0, config.num_temperatures)
+    aug = np.empty((2 * dim, m))  # states over logit(u), see `_sweep_states`
+    states, logit_u = aug[:dim], aug[dim:]
+    states[...] = (2.0 * gen.integers(0, 2, size=(m, dim)) - 1.0).T
+    coef = np.hstack([w, -np.eye(dim)])
+    log_w = np.zeros(m)
+    for k in range(len(betas) - 1):
+        log_w += (betas[k + 1] - betas[k]) * np.einsum("ij,ij->j", w @ states, states)
+        np.multiply(w, 4.0 * betas[k + 1], out=coef[:, :dim])
+        for _ in range(config.sweeps_per_temperature):
+            u = gen.random((m, dim)).T
+            np.subtract(np.log(u), np.log1p(-u), out=logit_u)
+            _sweep_states(aug, coef)
+    estimate = float(dim * np.log(2.0) + _logsumexp(log_w) - np.log(m))
+    shifted = np.exp(log_w - log_w.max())
+    std_error = float(shifted.std(ddof=1) / (shifted.mean() * np.sqrt(m))) if m > 1 else float("inf")
+    return estimate, std_error, float(shifted.sum() ** 2 / np.dot(shifted, shifted))
 
 
 def ais_log_z(
@@ -155,29 +177,10 @@ def ais_log_z(
     sum_k (beta_{k+1}-beta_k) * y'Wy at its current state, then takes
     `sweeps_per_temperature` Gibbs sweeps at the new temperature. The
     estimate is log-mean-exp of the chain weights plus D log 2.
+    Chains are the columns of a (D, m) sign array; site i of a chain becomes
+    +1 where logit(u) < 4*beta*h_i, else -1, one row at a time (`_sweep_states`).
     """
-    dim = model.dim
-    w = model.matrix
-    gen = rng.generator()
-    m = config.num_chains
-    betas = np.linspace(0.0, 1.0, config.num_temperatures)
-    states = (2.0 * gen.integers(0, 2, size=(m, dim)) - 1.0).astype(np.float64)
-    log_w = np.zeros(m)
-    for k in range(len(betas) - 1):
-        log_w += (betas[k + 1] - betas[k]) * _energies(states, w)
-        for _ in range(config.sweeps_per_temperature):
-            u = gen.random((m, dim))
-            logit_u = np.log(u) - np.log1p(-u)
-            _sweep_states(states, w, logit_u, betas[k + 1])
-    log_base = dim * np.log(2.0)
-    estimate = float(log_base + _logsumexp(log_w) - np.log(m))
-    shifted = np.exp(log_w - log_w.max())
-    mean = shifted.mean()
-    if m > 1:
-        std_error = float(shifted.std(ddof=1) / (mean * np.sqrt(m)))
-    else:
-        std_error = float("inf")
-    return estimate, std_error
+    return _ais(model, config, rng)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,21 @@ def write_samples(path, space: SampleSpace, indices, seed: int) -> None:
         body = "".join([f"{i}\n" for i in idx.tolist()]).encode()
     with open(path, "wb") as fh:
         fh.write(header + body)
+
+
+def _decode_sign_rows(body: bytes, dim: int) -> np.ndarray | None:
+    """Indices of a body in `write_samples`' layout (rows of D cells `+1 ` or
+    `-1 `, the last space a newline), else None. Mod 256, a cell minus `+1 `
+    is 0 at every byte but the sign byte of `-1 `, which is 2."""
+    raw = np.frombuffer(body, dtype=np.uint8)
+    if raw.size % (3 * dim):
+        return None
+    pattern = np.tile(np.frombuffer(b"+1 ", dtype=np.uint8), (dim, 1))
+    pattern[-1, -1] = ord("\n")
+    diff = raw.reshape(-1, dim, 3) - pattern
+    if (diff & np.tile(np.uint8([0xFD, 0xFF, 0xFF]), (dim, 1))).max():
+        return None
+    return (diff[:, :, 0] == 0) @ (1 << np.arange(dim, dtype=np.int64))
 
 
 def _first_bad_line(space: SampleSpace, lines, first_lineno: int) -> tuple[int, str] | None:
@@ -226,7 +244,9 @@ def _first_bad_line(space: SampleSpace, lines, first_lineno: int) -> tuple[int, 
 def read_samples(path) -> tuple[SampleSpace, np.ndarray, int]:
     """(space, indices, seed) from a sample file. Hypercube coordinates must
     be +1/-1 and indices must lie in the space; the first malformed line is
-    reported as `path:lineno`. A file holding only its header has no samples."""
+    reported as `path:lineno`. A file holding only its header has no samples.
+    A hypercube body in `write_samples`' layout is decoded from its bytes
+    (CRLF arrives as LF in text mode); other layouts go through `np.loadtxt`."""
     with open(path) as fh:
         header, header_lineno = "", 0
         for header_lineno, line in enumerate(iter(fh.readline, ""), start=1):
@@ -244,6 +264,10 @@ def read_samples(path) -> tuple[SampleSpace, np.ndarray, int]:
     space = parse_space_spec(f"{kind}:{param}")
     if not body or body.isspace():
         return space, np.empty(0, dtype=np.int64), seed
+    if space.kind == "hypercube":
+        indices = _decode_sign_rows(body.encode(), space.dim)
+        if indices is not None:
+            return space, indices, seed
     width = space.dim if space.kind == "hypercube" else 1
     error = None
     try:

@@ -192,6 +192,21 @@ class TestSampleAndEval:
         assert code == 0
         record = parse_record(out.splitlines()[0])
         assert abs(float(record["log_z"]) - exact_log_z(model)) < 0.1
+        assert 1.0 <= float(record["ais_ess"]) <= 80.0
+
+    def test_eval_ais_ess_is_the_chain_count_at_zero_coupling(self, capsys, tmp_path):
+        model_path = tmp_path / "m.json"
+        save_model(BoltzmannModel.zeros(5), model_path)
+        samples = tmp_path / "s.txt"
+        run(capsys, "sample", "--model", str(model_path), "--n", "20", "--out", str(samples))
+        code, out, _ = run(
+            capsys, "eval", "--model", str(model_path), "--test", str(samples),
+            "--logz", "ais", "--ais-temperatures", "20", "--ais-chains", "37",
+        )
+        assert code == 0
+        record = parse_record(out.splitlines()[0])
+        assert list(record)[:5] == ["record", "method", "log_z", "log_z_se", "ais_ess"]
+        assert float(record["ais_ess"]) == 37.0
 
 
 class TestFitCommand:

@@ -142,6 +142,14 @@ class TestTabular:
         model = TabularModel(space=space, eta=np.array([0.0, math.log(3.0)]))
         assert np.allclose(normalize(model).weights, [0.25, 0.75])
 
+    def test_log_f_batch_reads_only_points_of_the_space(self):
+        model = TabularModel(space=SampleSpace.hypercube(2), eta=[0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(model.log_f_batch([3, 0, 2.0]), [3.0, 0.0, 2.0])
+        # a fractional index used to be truncated, and -1 to wrap to the last point
+        for bad in ([2.5], [-1], [model.space.size]):
+            with pytest.raises(InputError):
+                model.log_f_batch(bad)
+
 
 class TestNormalization:
     def test_uniform_at_zero(self):

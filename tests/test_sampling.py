@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit, logsumexp
 
 from localscores import (
     AisConfig,
@@ -21,6 +22,7 @@ from localscores import (
     signs_matrix_to_indices,
     write_samples,
 )
+from localscores.sampling import _ais, _decode_sign_rows, _sweep_states
 
 
 def gibbs_sweep_matrix(model: BoltzmannModel) -> np.ndarray:
@@ -74,6 +76,54 @@ def reference_gibbs(model: BoltzmannModel, n: int, burn_in: int, thinning: int, 
             if sweeps_done > burn_in and (sweeps_done - burn_in) % thinning == 0:
                 out.append(signs_matrix_to_indices(state)[0])
     return np.array(out, dtype=np.int64), np.array(margins)
+
+
+def reference_ais_chains(w: np.ndarray, states: np.ndarray, logit_u: np.ndarray, beta: float):
+    """Reference AIS sweep: chains held as rows (m, D), each site updated by
+    a strided column mat-vec, a compare and `np.where`. Returns the new
+    states and, per chain, the smallest |logit(u) - 4 beta h_i| over the
+    sweep: a sweep that sums the field in another order can only take
+    another branch where that margin is at the level of rounding."""
+    states = states.copy()
+    margins = np.full(states.shape[0], math.inf)
+    for i in range(states.shape[1]):
+        threshold = 4.0 * beta * (states @ w[:, i])
+        margins = np.minimum(margins, np.abs(logit_u[:, i] - threshold))
+        states[:, i] = np.where(logit_u[:, i] < threshold, 1.0, -1.0)
+    return states, margins
+
+
+def reference_ais(model: BoltzmannModel, config: AisConfig, rng: RngStream):
+    """Reference AIS run on `reference_ais_chains`, taking the same draws as
+    `ais_log_z`: the log weights and each chain's smallest tie margin."""
+    w, m = model.matrix, config.num_chains
+    gen = rng.generator()
+    betas = np.linspace(0.0, 1.0, config.num_temperatures)
+    states = (2.0 * gen.integers(0, 2, size=(m, model.dim)) - 1.0).astype(np.float64)
+    log_w, margins = np.zeros(m), np.full(m, math.inf)
+    for k in range(len(betas) - 1):
+        log_w += (betas[k + 1] - betas[k]) * np.einsum("ij,ij->i", states @ w, states)
+        for _ in range(config.sweeps_per_temperature):
+            u = gen.random((m, model.dim))
+            states, margin = reference_ais_chains(w, states, np.log(u) - np.log1p(-u), betas[k + 1])
+            margins = np.minimum(margins, margin)
+    return log_w, margins
+
+
+def sweep_columns(w: np.ndarray, states: np.ndarray, logit_u: np.ndarray, beta: float) -> np.ndarray:
+    """`_sweep_states` run on (m, D) chains and draws, returned as (m, D)."""
+    dim = w.shape[0]
+    aug = np.vstack([states.T, logit_u.T])
+    coef = np.hstack([4.0 * beta * w, -np.eye(dim)])
+    _sweep_states(aug, coef)
+    return aug[:dim].T
+
+
+def random_couplings(rng: np.random.Generator, dim: int, scale: float) -> np.ndarray:
+    wt = rng.normal(size=(dim, dim)) * scale
+    w = (wt + wt.T) / 2
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def reference_sample_text(space: SampleSpace, indices, seed: int) -> str:
@@ -260,6 +310,89 @@ class TestAis:
         with pytest.raises(InputError):
             AisConfig(num_temperatures=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_temperatures", 2.5),
+            ("num_chains", 1.5),
+            ("num_chains", True),
+            ("num_temperatures", "10"),
+            ("sweeps_per_temperature", 0.5),
+            ("num_chains", 0),
+        ],
+    )
+    def test_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(InputError, match=r"must be an integer >= \d"):
+            AisConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        config = AisConfig(num_temperatures=np.int64(20), num_chains=np.int32(4))
+        est, _ = ais_log_z(BoltzmannModel.zeros(3), config, RngStream(1))
+        assert est == pytest.approx(3 * math.log(2), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 20),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    def test_sweep_matches_reference_chains(self, dim, m, beta, seed):
+        rng = np.random.default_rng(seed)
+        w = random_couplings(rng, dim, 1.0)
+        states = rng.choice([-1.0, 1.0], size=(m, dim))
+        for _ in range(3):
+            u = rng.random((m, dim))
+            logit_u = np.log(u) - np.log1p(-u)
+            ref, margins = reference_ais_chains(w, states, logit_u, beta)
+            new = sweep_columns(w, states, logit_u, beta)
+            assert set(np.unique(new)) <= {-1.0, 1.0}
+            clear = margins >= 1e-12
+            assert np.array_equal(new[clear], ref[clear])
+            states = ref
+
+    def test_sweep_takes_plus_one_at_a_minus_inf_logit(self):
+        # u = 0 gives logit(u) = -inf; its zero coefficient in the other
+        # sites' fields must not turn them into NaN
+        rng = np.random.default_rng(5)
+        w = random_couplings(rng, 4, 1.0)
+        states = rng.choice([-1.0, 1.0], size=(3, 4))
+        u = rng.random((3, 4))
+        u[1, 2] = 0.0
+        with np.errstate(divide="ignore"):
+            logit_u = np.log(u) - np.log1p(-u)
+        assert logit_u[1, 2] == -math.inf
+        new = sweep_columns(w, states, logit_u, 0.7)
+        ref, margins = reference_ais_chains(w, states, logit_u, 0.7)
+        assert not np.isnan(new).any()
+        assert new[1, 2] == 1.0
+        assert margins.min() >= 1e-12 and np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("dim, seed, sweeps", [(1, 0, 1), (6, 1, 1), (8, 2, 2), (16, 3, 1), (32, 4, 1)])
+    def test_estimate_matches_reference_run(self, dim, seed, sweeps):
+        model = BoltzmannModel.from_matrix(random_couplings(np.random.default_rng(seed), dim, 0.3))
+        config = AisConfig(num_temperatures=60, num_chains=25, sweeps_per_temperature=sweeps)
+        log_w, margins = reference_ais(model, config, RngStream(seed, 9))
+        assert margins.min() >= 1e-12  # no tie on these seeds: every chain must follow
+        est, _ = ais_log_z(model, config, RngStream(seed, 9))
+        ref = dim * math.log(2) + logsumexp(log_w) - math.log(config.num_chains)
+        assert est == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    def test_ess_is_the_chain_count_at_zero_coupling(self):
+        est, se, ess = _ais(BoltzmannModel.zeros(5), AisConfig(num_temperatures=30, num_chains=37), RngStream(2))
+        assert ess == 37.0
+        assert (est, se) == ais_log_z(BoltzmannModel.zeros(5), AisConfig(num_temperatures=30, num_chains=37),
+                                      RngStream(2))
+
+    def test_ess_is_kish_over_the_chain_weights(self):
+        model = BoltzmannModel.from_matrix(random_couplings(np.random.default_rng(8), 6, 1.0))
+        config = AisConfig(num_temperatures=40, num_chains=50)
+        log_w, _ = reference_ais(model, config, RngStream(3))
+        weights = np.exp(log_w)
+        _, _, ess = _ais(model, config, RngStream(3))
+        assert ess == pytest.approx(weights.sum() ** 2 / (weights ** 2).sum(), rel=1e-10)
+        assert 1.0 <= ess < 50.0
+
 
 class TestSampleFiles:
     def test_hypercube_round_trip(self, tmp_path):
@@ -356,4 +489,67 @@ class TestSampleFiles:
         path = tmp_path / "bad.txt"
         path.write_text("# space labels 3 seed 0\n" + body)
         with pytest.raises(InputError, match=rf"bad\.txt:{lineno}: "):
+            read_samples(path)
+
+
+class TestSampleFileDecoder:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.integers(1, 20))
+    def test_written_layout_decodes_from_bytes(self, tmp_path_factory, data, dim):
+        indices = data.draw(st.lists(st.integers(0, 2 ** dim - 1), min_size=1, max_size=40))
+        path = tmp_path_factory.mktemp("dec") / "samples.txt"
+        write_samples(path, SampleSpace.hypercube(dim), indices, seed=3)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        decoded = _decode_sign_rows(body, dim)
+        assert decoded is not None and decoded.dtype == np.int64
+        assert np.array_equal(decoded, indices)
+        assert np.array_equal(read_samples(path)[1], indices)
+
+    @pytest.mark.parametrize(
+        "name, layout",
+        [
+            ("crlf", lambda rows: "".join(r + "\r\n" for r in rows)),
+            ("doubled spaces", lambda rows: "".join(r.replace(" ", "  ") + "\n" for r in rows)),
+            ("bare 1", lambda rows: "".join(r.replace("+1", "1") + "\n" for r in rows)),
+            ("trailing blank line", lambda rows: "".join(r + "\n" for r in rows) + "\n"),
+            ("no final newline", lambda rows: "\n".join(rows)),
+        ],
+    )
+    def test_other_layouts_fall_back(self, tmp_path, name, layout):
+        space = SampleSpace.hypercube(3)
+        indices = [5, 0, 7, 2, 6, 1]
+        rows = reference_sample_text(space, indices, 0).splitlines()[1:]
+        body = layout(rows).encode()
+        assert _decode_sign_rows(body, 3) is None
+        path = tmp_path / "samples.txt"
+        path.write_bytes(b"# space hypercube 3 seed 0\n" + body)
+        assert np.array_equal(read_samples(path)[1], indices)
+
+    @pytest.mark.parametrize(
+        "header_dim, rows",
+        [
+            # 3 rows of 6 bytes fill 2 rows of 9: only the pattern check tells
+            (3, ["+1 -1", "-1 -1", "+1 +1"]),
+            (2, ["+1 -1 +1", "-1 -1 -1"]),
+        ],
+    )
+    def test_header_width_mismatch_reported(self, tmp_path, header_dim, rows):
+        body = "".join(r + "\n" for r in rows).encode()
+        assert _decode_sign_rows(body, header_dim) is None
+        path = tmp_path / "bad.txt"
+        path.write_bytes(f"# space hypercube {header_dim} seed 0\n".encode() + body)
+        with pytest.raises(InputError, match=rf"bad\.txt:2: expected {header_dim} coordinates"):
+            read_samples(path)
+
+    @pytest.mark.parametrize(
+        "cell, reason",
+        [(b"+2", "got 2"), (b"/1", "invalid literal"), (b")1", "invalid literal"), (b"*1", "invalid literal")],
+    )
+    def test_canonical_looking_bad_cell_reported(self, tmp_path, cell, reason):
+        # '/', ')' and '*' differ from '+' or '-' in the bits that tell those two apart
+        body = b"+1 -1\n" + cell + b" -1\n"
+        assert _decode_sign_rows(body, 2) is None
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# space hypercube 2 seed 0\n" + body)
+        with pytest.raises(InputError, match=rf"bad\.txt:3: .*{reason}"):
             read_samples(path)
