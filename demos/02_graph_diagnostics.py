@@ -42,8 +42,10 @@ for radius, klass in [(1, "strictly-convex"), (1, "pseudo-spherical"), (2, "pseu
 
 # ---------------------------------------------------------------------------
 # The oracle cross-checks the verdicts by brute force. A coincidence check
-# samples well-separated pairs and reports the smallest divergence seen; the
-# registered counterexample is evaluated too.
+# samples well-separated pairs and reports the smallest divergence seen.
+# Where the verdict is "not guaranteed" it also evaluates the witness the
+# graph forces: p against p rescaled on alternate components (here the two
+# parity classes), which every local divergence reads as the same.
 
 for radius in (1, 2):
     fam = ls.pseudo_spherical(ls.hamming_graph(2, radius), 1.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, LocalScoresError
+from .errors import InputError, LocalScoresError, open_text
 from .estimation import (
     FitConfig,
     classify_batch,
@@ -290,7 +290,7 @@ def _load_train(cfg: ExperimentConfig, space: SampleSpace):
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Comma-separated numeric rows, last column an integer label."""
     features, labels = [], []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -312,7 +312,7 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_fit(args) -> int:
-    with open(args.config) as fh:
+    with open_text(args.config) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

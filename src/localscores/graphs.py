@@ -7,10 +7,13 @@ built: one joins points whose n-neighborhoods intersect, the other points
 whose b-neighborhoods intersect. Their connectivity, together with coverage
 of the space by the active neighborhoods, decides whether a composite local
 Bregman divergence separates distinct probabilities; `diagnose` packages that
-decision. It never builds the derived graphs: their components are those of
-the point-neighborhood incidences, found by one numpy connected-components
-routine in near-linear time. `derived_graph_n` / `derived_graph_b` build the
-edges pairwise, in quadratic time, and serve as the small-space oracle.
+decision. Every derived-graph fact comes from one table, the incidences
+between active points and the members of their neighborhoods: `diagnose`
+takes its components with one numpy connected-components routine in
+near-linear time and never builds the derived graphs, while
+`derived_graph_n` / `derived_graph_b` (and `extended_graph`, the whole-space
+n-graph) group the incidences by member and emit the pairs inside each
+group, refusing beyond `MAX_SHARED_PAIRS` pairs.
 
 Every hypercube neighborhood is one XOR system, b(y) = {y ^ m} over fixed
 distinct nonzero masks m: `HypercubeNeighborhood` and `BlockNeighborhood`
@@ -28,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError, open_text
 from .spaces import SampleSpace
 
 
@@ -76,12 +79,7 @@ class NeighborhoodGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Canonical (min, max) edge list in lexicographic order."""
-        out = []
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i < j:
-                    out.append((i, int(j)))
-        return out
+        return _upper_edges(self.adjacency, np.arange(self.space.size))
 
 
 def _edge_arrays(adjacency) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +88,14 @@ def _edge_arrays(adjacency) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.fromiter((len(a) for a in adjacency), dtype=np.int64, count=len(adjacency))
     src = np.repeat(np.arange(len(adjacency), dtype=np.int64), lengths)
     return src, np.concatenate([*adjacency, src[:0]], dtype=np.int64, casting="unsafe")
+
+
+def _upper_edges(adjacency, names: np.ndarray) -> list[tuple[int, int]]:
+    """Each edge once as (names[i], names[j]) with i < j, in row order: the
+    rows are sorted, so that order is lexicographic."""
+    src, dst = _edge_arrays(adjacency)
+    upper = src < dst
+    return list(zip(names[src[upper]].tolist(), names[dst[upper]].tolist()))
 
 
 def _validate_adjacency(adjacency, size: int) -> None:
@@ -231,22 +237,11 @@ def label_band_graph(num_labels: int, band: int) -> NeighborhoodGraph:
 
 
 def extended_graph(graph: NeighborhoodGraph) -> NeighborhoodGraph:
-    """Add an edge between every pair of distinct points sharing a neighbor.
-
-    The original edges are kept, so the result always contains the input.
-    """
-    size = graph.space.size
-    table, valid = graph._padded
-    if valid is None:
-        valid = np.ones(table.shape, dtype=bool)
-    points = np.broadcast_to(np.arange(size, dtype=np.int64)[:, None], table.shape)
-    # every edge y-z, and every pair of distinct neighbors u, v of one point z
-    pair = valid[:, :, None] & valid[:, None, :] & (table[:, :, None] != table[:, None, :])
-    src = np.concatenate([points[valid], np.broadcast_to(table[:, :, None], pair.shape)[pair]])
-    dst = np.concatenate([table[valid], np.broadcast_to(table[:, None, :], pair.shape)[pair]])
-    keys = np.unique(src * size + dst)
-    adjacency = _split_rows(keys % size, np.bincount(keys // size, minlength=size))
-    return NeighborhoodGraph(space=graph.space, adjacency=adjacency)
+    """Join distinct points y, y' whenever n(y) and n(y') meet: every edge,
+    and every pair of points sharing a neighbor. The result always contains
+    the input."""
+    derived = derived_graph_n(graph, np.arange(graph.space.size))
+    return NeighborhoodGraph(space=graph.space, adjacency=derived.adjacency)
 
 
 @dataclass(frozen=True)
@@ -264,27 +259,8 @@ class VertexGraph:
         return len(self.vertices)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for a, nbrs in enumerate(self.adjacency):
-            for b in nbrs:
-                if a < b:
-                    out.append((self.vertices[a], self.vertices[int(b)]))
-        return out
-
-
-def _sorted_intersects(a: np.ndarray, b: np.ndarray) -> bool:
-    """Two-pointer merge test: do two sorted index lists share an element?"""
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        va, vb = a[ia], b[ib]
-        if va == vb:
-            return True
-        if va < vb:
-            ia += 1
-        else:
-            ib += 1
-    return False
+        """Canonical (min, max) edge list in original point indices."""
+        return _upper_edges(self.adjacency, np.array(self.vertices, dtype=np.int64))
 
 
 def _check_subset(graph, active) -> np.ndarray:
@@ -297,32 +273,19 @@ def _check_subset(graph, active) -> np.ndarray:
     return active
 
 
-def _intersection_graph(graph, active, include_self: bool) -> VertexGraph:
-    verts = _check_subset(graph, active)
-    if include_self:
-        sets = [np.union1d(graph.adjacency[y], [y]) for y in verts]
-    else:
-        sets = [graph.adjacency[y] for y in verts]
-    adjacency: list[list[int]] = [[] for _ in verts]
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            if _sorted_intersects(sets[a], sets[b]):
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-    return VertexGraph(
-        vertices=tuple(verts.tolist()),
-        adjacency=tuple(_freeze(np.array(sorted(s), dtype=np.int64)) for s in adjacency),
-    )
-
-
-def derived_graph_n(graph: NeighborhoodGraph, active) -> VertexGraph:
+def derived_graph_n(graph, active) -> VertexGraph:
     """Graph on Y0 joining y != y' whenever n(y) and n(y') intersect."""
-    return _intersection_graph(graph, active, include_self=True)
+    return _derived_graph(graph, active, "n")
 
 
-def derived_graph_b(graph: NeighborhoodGraph, active) -> VertexGraph:
+def derived_graph_b(graph, active) -> VertexGraph:
     """Graph on Y0 joining y != y' whenever b(y) and b(y') intersect."""
-    return _intersection_graph(graph, active, include_self=False)
+    return _derived_graph(graph, active, "b")
+
+
+def _derived_graph(graph, active, mode: str) -> VertexGraph:
+    verts = _check_subset(graph, active)
+    return VertexGraph(vertices=tuple(verts.tolist()), adjacency=_shared_member_rows(graph, verts, mode))
 
 
 def _component_labels(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -368,15 +331,18 @@ def is_connected(graph) -> bool:
     return not np.any(_labels(graph))
 
 
-def _neighborhood_rows(graph, verts: np.ndarray, mode: str):
-    """n(y) (mode 'n') or b(y) (mode 'b') of each active point as a padded
-    table and the mask of its real entries."""
+def _incidences(graph, verts: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (k, z) with z in n(verts[k]) (mode 'n') or b(verts[k])
+    (mode 'b'), as an array of positions k and an array of members z."""
     table, valid = neighbor_rows(graph, verts)
+    owner = np.broadcast_to(np.arange(len(verts))[:, None], table.shape)
+    if valid is not None:
+        table, owner = table[valid], owner[valid]
+    owner, member = owner.ravel(), table.ravel()
     if mode == "n":
-        # padding repeats the row's own point, which n(y) holds
-        rows = np.concatenate([table, verts[:, None]], axis=1)
-        return rows, np.ones(rows.shape, dtype=bool)
-    return table, np.ones(table.shape, dtype=bool) if valid is None else valid
+        owner = np.concatenate([owner, np.arange(len(verts))])
+        member = np.concatenate([member, verts])
+    return owner, member
 
 
 def covers(graph, active, mode: str) -> bool:
@@ -388,23 +354,60 @@ def covers(graph, active, mode: str) -> bool:
 
 
 def _covered(graph, verts: np.ndarray, mode: str) -> bool:
-    rows, real = _neighborhood_rows(graph, verts, mode)
     hit = np.zeros(graph.space.size, dtype=bool)
-    hit[rows[real]] = True
+    hit[_incidences(graph, verts, mode)[1]] = True
     return bool(hit.all())
 
 
-def _derived_component_count(graph, verts: np.ndarray, mode: str) -> int:
-    """Components of the derived graph on the active points joining y, y'
-    whose n- (mode 'n') or b-neighborhoods (mode 'b') intersect, without
-    building it: two active points share a component exactly when the
-    bipartite incidence graph between active points (nodes size + k) and
-    the members of their neighborhoods (nodes 0..size-1) links them."""
+def _incidence_labels(graph, verts: np.ndarray, mode: str) -> np.ndarray:
+    """Component labels of the bipartite incidence graph linking each active
+    point (node size + k) to the members of its n- (mode 'n') or
+    b-neighborhood (mode 'b'), the points of the space (nodes 0..size-1).
+    Two active points share a component exactly when they do in the derived
+    graph joining y, y' whose neighborhoods intersect; a point that no
+    neighborhood reaches is a component of its own."""
     size = graph.space.size
-    rows, real = _neighborhood_rows(graph, verts, mode)
-    active_nodes = np.broadcast_to(size + np.arange(len(verts))[:, None], rows.shape)
-    labels = _component_labels(size + len(verts), active_nodes[real], rows[real])
-    return len(np.unique(labels[size:]))
+    owner, member = _incidences(graph, verts, mode)
+    return _component_labels(size + len(verts), size + owner, member)
+
+
+def _derived_component_count(graph, verts: np.ndarray, mode: str) -> int:
+    return len(np.unique(_incidence_labels(graph, verts, mode)[graph.space.size:]))
+
+
+# About 4.2M pairs; building them takes about 32 bytes a pair at the peak.
+MAX_SHARED_PAIRS = 1 << 22
+
+
+def _shared_member_rows(graph, verts: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """Adjacency rows, by position in verts, of the derived graph joining
+    active points whose neighborhoods share a member: group the incidences
+    by member and emit every pair inside each group. A member of s
+    neighborhoods makes s^2 pairs; more than MAX_SHARED_PAIRS in all raise
+    UnsupportedError before any is built."""
+    owner, member = _incidences(graph, verts, mode)
+    order = np.argsort(member)
+    owner, member = owner[order], member[order]
+    starts = np.flatnonzero(np.diff(member, prepend=-1))
+    sizes = np.diff(starts, append=len(member))
+    pairs = int(sizes @ sizes)
+    if pairs > MAX_SHARED_PAIRS:
+        raise UnsupportedError(
+            f"derived graph needs {pairs} neighborhood-member pairs, above {MAX_SHARED_PAIRS}"
+        )
+    # incidence i pairs with the reach[i] incidences of its group from
+    # first[i] on: slot sum(reach[:i]) + t reads incidence first[i] + t
+    reach = np.repeat(sizes, sizes)
+    first = np.repeat(starts, sizes)
+    at = np.arange(pairs)
+    at -= np.repeat(np.cumsum(reach) - reach - first, reach)
+    k = len(verts)
+    keys = np.repeat(owner * k, reach)
+    keys += owner[at]
+    keys.sort()
+    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], k)
+    edge = src != dst
+    return _split_rows(dst[edge], np.bincount(src[edge], minlength=k))
 
 
 @dataclass(frozen=True)
@@ -565,15 +568,16 @@ def write_edge_list(graph: NeighborhoodGraph, path) -> None:
 
 
 def read_edge_list(path) -> NeighborhoodGraph:
-    with open(path) as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw or not raw[0].startswith("space "):
+    with open_text(path) as fh:
+        raw = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    header = raw[0][1] if raw else ""
+    if not header.startswith("space "):
         raise InputError(f"{path}: missing `space <kind> <param>` header")
     try:
-        _, kind, param = raw[0].split()
+        _, kind, param = header.split()
         param = int(param)
     except ValueError as exc:
-        raise InputError(f"{path}: bad header {raw[0]!r}") from exc
+        raise InputError(f"{path}: bad header {header!r}") from exc
     if kind == "hypercube":
         space = SampleSpace.hypercube(param)
     elif kind == "labels":
@@ -583,9 +587,10 @@ def read_edge_list(path) -> NeighborhoodGraph:
     else:
         raise InputError(f"{path}: unknown space kind {kind!r}")
     edges = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"{path}:{lineno}: expected `i j`, got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    for lineno, line in raw[1:]:
+        try:
+            i, j = (int(t) for t in line.split())
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: expected `i j`, got {line!r}") from exc
+        edges.append((i, j))
     return graph_from_edges(space, edges)

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, open_text
 from .potentials import Probability, _logsumexp
 from .spaces import SampleSpace, indices_to_signs, parse_space_spec, signs_to_index
 
@@ -318,7 +318,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path) as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

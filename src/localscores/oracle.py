@@ -4,10 +4,10 @@ Every check draws randomized inputs from a seeded stream, measures the worst
 violation of the property it probes, and returns an `OracleReport` with up to
 ten witnesses. A passing coincidence check is evidence, not proof: the graph
 diagnostics carry the actual guarantee, so coincidence reports cross-reference
-them. A registry of known coincidence counterexamples (pseudo-spherical
-potentials on radius-1 hypercube neighborhoods, where the b-intersection
-graph splits into the two parity classes) is always evaluated alongside the
-random trials.
+them. Wherever `diagnose` denies the guarantee, a coincidence check also
+evaluates the counterexample the graph forces: p against p rescaled on
+alternate components of the neighborhood incidences (on radius-1 hypercubes
+under pseudo-spherical potentials, the two parity classes).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedError
-from .graphs import BlockSystem, HypercubeNeighborhood, cl_connectivity_matches_cover, diagnose
+from .graphs import PSEUDO_SPHERICAL, BlockSystem, _incidence_labels, cl_connectivity_matches_cover, diagnose
 from .potentials import LocalPotentialFamily, Probability
 from .sampling import RngStream
 from .scoring import (
@@ -80,38 +80,28 @@ def _random_probability(gen, size: int) -> Probability:
     return Probability.normalize(_random_positive(gen, size))
 
 
-def _is_radius1_hypercube(family: LocalPotentialFamily) -> bool:
-    """Is b(y) the D single flips of y at every point of an enumerable hypercube?"""
-    space = family.space
-    if space.kind != "hypercube" or not space.enumerable:
-        return False
-    points = np.arange(space.size, dtype=np.int64)
-    table, _ = family.neighbor_matrix(points)  # short rows hold y, never a flip
-    return np.array_equal(table, HypercubeNeighborhood(space.dim, 1).neighbor_matrix(points)[0])
-
-
 def registered_counterexamples(family: LocalPotentialFamily):
-    """Known (p, q, label) pairs with zero divergence despite p != q.
+    """The (p, q, label) pair with zero divergence despite p != q that the
+    graph forces: none where `diagnose` guarantees coincidence, or where the
+    space is beyond enumeration size.
 
-    Pseudo-spherical potentials on radius-1 hypercube neighborhoods admit
-    pairs whose ratios are constant on each parity class; the D=2 instance
-    uses the standard concrete numbers."""
-    if family.kind != "ps" or family.active is not None:
+    q is p scaled by e^0.6 on alternate components of the incidence graph of
+    the active neighborhoods (b(y) for pseudo-spherical potentials, n(y)
+    otherwise). Each local divergence reads f on one neighborhood, inside one
+    component, and is unchanged when f is rescaled there; a point that no
+    neighborhood reaches is read by no term."""
+    space = family.space
+    if not space.enumerable:
         return []
-    if not _is_radius1_hypercube(family):
+    mode = "b" if family.potential_class == PSEUDO_SPHERICAL else "n"
+    labels = _incidence_labels(family.graph, family.active_indices(), mode)[: space.size]
+    _, component = np.unique(labels, return_inverse=True)
+    if not component.any():
         return []
-    dim = family.space.dim
-    if dim == 2:
-        # canonical index order: (-1,-1),(+1,-1),(-1,+1),(+1,+1)
-        p = Probability(weights=np.array([0.1, 0.4, 0.4, 0.1]))
-        q = Probability(weights=np.array([0.2, 0.3, 0.3, 0.2]))
-        return [(p, q, "parity-ratio pair, D=2")]
-    size = family.space.size
-    base = np.exp(np.linspace(-1.0, 1.0, size))
-    parity = np.array([int(i).bit_count() % 2 for i in range(size)], dtype=np.float64)
+    base = np.exp(np.linspace(-1.0, 1.0, space.size))
     p = Probability.normalize(base)
-    q = Probability.normalize(base * np.exp(0.6 * parity))
-    return [(p, q, f"parity-ratio pair, D={dim}")]
+    q = Probability.normalize(base * np.exp(0.6 * (component % 2)))
+    return [(p, q, f"rescaled-{component.max() + 1}-components")]
 
 
 def check_properness(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, open_text
 from .models import BoltzmannModel
 from .potentials import Probability, _logsumexp
 from .spaces import SampleSpace, parse_space_spec, signs_matrix_to_indices
@@ -247,7 +247,7 @@ def read_samples(path) -> tuple[SampleSpace, np.ndarray, int]:
     reported as `path:lineno`. A file holding only its header has no samples.
     A hypercube body in `write_samples`' layout is decoded from its bytes
     (CRLF arrives as LF in text mode); other layouts go through `np.loadtxt`."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         header, header_lineno = "", 0
         for header_lineno, line in enumerate(iter(fh.readline, ""), start=1):
             if line.strip():

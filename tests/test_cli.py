@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from localscores import (
     exact_log_z,
     load_model,
     normalize,
+    read_edge_list,
     read_samples,
     save_model,
 )
-from localscores.cli import ingest_optdigits, inject_label_noise, main
+from localscores.cli import ingest_optdigits, inject_label_noise, main, read_feature_csv
 from localscores.errors import InputError
 from localscores.reports import format_record, parse_record
 
@@ -39,6 +41,29 @@ class TestRecords:
         parsed = parse_record(line)
         assert parsed["record"] == "eval"
         assert float(parsed["log_loss"]) == 1.25
+
+
+class TestUndecodableFiles:
+    @pytest.mark.parametrize("reader, content", [
+        (read_samples, b"# space hypercube 2 seed 0\n+1 \xff1\n"),
+        (read_edge_list, b"space labels 3\n0 \xff\n"),
+        (load_model, b'{"kind": "\xff"}'),
+        (read_feature_csv, b"1.0,2.0,0\n\xff,1\n"),
+    ])
+    def test_readers_raise_input_error_naming_the_file(self, tmp_path, reader, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        with pytest.raises(InputError, match=re.escape(f"{path}: not a text file")):
+            reader(path)
+
+    def test_eval_exits_2(self, capsys, tmp_path):
+        model_path = tmp_path / "m.json"
+        save_model(seeded_bm(2, 0), model_path)
+        samples = tmp_path / "bad.txt"
+        samples.write_bytes(b"# space hypercube 2 seed 0\n+1 \xff1\n")
+        code, _, err = run(capsys, "eval", "--model", str(model_path), "--test", str(samples))
+        assert code == 2
+        assert err.startswith(f"error: {samples}: not a text file")
 
 
 class TestGraphCommand:
@@ -412,6 +437,18 @@ class TestCheckCommand:
         )
         assert code == 0
         assert "coincidence_ps_radius1" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--all"],
+        ["coincidence_ps_radius1", "--expect-fail", "coincidence_ps_radius1"],
+    ])
+    def test_every_record_line_parses(self, capsys, argv):
+        code, out, _ = run(capsys, "check", "--trials", "30", *argv)
+        records = [parse_record(line) for line in out.splitlines()]
+        assert {r["record"] for r in records} == {"check", "check_suite"}
+        ps_radius1 = next(r for r in records if r.get("name") == "coincidence_ps_radius1")
+        assert float(ps_radius1["counterexample[rescaled-2-components]"]) <= 1e-12
+        assert ps_radius1["verdict"] == "fail"
 
 
 def write_digits_csv(path, rows):

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from collections import deque
@@ -34,7 +35,9 @@ from localscores import (
     read_edge_list,
     write_edge_list,
     UnsupportedError,
+    VertexGraph,
 )
+from localscores.graphs import MAX_SHARED_PAIRS, materialize
 
 
 def brute_force_hamming_edges(dim, radius):
@@ -67,6 +70,23 @@ def bfs_components(graph):
     return out
 
 
+def pairwise_derived_graph(graph, active, mode):
+    """Independent oracle: the derived graph on the active points from a
+    comparison of every pair of n- (mode 'n') or b-neighborhoods (mode 'b')
+    as Python sets, for any graph with `.neighbors(i)`."""
+    active = sorted(int(y) for y in active)
+    sets = [set(graph.neighbors(y).tolist()) | ({y} if mode == "n" else set()) for y in active]
+    adjacency = [
+        np.array([b for b in range(len(active)) if b != a and sets[a] & sets[b]], dtype=np.int64)
+        for a in range(len(active))
+    ]
+    return VertexGraph(vertices=tuple(active), adjacency=tuple(adjacency))
+
+
+def same_graph(a, b):
+    return a.vertices == b.vertices and all(map(np.array_equal, a.adjacency, b.adjacency))
+
+
 def oracle_diagnose(graph, active, potential_class):
     """`diagnose` from the pairwise derived graphs, breadth-first search and
     set unions."""
@@ -74,8 +94,8 @@ def oracle_diagnose(graph, active, potential_class):
     reached_b = set().union(*(graph.adjacency[y].tolist() for y in active))
     covers_n = reached_b | set(active) == set(range(graph.space.size))
     covers_b = reached_b == set(range(graph.space.size))
-    g0_connected = len(bfs_components(derived_graph_n(graph, active))) == 1
-    count = len(bfs_components(derived_graph_b(graph, active)))
+    g0_connected = len(bfs_components(pairwise_derived_graph(graph, active, "n"))) == 1
+    count = len(bfs_components(pairwise_derived_graph(graph, active, "b")))
     if potential_class == "strictly-convex":
         guaranteed = covers_n and g0_connected
     else:
@@ -247,6 +267,20 @@ class TestDerivedGraphs:
     def test_empty_active_rejected(self):
         with pytest.raises(InputError):
             derived_graph_n(hamming_graph(2, 1), [])
+
+    def test_pair_count_guarded_before_allocation(self):
+        # the hub lies in all 10^4 + 1 closed neighborhoods: about 10^8 pairs
+        leaves = 10 ** 4
+        space = SampleSpace.enumerated([f"p{i}" for i in range(leaves + 1)])
+        star = graph_from_edges(space, [(0, i) for i in range(1, leaves + 1)])
+        pairs = (leaves + 1) ** 2 + 4 * leaves
+        assert pairs > MAX_SHARED_PAIRS
+        with pytest.raises(UnsupportedError, match=f"needs {pairs} neighborhood-member pairs"):
+            derived_graph_n(star, range(leaves + 1))
+        with pytest.raises(UnsupportedError):
+            extended_graph(star)
+        # the b-graph's only shared member is the hub, reached from every leaf
+        assert derived_graph_b(star, [0, 1]).edges() == []
 
     def test_edge_rule_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -462,6 +496,21 @@ def diagnose_cases(draw):
     return graph, active
 
 
+@st.composite
+def xor_cases(draw):
+    """An implicit XOR neighborhood (a Hamming ball or a block system) at
+    D <= 5 and an active subset."""
+    dim = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        graph = HypercubeNeighborhood(dim, draw(st.integers(1, dim)))
+    else:
+        coords = st.sets(st.integers(1, dim), min_size=1)
+        graph = BlockNeighborhood(BlockSystem.of(dim, *draw(st.lists(coords, min_size=1, max_size=3))))
+    size = graph.space.size
+    active = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    return graph, active
+
+
 class TestFastRouteAgainstPairwiseOracle:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(diagnose_cases())
@@ -477,6 +526,31 @@ class TestFastRouteAgainstPairwiseOracle:
         everything = set(range(graph.space.size))
         assert covers(graph, active, "b") == (reached == everything)
         assert covers(graph, active, "n") == (reached | set(active) == everything)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(diagnose_cases())
+    def test_derived_graphs_equal_pairwise_oracle(self, case):
+        graph, active = case
+        for mode, build in (("n", derived_graph_n), ("b", derived_graph_b)):
+            derived = build(graph, active)
+            assert same_graph(derived, pairwise_derived_graph(graph, active, mode))
+            assert derived.edges() == sorted(derived.edges())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(xor_cases())
+    def test_implicit_xor_neighborhoods_equal_pairwise_oracle(self, case):
+        graph, active = case
+        for mode, build in (("n", derived_graph_n), ("b", derived_graph_b)):
+            expected = pairwise_derived_graph(graph, active, mode)
+            assert same_graph(build(graph, active), expected)
+            assert same_graph(build(materialize(graph), active), expected)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(diagnose_cases())
+    def test_extended_graph_is_the_whole_space_n_graph(self, case):
+        graph, _ = case
+        everything = range(graph.space.size)
+        assert extended_graph(graph).edges() == pairwise_derived_graph(graph, everything, "n").edges()
 
 
 class TestAdjacencyValidation:
@@ -533,8 +607,18 @@ class TestEdgeListIO:
         with pytest.raises(InputError):
             read_edge_list(path)
 
-    def test_malformed_line(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("space labels 3\n0 1 2\n", ":2: expected `i j`, got '0 1 2'"),
+        ("space labels 3\n\n0 1\n0 x\n", ":4: expected `i j`, got '0 x'"),
+    ])
+    def test_malformed_line(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text("space labels 3\n0 1 2\n")
-        with pytest.raises(InputError, match=":2"):
+        path.write_text(text)
+        with pytest.raises(InputError, match=re.escape(f"{path}{message}")):
             read_edge_list(path)
+
+    def test_file_bytes_match_the_enumerated_edges(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        write_edge_list(hamming_graph(4, 2), path)
+        lines = [f"{i} {j}" for i, j in sorted(brute_force_hamming_edges(4, 2))]
+        assert path.read_bytes() == ("\n".join(["space hypercube 4", *lines]) + "\n").encode()

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localscores import (
     BlockNeighborhood,
@@ -15,9 +18,13 @@ from localscores import (
     check_divergence_identity,
     check_properness,
     check_score_paths,
+    SampleSpace,
     composite_likelihood,
+    density_power,
+    diagnose,
     divergence,
     expected_score,
+    graph_from_edges,
     hamming_graph,
     label_band_graph,
     pseudo_likelihood,
@@ -124,9 +131,10 @@ class TestCounterexampleRegistry:
         fam = pseudo_spherical(hamming_graph(2, 1), 1.0)
         entries = registered_counterexamples(fam)
         assert len(entries) == 1
-        p, q, _ = entries[0]
-        assert np.max(np.abs(p.weights - q.weights)) == pytest.approx(0.1)
+        p, q, label = entries[0]
+        assert label == "rescaled-2-components"
         assert divergence(fam, p.log(), q.log()) <= 1e-12
+        assert np.max(np.abs(p.weights - q.weights)) >= 0.01
 
     def test_registry_matches_implicit_neighborhoods(self):
         fam = pseudo_spherical(HypercubeNeighborhood(3, 1), 1.0)
@@ -154,6 +162,48 @@ class TestCounterexampleRegistry:
         # never built there
         fam = pseudo_spherical(HypercubeNeighborhood(17, 1), 1.0)
         assert registered_counterexamples(fam) == []
+
+
+@st.composite
+def witness_cases(draw):
+    """A family on at most 16 points: pl, rm, ps:1, dp:0.5 or mcl on a ragged
+    edge-list graph, a Hamming graph at radius 1-2 or a label band, with an
+    active subset whose points all have neighbors."""
+    kind = draw(st.sampled_from(["edges", "hamming", "band"]))
+    if kind == "edges":
+        size = draw(st.integers(2, 10))
+        space = SampleSpace.enumerated([f"p{i}" for i in range(size)])
+        pairs = list(itertools.combinations(range(size), 2))
+        graph = graph_from_edges(space, draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2 * size)))
+    elif kind == "hamming":
+        dim = draw(st.integers(2, 4))
+        graph = hamming_graph(dim, draw(st.integers(1, 2)))
+    else:
+        labels = draw(st.integers(3, 8))
+        graph = label_band_graph(labels, draw(st.integers(1, 2)))
+    candidates = [y for y in range(graph.space.size) if graph.degree(y) > 0]
+    active = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    if draw(st.booleans()) and len(candidates) == graph.space.size:
+        active = None
+    build = draw(st.sampled_from([
+        pseudo_likelihood, ratio_matching, composite_likelihood,
+        lambda g, active: pseudo_spherical(g, 1.0, active=active),
+        lambda g, active: density_power(g, 0.5, active=active),
+    ]))
+    return build(graph, active=active)
+
+
+class TestWitnessForEveryNegativeVerdict:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(witness_cases())
+    def test_witness_exactly_when_not_guaranteed(self, fam):
+        diag = diagnose(fam.graph, fam.active_indices(), fam.potential_class)
+        entries = registered_counterexamples(fam)
+        assert len(entries) == (0 if diag.guaranteed else 1)
+        for p, q, label in entries:
+            assert divergence(fam, p.log(), q.log()) <= 1e-12
+            assert np.max(np.abs(p.weights - q.weights)) >= 0.01
+            assert not any(ch.isspace() for ch in label)
 
 
 class TestScorePaths:
