@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, LocalScoresError, open_text
+from .errors import InputError, LocalScoresError, checked_count, checked_real, open_text
 from .estimation import (
     FitConfig,
     classify_batch,
@@ -213,11 +214,9 @@ class ExperimentConfig:
         if cfg.model == "boltzmann" and not cfg.space.startswith("hypercube"):
             raise InputError("Boltzmann models live on hypercube spaces")
         for key in ("radius", "n_train", "n_test"):
-            value = getattr(cfg, key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-                raise InputError(f"`{key}` must be a positive integer, got {value!r}")
-        if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):
-            raise InputError(f"`seed` must be an integer, got {cfg.seed!r}")
+            if getattr(cfg, key) is not None:
+                checked_count(f"`{key}`", getattr(cfg, key))
+        checked_count("`seed`", cfg.seed, 0)
         return cfg
 
     def fit_config(self) -> FitConfig:
@@ -235,11 +234,8 @@ def _check_synthetic_source(src: dict) -> None:
         raise InputError(f"unknown synthetic-data keys: {sorted(unknown)}")
     if not isinstance(src.get("model"), str):
         raise InputError(f"`train.model` must be a model file path, got {src.get('model')!r}")
-    n, stream = src.get("n"), src.get("stream", 0)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InputError(f"`train.n` must be a positive integer, got {n!r}")
-    if isinstance(stream, bool) or not isinstance(stream, int):
-        raise InputError(f"`train.stream` must be an integer, got {stream!r}")
+    checked_count("`train.n`", src.get("n"))
+    checked_count("`train.stream`", src.get("stream", 0), 0)
     if src.get("sampler", "exact") not in ("exact", "gibbs"):
         raise InputError(f"unknown sampler {src['sampler']!r}")
 
@@ -297,6 +293,8 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             try:
                 cells = [float(t) for t in line.split(",")]
+                if not all(map(math.isfinite, cells)):
+                    raise ValueError("cells must be finite")
                 label = int(cells[-1])
                 if cells[-1] != label:
                     raise ValueError("label column must be an integer")
@@ -477,7 +475,7 @@ def ingest_optdigits(path, feature_indices, binarize: bool):
 
 def inject_label_noise(labels, rate: float, rng: RngStream, num_labels: int = 10) -> np.ndarray:
     """Resample exactly floor(rate*n) labels uniformly over 0..num_labels-1."""
-    if not 0 <= rate <= 1:
+    if checked_real("noise rate", rate) > 1:
         raise InputError("noise rate must lie in [0,1]")
     labels = np.asarray(labels, dtype=np.int64).copy()
     n_noisy = int(rate * len(labels))
@@ -490,7 +488,7 @@ def inject_label_noise(labels, rate: float, rng: RngStream, num_labels: int = 10
 def cmd_ingest(args) -> int:
     indices = [int(t) for t in args.features.split(",")] if args.features else list(range(64))
     feats, labels = ingest_optdigits(args.input, indices, args.binarize)
-    if args.noise > 0:
+    if args.noise:  # a negative or nan rate is refused, not skipped
         labels = inject_label_noise(labels, args.noise, RngStream(args.seed))
     with open(args.out, "w") as fh:
         for row, label in zip(feats, labels):
@@ -532,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--logz", choices=("exact", "ais"), default="exact")
-    p.add_argument("--ais-temperatures", type=int, default=1000)
-    p.add_argument("--ais-chains", type=int, default=100)
+    p.add_argument("--ais-temperatures", type=int, default=AisConfig.num_temperatures)
+    p.add_argument("--ais-chains", type=int, default=AisConfig.num_chains)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -1,6 +1,8 @@
 """Semantic exception hierarchy used across the package."""
 
+import math
 from contextlib import contextmanager
+from numbers import Integral, Real
 
 
 class LocalScoresError(Exception):
@@ -31,3 +33,19 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not a text file: {exc}") from exc
+
+
+def checked_count(name: str, value, least: int = 1):
+    """`value` if it is an integer (not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def checked_real(name: str, value, positive: bool = False):
+    """`value` if it is a finite real (not a bool) >= 0, or > 0 when
+    `positive`."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf
+            or (positive and value == 0)):
+        raise InputError(f"{name} must be a finite real {'>' if positive else '>='} 0, got {value!r}")
+    return value

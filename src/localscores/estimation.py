@@ -43,46 +43,31 @@ block holding every other label, so conditional MLE is that kernel too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, checked_count, checked_real
 from .graphs import label_band_graph
 from .models import ConditionalModel
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec, _logsumexp, _masked
 from .reports import format_record
 
 STEP_FLOOR = 1e-20
+INITIAL_STEP = 1.0  # the first line search's first trial step
+ARMIJO_C = 1e-4  # the fraction of the linear decrease a step must achieve
+BACKTRACK_FACTOR = 0.5  # the step's shrink after each rejected trial
 
 
 @dataclass(frozen=True)
 class FitConfig:
     max_iterations: int = 10000
     gradient_tolerance: float = 1e-6  # infinity norm
-    initial_step: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     l2_penalty: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
-            raise InputError("max_iterations must be an integer")
-        for name in ("gradient_tolerance", "initial_step", "armijo_c", "backtrack_factor",
-                     "l2_penalty"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise InputError(f"{name} must be a real number, got {value!r}")
-        if self.max_iterations < 1:
-            raise InputError("max_iterations must be positive")
-        if not np.all(np.isfinite([self.gradient_tolerance, self.initial_step, self.l2_penalty])):
-            raise InputError("tolerance, initial step and l2_penalty must be finite")
-        if self.gradient_tolerance <= 0 or self.initial_step <= 0:
-            raise InputError("tolerance and initial step must be positive")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
-            raise InputError("armijo_c and backtrack_factor must lie in (0,1)")
-        if self.l2_penalty < 0:
-            raise InputError("l2_penalty must be nonnegative")
+        checked_count("max_iterations", self.max_iterations)
+        checked_real("gradient_tolerance", self.gradient_tolerance, positive=True)
+        checked_real("l2_penalty", self.l2_penalty)
 
 
 @dataclass(frozen=True)
@@ -528,7 +513,7 @@ def _minimize(objective, config: FitConfig) -> FitResult:
     gx = finish()
     gradients = 1
     trace = [(fx, float(np.max(np.abs(gx))) if gx.size else 0.0)]
-    step = config.initial_step
+    step = INITIAL_STEP
     iterations = 0
     converged = trace[0][1] <= config.gradient_tolerance
     while not converged and iterations < config.max_iterations:
@@ -542,10 +527,10 @@ def _minimize(objective, config: FitConfig) -> FitResult:
                 xt = x + t * direction
             ft, finish = objective.evaluate(xt)
             evaluations += 1
-            if np.isfinite(ft) and ft <= fx + config.armijo_c * t * slope:
+            if np.isfinite(ft) and ft <= fx + ARMIJO_C * t * slope:
                 break
             finish = None
-            t *= config.backtrack_factor
+            t *= BACKTRACK_FACTOR
             if t < STEP_FLOOR:
                 if not np.isfinite(ft):
                     # non-finite persists at vanishing steps: genuinely broken

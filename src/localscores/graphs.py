@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError, open_text
+from .errors import InputError, UnsupportedError, checked_count, open_text
 from .spaces import SampleSpace
 
 
@@ -197,7 +197,7 @@ class HypercubeNeighborhood(_XorNeighborhood):
     """Hamming-ball adjacency on {-1,+1}^D: distance 1..radius."""
 
     def __init__(self, dim: int, radius: int):
-        if not 1 <= radius <= dim:
+        if checked_count("radius", radius) > dim:
             raise InputError(f"radius must be in 1..{dim}, got {radius}")
         super().__init__(dim, masks_up_to_weight(dim, radius))
         self.radius = radius
@@ -227,9 +227,9 @@ def hamming_graph(dim: int, radius: int) -> NeighborhoodGraph:
 
 def label_band_graph(num_labels: int, band: int) -> NeighborhoodGraph:
     """Graph on labels 0..L-1 joining y,z iff 1 <= |y-z| <= band."""
-    if not 1 <= band < num_labels:
-        raise InputError(f"band must be in 1..{num_labels - 1}, got {band}")
     space = SampleSpace.label_range(num_labels)
+    if checked_count("band", band) >= num_labels:
+        raise InputError(f"band must be in 1..{num_labels - 1}, got {band}")
     offsets = np.concatenate([np.arange(-band, 0), np.arange(1, band + 1)])
     table = np.arange(num_labels, dtype=np.int64)[:, None] + offsets
     valid = (table >= 0) & (table < num_labels)
@@ -422,8 +422,7 @@ class BlockSystem:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError("block system needs a positive dimension")
+        checked_count("block system dimension", self.dim)
         if not self.blocks:
             raise InputError("block system needs at least one block")
         for block in self.blocks:

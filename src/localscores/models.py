@@ -323,4 +323,7 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not a model file: {exc}") from exc
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:  # a missing or ill-typed field
+        raise InputError(f"{path}: not a model file: {exc!r}") from exc

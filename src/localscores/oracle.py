@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
-from .graphs import PSEUDO_SPHERICAL, BlockSystem, _incidence_labels, cl_connectivity_matches_cover, diagnose
-from .potentials import LocalPotentialFamily, Probability
+from .errors import InputError, UnsupportedError, checked_count
+from .graphs import (PSEUDO_SPHERICAL, BlockSystem, _incidence_labels, cl_connectivity_matches_cover,
+                     diagnose, hamming_graph, label_band_graph)
+from .potentials import (LocalPotentialFamily, Probability, composite_likelihood, density_power,
+                         pseudo_likelihood, pseudo_spherical, ratio_matching)
 from .sampling import RngStream
 from .scoring import (
     composite_potential,
@@ -109,6 +111,7 @@ def check_properness(
 ) -> OracleReport:
     """Worst value of S(p,p) - S(p,q) over random pairs; positive means the
     truth failed to minimize the expected score."""
+    checked_count("trials", trials)
     space = family.space
     if space.size > 16:
         raise InputError("properness checks enumerate pairs; need |Y| <= 16")
@@ -134,6 +137,7 @@ def check_coincidence(
     """Minimum divergence over clearly separated random pairs, plus every
     registered counterexample; a minimum at numerical zero means the
     divergence cannot tell the two distributions apart."""
+    checked_count("trials", trials)
     space = family.space
     if space.size > 16:
         raise InputError("coincidence checks enumerate pairs; need |Y| <= 16")
@@ -180,6 +184,7 @@ def check_score_paths(
     score kernel (its whole-space vector, compiled once per family), the
     generic gradient path, the closed form (when the kind has one), and a
     central finite difference of the composite potential on the log scale."""
+    checked_count("trials", trials)
     space = family.space
     if space.size > 256:
         raise InputError("score path checks enumerate the space; need |Y| <= 256")
@@ -221,6 +226,7 @@ def check_block_cover_connectivity(
 ) -> OracleReport:
     """Random block systems: derived-graph connectivity over the whole cube
     must hold exactly when the blocks cover every coordinate."""
+    checked_count("trials", trials)
     if dim_max > 4:
         raise InputError("block systems are enumerated exhaustively; need D <= 4")
     gen = rng.generator()
@@ -249,6 +255,7 @@ def check_divergence_identity(
     """divergence(f,g), the batched local-Bregman route, must equal
     f . state_scores(g) + potential(f), the score kernel's route; the
     index-swap identity over random arrays must hold to the digit."""
+    checked_count("trials", trials)
     space = family.space
     if space.size > 16:
         raise InputError("divergence identity checks need |Y| <= 16")
@@ -289,55 +296,39 @@ def check_divergence_identity(
 def standard_check_registry():
     """Named check builders: name -> callable(trials, rng) -> OracleReport.
 
-    The names marked in `DEMONSTRATION_CHECKS` reproduce known failures (the
-    radius-1 pseudo-spherical coincidence gap) and are excluded from the
-    default run."""
-    from .graphs import hamming_graph, label_band_graph
-    from .potentials import (
-        composite_likelihood,
-        density_power,
-        pseudo_likelihood,
-        pseudo_spherical,
-        ratio_matching,
-    )
+    A name is the check's name without `check_`, then its family's key. A
+    `trials` of 0 or None runs the check's own default count. The names
+    marked in `DEMONSTRATION_CHECKS` reproduce known failures (the radius-1
+    pseudo-spherical coincidence gap) and are excluded from the default run."""
+    families = {
+        "pl": lambda: pseudo_likelihood(hamming_graph(3, 1)),
+        "rm": lambda: ratio_matching(hamming_graph(3, 1)),
+        "dp": lambda: density_power(hamming_graph(3, 1), 1.0),
+        "ps": lambda: pseudo_spherical(hamming_graph(3, 1), 1.0),
+        "cl": lambda: composite_likelihood(BlockSystem.of(3, {1}, {2}, {3})),
+        "mcl": lambda: composite_likelihood(label_band_graph(6, 2)),
+        "ps_radius2": lambda: pseudo_spherical(hamming_graph(2, 2), 1.0),
+        "ps_radius1": lambda: pseudo_spherical(hamming_graph(2, 1), 1.0),
+    }
+    table = {
+        check_properness: "pl rm dp ps cl mcl",
+        check_coincidence: "pl rm ps_radius2 ps_radius1",
+        check_score_paths: "pl rm dp ps mcl",
+        check_divergence_identity: "pl ps cl",
+    }
 
-    cube3r1 = lambda: hamming_graph(3, 1)
-    cube2r1 = lambda: hamming_graph(2, 1)
-    cube2r2 = lambda: hamming_graph(2, 2)
-    band = lambda: label_band_graph(6, 2)
-    blocks = lambda: BlockSystem.of(3, {1}, {2}, {3})
+    def bound(check, build=None):
+        def run(trials, rng):
+            family = () if build is None else (build(),)
+            return check(*family, rng=rng, **({"trials": trials} if trials else {}))
+        return run
 
     registry = {
-        "properness_pl": lambda t, r: check_properness(pseudo_likelihood(cube3r1()), t or 1000, r),
-        "properness_rm": lambda t, r: check_properness(ratio_matching(cube3r1()), t or 1000, r),
-        "properness_dp": lambda t, r: check_properness(density_power(cube3r1(), 1.0), t or 1000, r),
-        "properness_ps": lambda t, r: check_properness(pseudo_spherical(cube3r1(), 1.0), t or 1000, r),
-        "properness_cl": lambda t, r: check_properness(composite_likelihood(blocks()), t or 1000, r),
-        "properness_mcl": lambda t, r: check_properness(composite_likelihood(band()), t or 1000, r),
-        "coincidence_pl": lambda t, r: check_coincidence(pseudo_likelihood(cube3r1()), t or 1000, r),
-        "coincidence_rm": lambda t, r: check_coincidence(ratio_matching(cube3r1()), t or 1000, r),
-        "coincidence_ps_radius2": lambda t, r: check_coincidence(
-            pseudo_spherical(cube2r2(), 1.0), t or 1000, r
-        ),
-        "coincidence_ps_radius1": lambda t, r: check_coincidence(
-            pseudo_spherical(cube2r1(), 1.0), t or 1000, r
-        ),
-        "score_paths_pl": lambda t, r: check_score_paths(pseudo_likelihood(cube3r1()), t or 50, r),
-        "score_paths_rm": lambda t, r: check_score_paths(ratio_matching(cube3r1()), t or 50, r),
-        "score_paths_dp": lambda t, r: check_score_paths(density_power(cube3r1(), 1.0), t or 50, r),
-        "score_paths_ps": lambda t, r: check_score_paths(pseudo_spherical(cube3r1(), 1.0), t or 50, r),
-        "score_paths_mcl": lambda t, r: check_score_paths(composite_likelihood(band()), t or 50, r),
-        "block_cover_connectivity": lambda t, r: check_block_cover_connectivity(4, t or 200, r),
-        "divergence_identity_pl": lambda t, r: check_divergence_identity(
-            pseudo_likelihood(cube3r1()), t or 50, r
-        ),
-        "divergence_identity_ps": lambda t, r: check_divergence_identity(
-            pseudo_spherical(cube3r1(), 1.0), t or 50, r
-        ),
-        "divergence_identity_cl": lambda t, r: check_divergence_identity(
-            composite_likelihood(blocks()), t or 50, r
-        ),
+        f"{check.__name__.removeprefix('check_')}_{key}": bound(check, families[key])
+        for check, keys in table.items()
+        for key in keys.split()
     }
+    registry["block_cover_connectivity"] = bound(check_block_cover_connectivity)
     return registry
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, checked_real
 from .graphs import (
     BlockNeighborhood,
     BlockSystem,
@@ -303,8 +303,7 @@ class LocalPotentialFamily:
         if kind not in ALL_KINDS:
             raise InputError(f"unknown potential kind {kind!r}")
         if kind in ("dp", "ps"):
-            if gamma is None or gamma <= 0:
-                raise InputError(f"kind {kind!r} needs gamma > 0")
+            checked_real(f"the gamma of kind {kind!r}", gamma, positive=True)
         elif gamma is not None:
             raise InputError(f"kind {kind!r} takes no gamma")
         if kind == "custom":
@@ -608,9 +607,7 @@ def parse_score_spec(text: str) -> ScoreSpec:
             gamma = float(rest)
         except ValueError as exc:
             raise InputError(f"bad gamma in score spec {text!r}") from exc
-        if gamma <= 0:
-            raise InputError(f"gamma must be positive in {text!r}")
-        return ScoreSpec(kind=head, gamma=gamma)
+        return ScoreSpec(kind=head, gamma=checked_real(f"the gamma in {text!r}", gamma, positive=True))
     if head in ("cl", "mcl"):
         return ScoreSpec(kind=head, blocks_text=rest if sep else None)
     raise InputError(f"unknown score kind {text!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, open_text
+from .errors import InputError, checked_count, open_text
 from .models import BoltzmannModel
 from .potentials import Probability, _logsumexp
 from .spaces import SampleSpace, parse_space_spec, signs_matrix_to_indices
@@ -24,6 +24,10 @@ from .spaces import SampleSpace, parse_space_spec, signs_matrix_to_indices
 class RngStream:
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        checked_count("seed", self.seed, 0)
+        checked_count("stream", self.stream_id, 0)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -40,19 +44,14 @@ class AisConfig:
     sweeps_per_temperature: int = 1
 
     def __post_init__(self):
-        _require_count("AIS temperature count", self.num_temperatures, 2)
-        _require_count("AIS chain count", self.num_chains, 1)
-        _require_count("AIS sweeps per temperature", self.sweeps_per_temperature, 1)
-
-
-def _require_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+        checked_count("AIS temperature count", self.num_temperatures, 2)
+        checked_count("AIS chain count", self.num_chains)
+        checked_count("AIS sweeps per temperature", self.sweeps_per_temperature)
 
 
 def exact_sample(p: Probability, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. state indices drawn by inverse CDF over the enumerated space."""
-    _require_count("sample count", n, 1)
+    checked_count("sample count", n)
     cdf = np.cumsum(p.weights)
     u = rng.generator().random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
@@ -110,9 +109,9 @@ def gibbs_sample(
     dim = model.dim
     if burn_in is None:
         burn_in = 100 * dim
-    _require_count("sample count", n, 1)
-    _require_count("thinning", thinning, 1)
-    _require_count("burn-in", burn_in, 0)
+    checked_count("sample count", n)
+    checked_count("thinning", thinning)
+    checked_count("burn-in", burn_in, 0)
     tables = _byte_tables(model.matrix)
     gen = rng.generator()
     idx = sum(bit << j for j, bit in enumerate(gen.integers(0, 2, size=(1, dim))[0].tolist()))
@@ -188,7 +187,9 @@ def ais_log_z(
 
 
 def write_samples(path, space: SampleSpace, indices, seed: int) -> None:
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    """Write the indices under the space's header; indices that are not
+    integral points of the space are refused before the file is opened."""
+    idx = space.checked_indices(indices) if np.size(indices) else np.empty(0, dtype=np.int64)
     param = space.dim if space.kind == "hypercube" else space.size
     header = f"# space {space.kind} {param} seed {seed}\n".encode()
     if space.kind == "hypercube":

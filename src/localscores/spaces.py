@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, checked_count
 
 # Hypercube indices live in int64; the top bit is kept free.
 MAX_HYPERCUBE_DIM = 62
@@ -37,12 +37,9 @@ class SampleSpace:
     point_ids: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.size < 2:
-            raise InputError(f"sample space needs at least 2 points, got {self.size}")
+        checked_count("sample space size", self.size, 2)
         if self.kind == "hypercube":
-            if self.dim is None or self.dim < 1:
-                raise InputError("hypercube space needs a positive dimension")
-            if self.dim > MAX_HYPERCUBE_DIM:
+            if checked_count("hypercube dimension", self.dim) > MAX_HYPERCUBE_DIM:
                 raise InputError(f"hypercube dimension {self.dim} exceeds {MAX_HYPERCUBE_DIM}")
             if self.size != 2 ** self.dim:
                 raise InputError("hypercube size must be 2**dim")
@@ -64,14 +61,11 @@ class SampleSpace:
 
     @staticmethod
     def hypercube(dim: int) -> "SampleSpace":
-        if dim < 1:
-            raise InputError("hypercube dimension must be positive")
+        checked_count("hypercube dimension", dim)
         return SampleSpace(kind="hypercube", size=2 ** dim, dim=dim)
 
     @staticmethod
     def label_range(num_labels: int) -> "SampleSpace":
-        if num_labels < 2:
-            raise InputError("label range needs at least 2 labels")
         return SampleSpace(kind="labels", size=num_labels)
 
     @property

@@ -616,3 +616,89 @@ class TestSeedEnvironment:
             "--out", str(tmp_path / "x.txt"),
         )
         assert code == 2
+
+
+class TestExitCodeContract:
+    """Exit 1 is reserved for failed checks: a refused setting or input
+    exits 2 with one `error:` line, never with a traceback."""
+
+    @staticmethod
+    def write_inputs(tmp_path):
+        from localscores import SampleSpace, write_samples
+
+        save_model(seeded_bm(3, 6, scale=0.5), tmp_path / "bm.json")
+        save_model(ConditionalModel.zeros(2, 2), tmp_path / "cond.json")
+        (tmp_path / "bad.json").write_text('{"kind": "boltzmann", "D": 3}')
+        (tmp_path / "nan.csv").write_text("1.0,2.0,1\n1.0,nan,0\n")
+        write_samples(tmp_path / "test.txt", SampleSpace.hypercube(3), [0, 1, 2], seed=0)
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "score": "pl", "space": "hypercube:3", "model": "boltzmann",
+            "train": {"model": str(tmp_path / "bm.json"), "n": 50}, "fit": {"max_iterations": 3},
+        }))
+
+    @pytest.mark.parametrize("argv, env_seed", [
+        ("sample --model {d}/bm.json --n 5 --out {d}/s.txt --seed -1", None),
+        ("sample --model {d}/bm.json --n 5 --out {d}/s.txt --stream -1", None),
+        ("sample --model {d}/bm.json --n 5 --out {d}/s.txt", "-1"),
+        ("check properness_pl", "-1"),
+        ("check --trials -1", None),
+        ("eval --model {d}/bm.json --test {d}/test.txt --logz ais --seed -1", None),
+        ("fit --config {d}/cfg.json --set seed=-1", None),
+        ("fit --config {d}/cfg.json", "-1"),
+        ('fit --config {d}/cfg.json --set train={"model":"{d}/bm.json","n":5,"stream":-1}', None),
+        ("fit --config {d}/cfg.json --set score=dp:nan", None),
+        ('fit --config {d}/cfg.json --set fit={"armijo_c":0.1}', None),
+        ("eval --model {d}/bad.json --test {d}/test.txt", None),
+        ("classify --model {d}/cond.json --data {d}/nan.csv", None),
+    ])
+    def test_refusals_exit_2(self, capsys, tmp_path, monkeypatch, argv, env_seed):
+        self.write_inputs(tmp_path)
+        if env_seed is not None:
+            monkeypatch.setenv("LOCALSCORES_SEED", env_seed)
+        code, _, err = run(capsys, *argv.replace("{d}", str(tmp_path)).split())
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["eval", "classify", "fit"])
+    def test_refused_at_their_line(self, capsys, tmp_path, command, cell):
+        # a nan feature used to give log_loss=nan, or labels and an error rate, with exit 0
+        data = tmp_path / "x.csv"
+        data.write_text(f"1.0,2.0,1\n0.5,{cell},0\n")
+        model_path = tmp_path / "cond.json"
+        save_model(ConditionalModel.zeros(2, 2), model_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "score": "mcl", "space": "labels:2", "model": "conditional", "train": str(data),
+        }))
+        argv = {
+            "eval": ["eval", "--model", str(model_path), "--test", str(data)],
+            "classify": ["classify", "--model", str(model_path), "--data", str(data), "--labeled"],
+            "fit": ["fit", "--config", str(cfg_path)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"{data}:2: malformed row" in err
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize("content", [
+        '{"kind": "boltzmann", "D": 3}',
+        "[1, 2]",
+        '{"kind": "boltzmann", "D": "x", "upper": [0, 0, 0]}',
+        '{"kind": "tabular", "space": "labels:4", "eta": "abcd"}',
+    ], ids=["no-upper", "a-list", "D-not-a-number", "eta-a-string"])
+    def test_eval_exits_2_naming_the_file(self, capsys, tmp_path, content):
+        from localscores import SampleSpace, write_samples
+
+        model_path = tmp_path / "m.json"
+        model_path.write_text(content)
+        test = tmp_path / "test.txt"
+        write_samples(test, SampleSpace.hypercube(3), [0, 1], seed=0)
+        with pytest.raises(InputError, match=re.escape(str(model_path))):
+            load_model(model_path)
+        code, _, err = run(capsys, "eval", "--model", str(model_path), "--test", str(test))
+        assert code == 2
+        assert err.startswith(f"error: {model_path}: ")

@@ -87,24 +87,19 @@ class TestFitConfig:
         cfg = FitConfig()
         assert cfg.max_iterations == 10000
         assert cfg.gradient_tolerance == 1e-6
-        assert cfg.initial_step == 1.0
-        assert cfg.armijo_c == 1e-4
-        assert cfg.backtrack_factor == 0.5
         assert cfg.l2_penalty == 0.0
 
     def test_validation(self):
         with pytest.raises(InputError):
             FitConfig(max_iterations=0)
         with pytest.raises(InputError):
-            FitConfig(armijo_c=1.5)
-        with pytest.raises(InputError):
             FitConfig(l2_penalty=-1.0)
 
     @pytest.mark.parametrize("bad", [
         {"gradient_tolerance": math.nan},
         {"gradient_tolerance": math.inf},
-        {"initial_step": math.nan},
-        {"initial_step": math.inf},
+        {"gradient_tolerance": 0.0},
+        {"l2_penalty": True},
         {"l2_penalty": math.nan},
         {"l2_penalty": math.inf},
         {"max_iterations": 2.5},
@@ -593,8 +588,9 @@ class TestScaleGauge:
         model = seeded_boltzmann(3, 9, scale=0.6)
         samples = exact_sample(normalize(model), 1000, RngStream(9))
         fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
+        # a second start takes GD down another path to the same minimizer
         a = fit(fam, BoltzmannModel.zeros(3), samples)
-        b = fit(fam, BoltzmannModel.zeros(3), samples, FitConfig(initial_step=0.25))
+        b = fit(fam, BoltzmannModel(3, [0.3, -0.2, 0.1]), samples)
         assert np.allclose(a.parameters.upper, b.parameters.upper, atol=1e-5)
 
 

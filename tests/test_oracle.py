@@ -311,6 +311,35 @@ class TestRegistry:
             report = registry[name](60, rng.stream(i))
             assert report.verdict == "pass", (name, report)
 
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("check, args", [
+        (check_properness, (pseudo_likelihood(hamming_graph(2, 1)),)),
+        (check_coincidence, (pseudo_likelihood(hamming_graph(2, 1)),)),
+        (check_score_paths, (pseudo_likelihood(hamming_graph(2, 1)),)),
+        (check_divergence_identity, (pseudo_likelihood(hamming_graph(2, 1)),)),
+        (check_block_cover_connectivity, (4,)),
+    ], ids=["properness", "coincidence", "score_paths", "divergence_identity", "block_cover"])
+    def test_trials_must_be_a_positive_count(self, check, args, trials):
+        with pytest.raises(InputError, match="trials must be an integer >= 1"):
+            check(*args, trials=trials)
+
+    @pytest.mark.parametrize("name, default", [("score_paths_pl", 50), ("block_cover_connectivity", 200)])
+    def test_no_trial_count_runs_the_checks_default(self, name, default):
+        registry = standard_check_registry()
+        reports = [registry[name](trials, RngStream(4)) for trials in (None, 0, default)]
+        assert reports[0].trials == default
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_check_names_are_the_commands_names(self):
+        # `check` takes these names on its command line
+        assert sorted(standard_check_registry()) == sorted(
+            [f"properness_{k}" for k in ("pl", "rm", "dp", "ps", "cl", "mcl")]
+            + [f"coincidence_{k}" for k in ("pl", "rm", "ps_radius2", "ps_radius1")]
+            + [f"score_paths_{k}" for k in ("pl", "rm", "dp", "ps", "mcl")]
+            + [f"divergence_identity_{k}" for k in ("pl", "ps", "cl")]
+            + ["block_cover_connectivity"]
+        )
+
     def test_demonstration_check_fails_as_documented(self):
         registry = standard_check_registry()
         report = registry["coincidence_ps_radius1"](60, RngStream(1))

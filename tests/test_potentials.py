@@ -145,6 +145,18 @@ class TestFamilyConstruction:
         with pytest.raises(InputError):
             LocalPotentialFamily("dp", hamming_graph(2, 1))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, True, 0.0, -1.0])
+    @pytest.mark.parametrize("build", [
+        lambda g, gamma: density_power(g, gamma),
+        lambda g, gamma: pseudo_spherical(g, gamma),
+        lambda g, gamma: LocalPotentialFamily("dp", g, gamma=gamma),
+        lambda g, gamma: LocalPotentialFamily("ps", g, gamma=gamma),
+    ], ids=["density_power", "pseudo_spherical", "family_dp", "family_ps"])
+    def test_gamma_must_be_finite_and_positive(self, build, gamma):
+        # a nan gamma used to build a family whose scores were all nan
+        with pytest.raises(InputError, match="gamma"):
+            build(hamming_graph(2, 1), gamma)
+
     def test_gamma_forbidden(self):
         with pytest.raises(InputError):
             LocalPotentialFamily("pl", hamming_graph(2, 1), gamma=1.0)
@@ -285,6 +297,11 @@ class TestScoreSpecGrammar:
         spec = parse_score_spec("dp:0.5")
         assert spec.kind == "dp" and spec.gamma == 0.5
         assert parse_score_spec("ps:2").gamma == 2.0
+
+    @pytest.mark.parametrize("text", ["dp:nan", "ps:inf", "dp:-inf", "ps:0", "dp:-1"])
+    def test_gamma_must_be_finite_and_positive(self, text):
+        with pytest.raises(InputError, match="gamma"):
+            parse_score_spec(text)
 
     def test_block_kinds(self):
         spec = parse_score_spec("cl:1,2;3,4")

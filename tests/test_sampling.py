@@ -150,6 +150,15 @@ class TestRngStream:
         b = RngStream(42, 1).generator().random(5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (1.5, 0), (True, 0), (0, None)])
+    def test_seed_and_stream_are_counts_from_zero(self, seed, stream):
+        with pytest.raises(InputError, match="must be an integer >= 0"):
+            RngStream(seed, stream)
+
+    def test_numpy_integer_seed_draws_as_int(self):
+        draw = RngStream(np.int64(42), np.uint8(3)).generator().random()
+        assert draw == RngStream(42, 3).generator().random()
+
     def test_known_first_draw(self):
         # frozen: PCG64 output must never change for this package
         assert RngStream(0, 0).generator().random() == pytest.approx(
@@ -454,6 +463,25 @@ class TestSampleFiles:
         assert space2.spec_string() == space.spec_string() and seed == 17
         assert idx2.dtype == np.int64
         assert np.array_equal(idx2, np.asarray(indices, dtype=np.int64))
+
+    @pytest.mark.parametrize("space, indices", [
+        (SampleSpace.hypercube(3), [9, -1]),  # would read back as [1, 7]
+        (SampleSpace.hypercube(3), [8]),
+        (SampleSpace.label_range(3), [7]),
+        (SampleSpace.label_range(3), [-1]),
+        (SampleSpace.label_range(3), [1.7]),  # would be written as 1
+        (SampleSpace.hypercube(2), [0.5, 1]),
+    ])
+    def test_write_refuses_points_outside_the_space(self, tmp_path, space, indices):
+        path = tmp_path / "samples.txt"
+        with pytest.raises(InputError, match="outside the space|must be integers"):
+            write_samples(path, space, indices, seed=0)
+        assert not path.exists()
+
+    def test_write_accepts_integral_floats(self, tmp_path):
+        path = tmp_path / "samples.txt"
+        write_samples(path, SampleSpace.label_range(3), np.array([2.0, 0.0]), seed=0)
+        assert np.array_equal(read_samples(path)[1], [2, 0])
 
     def test_header_only_hypercube_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -85,6 +85,35 @@ def test_one_reader_decides_what_log_f_is():
     assert deciders == ["_log_f_reader"]
 
 
+def _bool_tests(tree):
+    """Line numbers of `isinstance(..., bool)` calls, bool alone or in a tuple."""
+    return [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
+        and len(n.args) == 2
+        and any(isinstance(t, ast.Name) and t.id == "bool"
+                for t in (n.args[1].elts if isinstance(n.args[1], ast.Tuple) else [n.args[1]]))
+    ]
+
+
+def test_only_errors_py_decides_what_a_setting_is():
+    # a count or a real setting means the same thing everywhere only while
+    # `checked_count` and `checked_real` alone tell bools from numbers
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _bool_tests(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert sites and all(site.startswith("errors.py:") for site in sites), sites
+
+
+def test_bool_test_detection():
+    tree = ast.parse(
+        "isinstance(a, bool)\nisinstance(a, (int, bool))\nisinstance(a, int)\nisinstance(bool, a)\n"
+    )
+    assert _bool_tests(tree) == [1, 2]
+
+
 def test_catch_all_detection():
     tree = ast.parse(
         "try:\n    pass\nexcept:\n    pass\n"
