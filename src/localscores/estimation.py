@@ -1,11 +1,13 @@
 """Empirical score minimization over model parameters.
 
-The optimizer is deterministic gradient descent with Armijo backtracking. Each
-search starts at the last move's Barzilai-Borwein step s'y / y'y capped at
-twice the last step, or at twice it where s'y <= 0. Objectives bind the model
-once at the points they read (`bind` in `models`) and assemble their parameter
-gradient analytically, pulling the score's partials with respect to log f back
-through the bound map; finite differences only appear in tests.
+The optimizer is deterministic gradient descent with Armijo backtracking. The
+first trial moves unit distance, step 1 / ||g0||_2 (1 where ||g0||_2 is 0 or
+not finite); each later search starts at the last move's Barzilai-Borwein step
+s'y / y'y capped at twice the last step, or at twice it where s'y <= 0.
+Objectives bind the model once at the points they read (`bind` in `models`)
+and assemble their parameter gradient analytically, pulling the score's
+partials with respect to log f back through the bound map; finite differences
+only appear in tests.
 
 Every local score objective is one kernel, `_ScoreKernel`, with the model
 bound at the kernel's universe; `scoring` runs its per-point and
@@ -36,8 +38,9 @@ trials and `empirical_score` never pay for a gradient.
 
 Conditional models fit through the same kernel: sample i with label y is
 the point i * L + y of a product space in which every row holds its own copy
-of the label graph. Their exact log loss is the standard CL score of the one
-block holding every other label, so conditional MLE is that kernel too.
+of the label graph, and features @ theta' reads a C-contiguous theta'
+(`_label_logits` in `models`). Their exact log loss is the standard CL score of
+the one block holding every other label, so conditional MLE is that kernel too.
 """
 
 from __future__ import annotations
@@ -48,12 +51,12 @@ import numpy as np
 
 from .errors import InputError, checked_count, checked_real
 from .graphs import label_band_graph
-from .models import ConditionalModel
+from .models import ConditionalModel, _label_logits
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec, _logsumexp, _masked
 from .reports import format_record
 
 STEP_FLOOR = 1e-20
-INITIAL_STEP = 1.0  # the first line search's first trial step
+FIRST_MOVE = 1.0  # the length of the first line search's first trial move
 ARMIJO_C = 1e-4  # the fraction of the linear decrease a step must achieve
 BACKTRACK_FACTOR = 0.5  # the step's shrink after each rejected trial
 
@@ -513,7 +516,8 @@ def _minimize(objective, config: FitConfig) -> FitResult:
     gx = finish()
     gradients = 1
     trace = [(fx, float(np.max(np.abs(gx))) if gx.size else 0.0)]
-    step = INITIAL_STEP
+    g0 = float(np.linalg.norm(gx))
+    step = FIRST_MOVE / g0 if 0.0 < g0 < np.inf else 1.0
     iterations = 0
     converged = trace[0][1] <= config.gradient_tolerance
     while not converged and iterations < config.max_iterations:
@@ -646,7 +650,7 @@ def negative_log_loss(model, test_samples, log_z: float | None = None, features=
     per feature vector exactly."""
     if isinstance(model, ConditionalModel):
         y = model.space.checked_indices(test_samples)
-        lmat = model.feature_rows(features, y.size) @ model.theta.T
+        lmat = _label_logits(model.feature_rows(features, y.size), model.theta)
         lse = _logsumexp(lmat, axis=1)
         return float(np.mean(lse - lmat[np.arange(y.size), y]))
     if log_z is None:
@@ -661,7 +665,7 @@ def classify(model: ConditionalModel, x) -> int:
 
 
 def classify_batch(model: ConditionalModel, features) -> np.ndarray:
-    return np.argmax(model.feature_rows(features) @ model.theta.T, axis=1)
+    return np.argmax(_label_logits(model.feature_rows(features), model.theta), axis=1)
 
 
 def test_error(model: ConditionalModel, features, labels) -> float:

@@ -54,6 +54,11 @@ class Bound(NamedTuple):
     pullback: Callable[[np.ndarray], np.ndarray]
 
 
+def _label_logits(rows, theta) -> np.ndarray:
+    """rows @ theta' through a C-contiguous theta', which BLAS reads faster."""
+    return rows @ np.ascontiguousarray(theta.T)
+
+
 def _joint(features) -> None:
     if features is not None:
         raise InputError("only conditional models take features")
@@ -180,7 +185,7 @@ class ConditionalModel:
             per_label.ravel()[points] = g  # bound points are distinct
             return (per_label.T @ x_rows).ravel()
 
-        return Bound(lambda x: (x_rows @ x.reshape(shape).T).ravel()[points], pullback)
+        return Bound(lambda x: _label_logits(x_rows, x.reshape(shape)).ravel()[points], pullback)
 
     def log_f_labels(self, x) -> np.ndarray:
         """log f(. | x): one value per label."""

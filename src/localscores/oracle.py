@@ -227,6 +227,7 @@ def check_block_cover_connectivity(
     """Random block systems: derived-graph connectivity over the whole cube
     must hold exactly when the blocks cover every coordinate."""
     checked_count("trials", trials)
+    checked_count("dim_max", dim_max, 2)
     if dim_max > 4:
         raise InputError("block systems are enumerated exhaustively; need D <= 4")
     gen = rng.generator()

@@ -187,8 +187,9 @@ def ais_log_z(
 
 
 def write_samples(path, space: SampleSpace, indices, seed: int) -> None:
-    """Write the indices under the space's header; indices that are not
-    integral points of the space are refused before the file is opened."""
+    """Write the indices under the space's header; a seed that is not a count, and
+    indices that are not integral points of the space, are refused before opening."""
+    checked_count("seed", seed, 0)
     idx = space.checked_indices(indices) if np.size(indices) else np.empty(0, dtype=np.int64)
     param = space.dim if space.kind == "hypercube" else space.size
     header = f"# space {space.kind} {param} seed {seed}\n".encode()

@@ -218,17 +218,39 @@ class _Curve:
         return None
 
 
+def _boltzmann_fit(spec, dim, config=FitConfig()):
+    """A fit from zeros on 2000 exact samples of a weakly coupled Boltzmann
+    machine, over the radius-1 Hamming graph."""
+    model = seeded_boltzmann(dim, 2, scale=0.2)
+    samples = exact_sample(normalize(model), 2000, RngStream(2))
+    target = bind_spec(parse_score_spec(spec), HypercubeNeighborhood(dim, 1))
+    return fit(target, BoltzmannModel.zeros(dim), samples, config)
+
+
+def _conditional_fit(spec, labels=10, dim=32, config=FitConfig()):
+    """A fit from zeros on 2000 feature rows of variance 2/dim, each labelled
+    from the softmax of a random conditional model, over a label band of
+    radius 1."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2000, dim)) * math.sqrt(2.0 / dim)
+    logits = x @ rng.normal(size=(labels, dim)).T
+    prob = np.exp(logits - logits.max(axis=1, keepdims=True))
+    prob /= prob.sum(axis=1, keepdims=True)
+    y = np.minimum((prob.cumsum(axis=1) < rng.random(2000)[:, None]).sum(axis=1), labels - 1)
+    target = bind_spec(parse_score_spec(spec), label_band_graph(labels, 1))
+    return fit(target, ConditionalModel.zeros(labels, dim), y, config, features=x)
+
+
 class TestStepRule:
-    # the first trial of each line search is the Barzilai-Borwein step
-    # s'y / y'y, capped at twice the last accepted step
+    # the first trial moves unit distance, step 1 / ||g0||_2; each later
+    # search starts at the Barzilai-Borwein step s'y / y'y, capped at twice
+    # the last accepted step
     @pytest.mark.parametrize("spec, dim", [
-        ("pl", 6), ("rm", 6), ("ps:1", 6), ("mcl:1;2;3;4;5", 5),
-    ], ids=["pl", "rm", "ps", "mcl-singletons"])
+        ("pl", 6), ("rm", 6), ("ps:1", 6), ("mcl:1;2;3;4;5", 5), ("pl", None),
+    ], ids=["pl", "rm", "ps", "mcl-singletons", "conditional-pl"])
     def test_few_trials_are_rejected(self, spec, dim):
-        model = seeded_boltzmann(dim, 2, scale=0.2)
-        samples = exact_sample(normalize(model), 2000, RngStream(2))
-        target = bind_spec(parse_score_spec(spec), HypercubeNeighborhood(dim, 1))
-        result = fit(target, BoltzmannModel.zeros(dim), samples)
+        # dim None: 10 labels and 32 features
+        result = _conditional_fit(spec) if dim is None else _boltzmann_fit(spec, dim)
         assert result.converged
         objectives = [obj for obj, _ in result.trace]
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
@@ -236,26 +258,56 @@ class TestStepRule:
         rejected = result.evaluations - result.gradients
         assert rejected / result.iterations_used <= 0.3
 
-    def test_growth_is_capped_at_doubling(self):
-        # on a x^2 / 2 the quotient is 1/a = 100, fifty times the doubled step
-        a = 0.01
-        curve = _Curve(lambda x: 0.5 * a * x * x, lambda x: a * x, 1.0)
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_first_trial_moves_unit_distance(self, a):
+        # whatever the curvature, the first trial from 3 lands at 2
+        curve = _Curve(lambda x: 0.5 * a * x * x, lambda x: a * x, 3.0)
+        result = _minimize(curve, FitConfig(max_iterations=1))
+        assert result.trace[1][0] == pytest.approx(0.5 * a * 2.0 * 2.0, rel=1e-15)
+        assert result.evaluations == 2
+
+    @pytest.mark.parametrize("fit_case", [
+        lambda config: _boltzmann_fit("pl", 6, config),
+        lambda config: _conditional_fit("pl", config=config),
+    ], ids=["boltzmann-pl", "conditional-pl"])
+    def test_first_move_of_a_fit_has_unit_length(self, fit_case):
+        # from zeros the first move is one unit, halved per rejected trial
+        result = fit_case(FitConfig(max_iterations=1))
+        moved = np.linalg.norm(result.parameters.params)
+        assert moved == pytest.approx(0.5 ** (result.evaluations - 2), rel=1e-12)
+
+    def test_zero_gradient_start_returns_without_a_line_search(self):
+        curve = _Curve(lambda x: 0.5 * x * x, lambda x: x, 0.0)
         result = _minimize(curve, FitConfig())
-        x1 = 1.0 - a  # the first trial, at the initial step 1
-        assert result.trace[1][0] == pytest.approx(0.5 * a * x1 * x1, rel=1e-15)
-        assert result.trace[2][0] == pytest.approx(0.5 * a * (x1 - 2.0 * a * x1) ** 2, rel=1e-15)
+        assert result.converged
+        assert result.iterations_used == 0
+        assert (result.evaluations, result.gradients) == (1, 1)
+        assert result.trace == ((0.0, 0.0),)
+        assert result.parameters[0] == 0.0
+
+    def test_growth_is_capped_at_doubling(self):
+        # on x^2 / 2 from 1000 the quotient is 1, a thousand times the first
+        # step 1 / 1000, so each step doubles the last until the quotient binds
+        curve = _Curve(lambda x: 0.5 * x * x, lambda x: x, 1000.0)
+        result = _minimize(curve, FitConfig())
+        x1 = 999.0  # the first trial, one unit from 1000
+        assert result.trace[1][0] == pytest.approx(0.5 * x1 * x1, rel=1e-15)
+        assert result.trace[2][0] == pytest.approx(0.5 * (x1 - 2e-3 * x1) ** 2, rel=1e-15)
         assert result.converged
         assert result.evaluations == result.gradients  # no trial rejected
 
     def test_concave_stretch_falls_back_to_doubling(self):
-        # cos is concave on the first step from 0.5, so s'y < 0 there
-        curve = _Curve(math.cos, lambda x: -math.sin(x), 0.5)
+        # 10 cos(x / 10) is concave on the first move from 5, a unit one to
+        # 6, so s'y < 0 there and the next trial doubles the first step
+        curve = _Curve(lambda x: 10.0 * math.cos(x / 10.0), lambda x: -math.sin(x / 10.0), 5.0)
         result = _minimize(curve, FitConfig())
-        x1 = 0.5 + math.sin(0.5)  # the first trial, at the initial step 1
-        assert result.trace[1][0] == pytest.approx(math.cos(x1), rel=1e-15)
-        assert result.trace[2][0] == pytest.approx(math.cos(x1 + 2.0 * math.sin(x1)), rel=1e-15)
+        step = 1.0 / math.sin(0.5)
+        x1 = 6.0  # the first trial
+        assert result.trace[1][0] == pytest.approx(10.0 * math.cos(x1 / 10.0), rel=1e-15)
+        x2 = x1 + 2.0 * step * math.sin(x1 / 10.0)
+        assert result.trace[2][0] == pytest.approx(10.0 * math.cos(x2 / 10.0), rel=1e-15)
         assert result.converged
-        assert result.parameters[0] == pytest.approx(math.pi, abs=1e-6)
+        assert result.parameters[0] == pytest.approx(10.0 * math.pi, abs=1e-4)
 
     def test_unchanged_gradient_falls_back_to_doubling(self):
         # the Huber function's slope is 1 beyond |x| = 1, so y = 0 and the
@@ -700,20 +752,24 @@ class TestConditional:
             with pytest.raises(InputError, match="standard_cl"):
                 empirical_score(mismatched, fitted, y, features=x)
 
-    def test_density_power_learns_full_support_data(self):
-        # heavy label noise keeps every conditional ratio bounded away from
-        # the degenerate corners where the density-power terms escape
+    def test_density_power_is_unbounded_below_on_full_support_data(self):
+        # label noise does not bound the density-power objective: along the
+        # ray through a capped fit's parameters the -(f_y/f_z)^gamma terms
+        # outrun the others and the penalty, so the full fit escapes and must
+        # fail loudly, naming a sample
+        from localscores.estimation import _build_objective
+
         x, y = self.make_separable(noise=0.3, seed=13)
-        spec = parse_score_spec("dp:1")
-        result = fit(
-            bind_spec(spec, label_band_graph(4, 1)),
-            ConditionalModel.zeros(4, 4),
-            y,
-            FitConfig(l2_penalty=1e-2),
-            features=x,
-        )
-        assert np.all(np.isfinite(result.parameters.theta))
-        assert error_rate(result.parameters, x, y) < 0.7  # chance rate is 0.75
+        target = bind_spec(parse_score_spec("dp:1"), label_band_graph(4, 1))
+        config = FitConfig(max_iterations=20, l2_penalty=1e-2)
+        ray = fit(target, ConditionalModel.zeros(4, 4), y, config, features=x).parameters.params
+        objective = _build_objective(target, ConditionalModel.zeros(4, 4), y, x, config.l2_penalty)
+        along = [objective.value(s * ray) for s in (1.0, 2.0, 4.0, 8.0, 16.0)]
+        assert all(b < a for a, b in zip(along, along[1:]))
+        assert along[-1] < -1e80
+        with pytest.raises(NonFiniteObjectiveError, match=r"\(sample \d+\)") as err:
+            fit(target, ConditionalModel.zeros(4, 4), y, FitConfig(l2_penalty=1e-2), features=x)
+        assert err.value.sample_index in range(len(y))
 
     def test_density_power_escape_reports_offending_sample(self):
         # on separable data the density-power empirical objective is

@@ -273,6 +273,15 @@ class TestBlockCoverConnectivity:
         with pytest.raises(InputError):
             check_block_cover_connectivity(6, 10, RngStream(0))
 
+    @pytest.mark.parametrize("dim_max", [1, 0, -3, 2.5, "4"])
+    def test_dim_max_must_be_a_count_of_at_least_two(self, dim_max):
+        # a block system needs D >= 2; below that the draw of D has no range
+        with pytest.raises(InputError, match="dim_max must be an integer >= 2"):
+            check_block_cover_connectivity(dim_max, 10, RngStream(0))
+
+    def test_smallest_dim_max_runs(self):
+        assert check_block_cover_connectivity(2, 20, RngStream(0)).verdict == "pass"
+
 
 class TestDivergenceIdentity:
     def test_pl_identity_holds(self):

@@ -478,6 +478,14 @@ class TestSampleFiles:
             write_samples(path, space, indices, seed=0)
         assert not path.exists()
 
+    @pytest.mark.parametrize("seed", ["abc", -1, 2.5, True])
+    def test_write_refuses_a_seed_that_is_not_a_count(self, tmp_path, seed):
+        # read_samples would refuse the header such a seed makes
+        path = tmp_path / "samples.txt"
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            write_samples(path, SampleSpace.label_range(3), [1, 2], seed=seed)
+        assert not path.exists()
+
     def test_write_accepts_integral_floats(self, tmp_path):
         path = tmp_path / "samples.txt"
         write_samples(path, SampleSpace.label_range(3), np.array([2.0, 0.0]), seed=0)
