@@ -8,6 +8,15 @@ them. Wherever `diagnose` denies the guarantee, a coincidence check also
 evaluates the counterexample the graph forces: p against p rescaled on
 alternate components of the neighborhood incidences (on radius-1 hypercubes
 under pseudo-spherical potentials, the two parity classes).
+
+A check draws its trials' inputs from its stream in the order a loop running
+one trial at a time would draw them, then evaluates the score kernel and the
+local-Bregman route once per chunk of trials, over the stacked (trials, |Y|)
+logs; a chunk holds `CHUNK_ENTRIES` log values, so memory grows with neither
+the trial count nor |Y|. The
+per-point routes that check the kernel (`generic_score`,
+`named_closed_form_score`) still run one trial at a time. A violation that is
+not finite fails the check like one above tolerance and is kept as a witness.
 """
 
 from __future__ import annotations
@@ -24,12 +33,12 @@ from .potentials import (LocalPotentialFamily, Probability, composite_likelihood
                          pseudo_likelihood, pseudo_spherical, ratio_matching)
 from .sampling import RngStream
 from .scoring import (
-    composite_potential,
-    divergence,
-    expected_score,
+    _rowdot,
+    _stacked_composite_potential,
+    _stacked_divergence,
+    _stacked_state_scores,
     generic_score,
     named_closed_form_score,
-    state_scores,
 )
 
 MAX_WITNESSES = 10
@@ -37,6 +46,10 @@ PROPERNESS_TOLERANCE = 1e-9
 COINCIDENCE_MINIMUM = 1e-8
 SCORE_PATH_TOLERANCE = 1e-5
 DIVERGENCE_IDENTITY_TOLERANCE = 1e-9
+# A chunk of trials is evaluated as one stack of this many log values (256
+# trials on 16 points), so its memory grows with neither the trial count nor
+# |Y|: 256 trials of pl radius 2 on 256 points, stacked, peaked at 81 MB.
+CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -73,13 +86,36 @@ class OracleReport:
         return line
 
 
-def _random_positive(gen, size: int) -> np.ndarray:
-    """Positive vectors across a wide dynamic range: exp of uniform[-3,3]."""
-    return np.exp(gen.uniform(-3.0, 3.0, size=size))
+def _random_probabilities(gen, count: int, size: int) -> np.ndarray:
+    """(count, 2, size) weights: `count` (p, q) pairs across a wide dynamic
+    range, exp of uniform[-3,3] normalized, drawn as a loop drawing p, then q,
+    one pair at a time, would draw them; each row is normalized bit for bit
+    as `Probability.normalize` does it."""
+    w = np.exp(gen.uniform(-3.0, 3.0, size=(count, 2, size)))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _random_probability(gen, size: int) -> Probability:
-    return Probability.normalize(_random_positive(gen, size))
+def _chunk_trials(space) -> int:
+    """The trials in one chunk on `space`: `CHUNK_ENTRIES` log values."""
+    return max(1, CHUNK_ENTRIES // space.size)
+
+
+def _chunks(trials: int, space):
+    """The trial counts of successive chunks: `_chunk_trials` until the last."""
+    step = _chunk_trials(space)
+    for start in range(0, trials, step):
+        yield min(step, trials - start)
+
+
+def _fold(worst: float, violations, tolerance: float):
+    """(worst after a chunk of per-trial violations, the chunk's failing
+    trials in order). A violation that is not finite, because a route gave
+    nan or inf, fails like one above tolerance and makes the worst inf:
+    a comparison alone would pass a nan."""
+    violations = np.asarray(violations, dtype=np.float64)
+    finite = np.isfinite(violations)
+    worst = max(worst, float(violations.max())) if finite.all() else math.inf
+    return worst, np.flatnonzero(~finite | (violations > tolerance))
 
 
 def registered_counterexamples(family: LocalPotentialFamily):
@@ -118,14 +154,11 @@ def check_properness(
     gen = rng.generator()
     worst = -math.inf
     witnesses = []
-    for _ in range(trials):
-        p = _random_probability(gen, space.size)
-        q = _random_probability(gen, space.size)
-        violation = expected_score(family, p, p.log()) - expected_score(family, p, q.log())
-        if violation > worst:
-            worst = violation
-        if violation > PROPERNESS_TOLERANCE and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((tuple(p.weights), tuple(q.weights)))
+    for count in _chunks(trials, space):
+        pq = _random_probabilities(gen, count, space.size)
+        expected = _rowdot(pq[:, :1], _stacked_state_scores(family, np.log(pq)))
+        worst, bad = _fold(worst, expected[:, 0] - expected[:, 1], PROPERNESS_TOLERANCE)
+        witnesses += [(tuple(p), tuple(q)) for p, q in pq[bad[: MAX_WITNESSES - len(witnesses)]]]
     return OracleReport.build(
         f"properness[{family.describe()}]", trials, worst, witnesses, PROPERNESS_TOLERANCE
     )
@@ -136,41 +169,44 @@ def check_coincidence(
 ) -> OracleReport:
     """Minimum divergence over clearly separated random pairs, plus every
     registered counterexample; a minimum at numerical zero means the
-    divergence cannot tell the two distributions apart."""
+    divergence cannot tell the two distributions apart. A pair closer than
+    0.01 in every weight is drawn, rejected and not counted."""
     checked_count("trials", trials)
     space = family.space
     if space.size > 16:
         raise InputError("coincidence checks enumerate pairs; need |Y| <= 16")
     gen = rng.generator()
-    min_div = math.inf
+    worst, min_div = -math.inf, math.inf
     witnesses = []
+
+    def tally(pq):
+        """The divergences of (pairs, 2, |Y|) weights, folded into the report."""
+        nonlocal worst, min_div
+        logs = np.log(pq)
+        divs = _stacked_divergence(family, logs[:, 0], logs[:, 1])
+        worst, bad = _fold(worst, -divs, -COINCIDENCE_MINIMUM)
+        min_div = np.minimum(min_div, divs.min())  # a nan stays
+        witnesses.extend((tuple(p), tuple(q)) for p, q in pq[bad[: MAX_WITNESSES - len(witnesses)]])
+        return divs
+
     count = 0
-    while count < trials:
-        p = _random_probability(gen, space.size)
-        q = _random_probability(gen, space.size)
-        if np.max(np.abs(p.weights - q.weights)) < 0.01:
-            continue
-        count += 1
-        div = divergence(family, p.log(), q.log())
-        if div < min_div:
-            min_div = div
-        if div <= COINCIDENCE_MINIMUM and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((tuple(p.weights), tuple(q.weights)))
+    while count < trials:  # each chunk draws only pairs the loop would draw
+        pq = _random_probabilities(gen, min(_chunk_trials(space), trials - count), space.size)
+        pq = pq[np.max(np.abs(pq[:, 0] - pq[:, 1]), axis=-1) >= 0.01]
+        if len(pq):
+            count += len(pq)
+            tally(pq)
     details = []
     for p, q, label in registered_counterexamples(family):
-        div = divergence(family, p.log(), q.log())
+        (div,) = tally(np.stack([p.weights, q.weights])[None])
         count += 1
-        if div < min_div:
-            min_div = div
-        if div <= COINCIDENCE_MINIMUM and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((tuple(p.weights), tuple(q.weights)))
         details.append(f"counterexample[{label}]={div:.3g}")
     diag = diagnose(family.graph, family.active_indices(), family.potential_class)
     details.append(f"diagnose_guaranteed={diag.guaranteed}")
     return OracleReport.build(
         f"coincidence[{family.describe()}]",
         count,
-        -min_div,
+        worst,
         witnesses,
         -COINCIDENCE_MINIMUM,
         details=" ".join(details) + f" min_divergence={min_div:.6g}",
@@ -183,7 +219,8 @@ def check_score_paths(
     """Max pairwise relative discrepancy among the evaluation routes: the
     score kernel (its whole-space vector, compiled once per family), the
     generic gradient path, the closed form (when the kind has one), and a
-    central finite difference of the composite potential on the log scale."""
+    central finite difference of the composite potential on the log scale.
+    The generic route and the closed form run one trial at a time."""
     checked_count("trials", trials)
     space = family.space
     if space.size > 256:
@@ -192,30 +229,31 @@ def check_score_paths(
     worst = 0.0
     witnesses = []
     step = 1e-5
-    for _ in range(trials):
-        logs = gen.uniform(-3.0, 3.0, size=space.size)
-        y = int(gen.integers(0, space.size))
+    for count in _chunks(trials, space):
+        draws = [(gen.uniform(-3.0, 3.0, size=space.size), int(gen.integers(0, space.size)))
+                 for _ in range(count)]
+        logs = np.stack([row for row, _ in draws])
+        at = np.arange(count), np.array([y for _, y in draws])
         routes = {
-            "kernel": float(state_scores(family, logs)[y]),
-            "generic": generic_score(family, y, logs),
+            "kernel": _stacked_state_scores(family, logs)[at],
+            "generic": [generic_score(family, y, row) for row, y in draws],
         }
         try:
-            routes["closed_form"] = named_closed_form_score(family, y, logs)
+            routes["closed_form"] = [named_closed_form_score(family, y, row) for row, y in draws]
         except UnsupportedError:
             pass  # custom kinds and active subsets have no closed form
-        up = logs.copy()
-        up[y] += step
-        down = logs.copy()
-        down[y] -= step
-        delta = composite_potential(family, up) - composite_potential(family, down)
-        routes["finite_difference"] = -delta / (2.0 * math.exp(logs[y]) * math.sinh(step))
-        vals = list(routes.values())
-        scale = max(1.0, max(abs(v) for v in vals))
-        spread = (max(vals) - min(vals)) / scale
-        if spread > worst:
-            worst = spread
-        if spread > SCORE_PATH_TOLERANCE and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((y, {k: float(v) for k, v in routes.items()}))
+        up, down = logs.copy(), logs.copy()
+        up[at] += step
+        down[at] -= step
+        up, down = _stacked_composite_potential(family, np.stack([up, down]))
+        # math.exp, as one trial at a time took f_y: numpy's exp may differ in the last bit
+        at_y = np.array([math.exp(v) for v in logs[at]])
+        routes["finite_difference"] = -(up - down) / (2.0 * at_y * math.sinh(step))
+        vals = np.column_stack(list(routes.values()))
+        spread = (vals.max(axis=1) - vals.min(axis=1)) / np.maximum(1.0, np.abs(vals).max(axis=1))
+        worst, bad = _fold(worst, spread, SCORE_PATH_TOLERANCE)
+        witnesses += [(int(at[1][i]), dict(zip(routes, map(float, vals[i]))))
+                      for i in bad[: MAX_WITNESSES - len(witnesses)]]
     return OracleReport.build(
         f"score_paths[{family.describe()}]", trials, worst, witnesses, SCORE_PATH_TOLERANCE
     )
@@ -263,24 +301,28 @@ def check_divergence_identity(
     gen = rng.generator()
     worst = 0.0
     witnesses = []
-    for _ in range(trials):
-        flogs = gen.uniform(-3.0, 3.0, size=space.size)
-        glogs = gen.uniform(-3.0, 3.0, size=space.size)
-        lhs = divergence(family, flogs, glogs)
-        rhs = float(np.exp(flogs) @ state_scores(family, glogs)) + composite_potential(family, flogs)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        spread = abs(lhs - rhs) / scale
-        if spread > worst:
-            worst = spread
-        if spread > DIVERGENCE_IDENTITY_TOLERANCE and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((float(lhs), float(rhs)))
-        a = gen.normal(size=(space.size, space.size))
-        lhs_terms = [a[x, int(z)] for x in range(space.size) for z in family.neighbors(x)]
-        rhs_terms = [a[int(z), x] for x in range(space.size) for z in family.neighbors(x)]
-        if math.fsum(lhs_terms) != math.fsum(rhs_terms):
-            worst = max(worst, 1.0)
-            if len(witnesses) < MAX_WITNESSES:
+    # the (x, z) entries of every z in b(x): summing a over them and over
+    # their swaps must agree exactly (fsum rounds once, in any order)
+    rows = np.concatenate([np.full(len(family.neighbors(x)), x) for x in range(space.size)])
+    cols = np.concatenate([family.neighbors(x) for x in range(space.size)]).astype(np.int64)
+    for count in _chunks(trials, space):
+        draws = [(gen.uniform(-3.0, 3.0, size=space.size), gen.uniform(-3.0, 3.0, size=space.size),
+                  gen.normal(size=(space.size, space.size))) for _ in range(count)]
+        flogs, glogs = (np.stack([d[k] for d in draws]) for k in (0, 1))
+        swapped = np.array([math.fsum(a[rows, cols]) != math.fsum(a[cols, rows])
+                            for _, _, a in draws])
+        lhs = _stacked_divergence(family, flogs, glogs)
+        rhs = _rowdot(np.exp(flogs), _stacked_state_scores(family, glogs))
+        rhs += _stacked_composite_potential(family, flogs)
+        spread = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        worst, bad = _fold(worst, np.where(swapped, np.maximum(spread, 1.0), spread),
+                           DIVERGENCE_IDENTITY_TOLERANCE)
+        for i in bad:
+            if not spread[i] <= DIVERGENCE_IDENTITY_TOLERANCE:
+                witnesses.append((float(lhs[i]), float(rhs[i])))
+            if swapped[i]:
                 witnesses.append("index swap mismatch")
+        del witnesses[MAX_WITNESSES:]
     return OracleReport.build(
         f"divergence_identity[{family.describe()}]",
         trials,

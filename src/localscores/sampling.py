@@ -259,9 +259,11 @@ def read_samples(path) -> tuple[SampleSpace, np.ndarray, int]:
     if not header.startswith("# space "):
         raise InputError(f"{path}: missing `# space <kind> <param> seed <seed>` header")
     parts = header.split()
-    try:
-        kind, param, seed = parts[2], int(parts[3]), int(parts[5])
-    except (IndexError, ValueError) as exc:
+    try:  # exactly `# space <kind> <param> seed <seed>`, the seed a count
+        if len(parts) != 6 or parts[4] != "seed":
+            raise ValueError("not six fields with `seed` fifth")
+        kind, param, seed = parts[2], int(parts[3]), checked_count("seed", int(parts[5]), 0)
+    except ValueError as exc:  # InputError is a ValueError
         raise InputError(f"{path}: bad header {header!r}") from exc
     space = parse_space_spec(f"{kind}:{param}")
     if not body or body.isspace():

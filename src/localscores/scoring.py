@@ -31,6 +31,11 @@ active point's local potential evaluated in one pass over the padded
 neighbor matrix, independent of the score kernel. These enumerate and
 therefore require an enumerable space.
 
+The whole-space routes (`state_scores`, `composite_potential`,
+`divergence`) are 1-D forms of private stacked ones that act along the last
+axis on a (..., |Y|) stack of logs, each row exactly as the 1-D route gives
+it; the oracle evaluates its trials through them as chunked stacks.
+
 A standard CL family's score is not its potential's gradient: the kernel
 routes and closed forms answer it, and the potential routes (local and
 composite potentials, divergences, `generic_score`) raise UnsupportedError.
@@ -126,8 +131,20 @@ def _space_logs(family, what, *vectors):
 
 
 def _ratios(logs, points, nbrs):
-    """f over b(y) / f_y for a batch of points and their neighbor matrix."""
-    return np.exp(logs[nbrs] - logs[points][:, None])
+    """f over b(y) / f_y for a batch of points and their neighbor matrix,
+    for logs over the space along the last axis."""
+    return np.exp(logs.take(nbrs, axis=-1) - logs.take(points, axis=-1)[..., None])
+
+
+def _rowdot(a, b):
+    """a . b along the last axis, each row bit for bit the 1-D `a @ b`."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _stacked_composite_potential(family: LocalPotentialFamily, logs) -> np.ndarray:
+    """`composite_potential` of every row of a (..., |Y|) stack of logs."""
+    points, nbrs, valid, ev = family.active_local()
+    return _rowdot(np.exp(logs.take(points, axis=-1)), ev.value(_ratios(logs, points, nbrs), valid))
 
 
 def composite_potential(family: LocalPotentialFamily, f) -> float:
@@ -136,8 +153,7 @@ def composite_potential(family: LocalPotentialFamily, f) -> float:
     1-homogeneous in f by construction; requires an enumerable space.
     """
     (logs,) = _space_logs(family, "composite_potential", f)
-    points, nbrs, valid, ev = family.active_local()
-    return float(np.exp(logs[points]) @ ev.value(_ratios(logs, points, nbrs), valid))
+    return float(_stacked_composite_potential(family, logs))
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +320,37 @@ def additive_score_term(family: LocalPotentialFamily):
 # divergence and expectations
 
 
+def _stacked_state_scores(family: LocalPotentialFamily, logs) -> np.ndarray:
+    """`state_scores` of every row of a (..., |Y|) stack of logs."""
+    kernel = family._kernel
+    if kernel is None:
+        kernel = family._kernel = _ScoreKernel(family, np.arange(family.space.size))
+    with np.errstate(over="ignore"):  # pl/rm sigmoids reach their limits through inf
+        return kernel._score_terms(logs)[0]
+
+
 def state_scores(family: LocalPotentialFamily, log_f) -> np.ndarray:
     """score(y, f) for every point y of the (enumerable) space, from one
     value pass of the score kernel. The kernel is compiled at every point on
     the first call and kept on the family; its universe is the whole space
     and its value pass reads no sample weights, so it serves every f."""
     (logs,) = _space_logs(family, "state_scores", log_f)
-    kernel = family._kernel
-    if kernel is None:
-        kernel = family._kernel = _ScoreKernel(family, np.arange(family.space.size))
-    with np.errstate(over="ignore"):  # pl/rm sigmoids reach their limits through inf
-        return kernel._score_terms(logs)[0]
+    return _stacked_state_scores(family, logs)
+
+
+def _stacked_divergence(family: LocalPotentialFamily, flogs, glogs) -> np.ndarray:
+    """`divergence` of every pair of rows of two (..., |Y|) stacks of logs."""
+    points, nbrs, valid, ev = family.active_local()
+    u = _ratios(flogs, points, nbrs)
+    v = _ratios(glogs, points, nbrs)
+    local = ev.value(u, valid) - ev.value(v, valid) - np.sum(ev.grad(v, valid) * (u - v), axis=-1)
+    total = _rowdot(np.exp(flogs.take(points, axis=-1)), local)
+    if np.any(total < -DIVERGENCE_NEGATIVITY_TOLERANCE):
+        raise InternalConsistencyError(
+            f"divergence evaluated to {float(np.nanmin(total))!r}; "
+            "local potential gradients are inconsistent"
+        )
+    return np.where(total < 0.0, 0.0, total)  # keeps -0.0 and nan, as max(total, 0.0) does
 
 
 def divergence(family: LocalPotentialFamily, f, g) -> float:
@@ -323,16 +359,7 @@ def divergence(family: LocalPotentialFamily, f, g) -> float:
     Tiny negative totals (above -1e-12) are floating noise and clip to zero;
     anything lower signals a gradient bug and raises."""
     flogs, glogs = _space_logs(family, "divergence", f, g)
-    points, nbrs, valid, ev = family.active_local()
-    u = _ratios(flogs, points, nbrs)
-    v = _ratios(glogs, points, nbrs)
-    local = ev.value(u, valid) - ev.value(v, valid) - np.sum(ev.grad(v, valid) * (u - v), axis=-1)
-    total = float(np.exp(flogs[points]) @ local)
-    if total < -DIVERGENCE_NEGATIVITY_TOLERANCE:
-        raise InternalConsistencyError(
-            f"divergence evaluated to {total!r}; local potential gradients are inconsistent"
-        )
-    return max(total, 0.0)
+    return float(_stacked_divergence(family, flogs, glogs))
 
 
 def expected_score(family: LocalPotentialFamily, p: Probability, f) -> float:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,22 +21,29 @@ from localscores import (
     check_properness,
     check_score_paths,
     SampleSpace,
+    UnsupportedError,
     composite_likelihood,
+    composite_potential,
     density_power,
     diagnose,
     divergence,
     expected_score,
+    generic_score,
     graph_from_edges,
     hamming_graph,
     label_band_graph,
+    named_closed_form_score,
     pseudo_likelihood,
     pseudo_spherical,
     ratio_matching,
     registered_counterexamples,
     standard_check_registry,
+    state_scores,
 )
 from localscores import oracle
-from localscores.oracle import DEMONSTRATION_CHECKS
+from localscores.estimation import _ScoreKernel
+from localscores.oracle import (COINCIDENCE_MINIMUM, DEMONSTRATION_CHECKS, DIVERGENCE_IDENTITY_TOLERANCE,
+                                MAX_WITNESSES, PROPERNESS_TOLERANCE, SCORE_PATH_TOLERANCE, _chunk_trials)
 
 
 class PointwiseGraph:
@@ -353,3 +362,182 @@ class TestRegistry:
         registry = standard_check_registry()
         report = registry["coincidence_ps_radius1"](60, RngStream(1))
         assert report.verdict == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the checks evaluate their trials as chunked stacks; these loops run one
+# trial at a time over the public routes, drawing from the same generator in
+# the same order, and return (trials, worst violation, witnesses, tolerance)
+
+
+def _pair(gen, size):
+    p = Probability.normalize(np.exp(gen.uniform(-3.0, 3.0, size=size)))
+    return p, Probability.normalize(np.exp(gen.uniform(-3.0, 3.0, size=size)))
+
+
+def loop_properness(family, trials, rng):
+    gen, worst, witnesses = rng.generator(), -math.inf, []
+    for _ in range(trials):
+        p, q = _pair(gen, family.space.size)
+        violation = expected_score(family, p, p.log()) - expected_score(family, p, q.log())
+        worst = max(worst, violation)
+        if violation > PROPERNESS_TOLERANCE:
+            witnesses.append((tuple(p.weights), tuple(q.weights)))
+    return trials, worst, witnesses, PROPERNESS_TOLERANCE
+
+
+def loop_coincidence(family, trials, rng, rejected=None):
+    gen, divs, witnesses = rng.generator(), [], []
+    pairs = []
+    while len(pairs) < trials:
+        p, q = _pair(gen, family.space.size)
+        if np.max(np.abs(p.weights - q.weights)) < 0.01:
+            if rejected is not None:
+                rejected.append((p, q))
+            continue
+        pairs.append((p, q))
+    pairs += [(p, q) for p, q, _ in registered_counterexamples(family)]
+    for p, q in pairs:
+        divs.append(divergence(family, p.log(), q.log()))
+        if divs[-1] < COINCIDENCE_MINIMUM:
+            witnesses.append((tuple(p.weights), tuple(q.weights)))
+    return len(pairs), -min(divs), witnesses, -COINCIDENCE_MINIMUM
+
+
+def loop_score_paths(family, trials, rng, step=1e-5):
+    gen, worst, witnesses = rng.generator(), 0.0, []
+    for _ in range(trials):
+        logs = gen.uniform(-3.0, 3.0, size=family.space.size)
+        y = int(gen.integers(0, family.space.size))
+        routes = {"kernel": float(state_scores(family, logs)[y]),
+                  "generic": generic_score(family, y, logs)}
+        try:
+            routes["closed_form"] = named_closed_form_score(family, y, logs)
+        except UnsupportedError:
+            pass
+        up, down = logs.copy(), logs.copy()
+        up[y] += step
+        down[y] -= step
+        delta = composite_potential(family, up) - composite_potential(family, down)
+        routes["finite_difference"] = -delta / (2.0 * math.exp(logs[y]) * math.sinh(step))
+        vals = list(routes.values())
+        spread = (max(vals) - min(vals)) / max(1.0, max(abs(v) for v in vals))
+        worst = max(worst, spread)
+        if spread > SCORE_PATH_TOLERANCE:
+            witnesses.append((y, routes))
+    return trials, worst, witnesses, SCORE_PATH_TOLERANCE
+
+
+def loop_divergence_identity(family, trials, rng):
+    gen, worst, witnesses = rng.generator(), 0.0, []
+    n = family.space.size
+    for _ in range(trials):
+        flogs, glogs = gen.uniform(-3.0, 3.0, size=n), gen.uniform(-3.0, 3.0, size=n)
+        lhs = divergence(family, flogs, glogs)
+        rhs = float(np.exp(flogs) @ state_scores(family, glogs)) + composite_potential(family, flogs)
+        spread = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        worst = max(worst, spread)
+        if spread > DIVERGENCE_IDENTITY_TOLERANCE:
+            witnesses.append((lhs, rhs))
+        a = gen.normal(size=(n, n))
+        pairs = [(x, int(z)) for x in range(n) for z in family.neighbors(x)]
+        if math.fsum(a[x, z] for x, z in pairs) != math.fsum(a[z, x] for x, z in pairs):
+            worst = max(worst, 1.0)
+            witnesses.append("index swap mismatch")
+    return trials, worst, witnesses, DIVERGENCE_IDENTITY_TOLERANCE
+
+
+def _skew_kernel(monkeypatch):
+    """Scale every kernel score by 1 + 1e-3, so that routes independent of
+    the kernel disagree with it and the checks comparing them record witnesses."""
+    terms = _ScoreKernel._score_terms
+    monkeypatch.setattr(_ScoreKernel, "_score_terms",
+                        lambda self, logs: (terms(self, logs)[0] * (1.0 + 1e-3), None))
+
+
+LOOP_CASES = {  # check -> (its one-trial loop, [(family builder, skew the kernel?)])
+    check_properness: (loop_properness, [
+        (lambda: pseudo_likelihood(hamming_graph(3, 1)), False),
+        # improper off block systems: about one trial in 150 is a witness
+        (lambda: LocalPotentialFamily("cl", label_band_graph(4, 1), standard_cl=True), False),
+    ]),
+    check_coincidence: (loop_coincidence, [
+        (lambda: pseudo_likelihood(hamming_graph(1, 1)), False),  # rejects about 4% of draws
+        (lambda: pseudo_spherical(hamming_graph(4, 1), 1.0), False),  # a counterexample witness
+    ]),
+    check_score_paths: (loop_score_paths, [
+        (lambda: composite_likelihood(label_band_graph(16, 2)), False),
+        (lambda: pseudo_likelihood(hamming_graph(4, 1)), True),
+    ]),
+    check_divergence_identity: (loop_divergence_identity, [
+        (lambda: pseudo_spherical(hamming_graph(4, 1), 1.0), False),
+        (lambda: pseudo_likelihood(hamming_graph(4, 1)), True),
+    ]),
+}
+
+
+class TestChunkedChecksMatchOneTrialLoops:
+    @pytest.mark.parametrize("past_chunk", [-1, 0, 1])
+    @pytest.mark.parametrize("case", [0, 1], ids=["passing", "witnessed"])
+    @pytest.mark.parametrize("check", list(LOOP_CASES), ids=lambda c: c.__name__)
+    def test_report_matches_the_loop(self, monkeypatch, check, case, past_chunk):
+        loop, cases = LOOP_CASES[check]
+        build, skew = cases[case]
+        if skew:
+            _skew_kernel(monkeypatch)
+        trials = _chunk_trials(build().space) + past_chunk
+        count, worst, witnesses, tolerance = loop(build(), trials, RngStream(5))
+        report = check(build(), trials, RngStream(5))
+        assert report.trials == count
+        assert report.verdict == ("pass" if worst <= tolerance else "fail")
+        assert (report.verdict == "fail") == (case == 1)
+        assert report.witnesses == tuple(witnesses[:MAX_WITNESSES])
+        assert report.worst_violation == pytest.approx(worst, rel=1e-12, abs=0)
+
+    def test_coincidence_skips_rejected_draws_as_the_loop_does(self):
+        fam = pseudo_likelihood(hamming_graph(1, 1))
+        rejected, trials = [], _chunk_trials(fam.space) + 1
+        count, worst, _, _ = loop_coincidence(fam, trials, RngStream(5), rejected)
+        assert len(rejected) >= 5  # the first chunk is short of accepted pairs
+        report = check_coincidence(fam, trials, RngStream(5))
+        assert report.trials == count and report.worst_violation == pytest.approx(worst, rel=1e-12)
+
+    def test_memory_does_not_grow_with_trials(self):
+        fam = pseudo_likelihood(hamming_graph(3, 1))
+        check_properness(fam, 1, RngStream(0))  # compile the kernel
+        peaks = []
+        for trials in (_chunk_trials(fam.space), 20 * _chunk_trials(fam.space)):
+            tracemalloc.start()
+            check_properness(fam, trials, RngStream(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def nan_derivative_family():
+    """pl's potential with a derivative that is nan everywhere: every score,
+    gradient and divergence it gives is nan."""
+    return LocalPotentialFamily("custom", hamming_graph(2, 1), phi=lambda t: -np.log1p(t),
+                                dphi=lambda t: math.nan)
+
+
+class TestNonFiniteValuesFail:
+    # a nan compares false with everything, so a check that only compares
+    # would pass it; each must fail and keep the trial as a witness
+    @pytest.mark.parametrize("check", [check_properness, check_coincidence, check_divergence_identity])
+    def test_nan_route_fails_the_check(self, check):
+        report = check(nan_derivative_family(), 20, RngStream(0))
+        assert report.verdict == "fail"
+        assert report.worst_violation == math.inf
+        assert len(report.witnesses) == MAX_WITNESSES
+
+    def test_nan_generic_score_fails_score_paths(self, monkeypatch):
+        monkeypatch.setattr(oracle, "generic_score", lambda family, y, log_f: math.nan)
+        report = check_score_paths(pseudo_likelihood(hamming_graph(3, 1)), 5, RngStream(0))
+        assert report.verdict == "fail"
+        assert report.worst_violation == math.inf
+        assert len(report.witnesses) == 5 and math.isnan(report.witnesses[0][1]["generic"])
+
+    def test_nan_divergence_is_reported(self):
+        report = check_coincidence(nan_derivative_family(), 5, RngStream(0))
+        assert "min_divergence=nan" in report.details

@@ -442,6 +442,25 @@ class TestSampleFiles:
         with pytest.raises(InputError):
             read_samples(path)
 
+    @pytest.mark.parametrize("header", [
+        "# space hypercube 2 seed -1",  # write_samples and RngStream refuse negative seeds
+        "# space hypercube 2 bogus 3",
+        "# space hypercube 2 bogus 3 trailing",
+        "# space hypercube 2 seed 3 trailing",
+        "# space hypercube 2 seed 2.5",
+        "# space hypercube 2 seed",
+    ])
+    def test_header_must_be_six_fields_ending_in_a_count_seed(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n+1 -1\n")
+        with pytest.raises(InputError, match="bad header"):
+            read_samples(path)
+
+    def test_header_seed_zero_is_read(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("# space hypercube 2 seed 0\n+1 -1\n")
+        assert read_samples(path)[2] == 0
+
     @pytest.mark.parametrize(
         "space, indices",
         [

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from localscores import (
@@ -652,6 +652,46 @@ class TestArrayRoutes:
         ref = _loop_divergence(fam, flogs, glogs)
         scale = max(1.0, abs(_loop_composite_potential(fam, flogs)))
         assert divergence(fam, flogs, glogs) == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(objective_cases(), st.sampled_from([(1,), (5,), (2, 3)]), st.sampled_from([1.0, 40.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stacked_routes_match_the_one_row_routes(self, case, shape, span, seed):
+        # the oracle evaluates its trials through the stacked forms; each row
+        # must be what the public 1-D route gives for it
+        from localscores.scoring import (_stacked_composite_potential, _stacked_divergence,
+                                         _stacked_state_scores)
+
+        fam, logs, _ = _space_case(case)
+        rng = np.random.default_rng(seed)
+        flogs = rng.uniform(-span, span, size=shape + logs.shape)
+        flogs.reshape(-1, logs.size)[0] = logs
+        glogs = rng.uniform(-span, span, size=flogs.shape)
+        rows = list(zip(flogs.reshape(-1, logs.size), glogs.reshape(-1, logs.size)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # dp overflows at span 40
+            stacked = _stacked_state_scores(fam, flogs)
+            assert stacked.shape == shape + (fam.space.size,)
+            for got, (f, _) in zip(stacked.reshape(-1, logs.size), rows):
+                np.testing.assert_array_equal(got, state_scores(fam, f))  # bit for bit
+            if fam.standard_cl:
+                with pytest.raises(UnsupportedError):
+                    _stacked_composite_potential(fam, flogs)
+                return
+            potentials = _stacked_composite_potential(fam, flogs).ravel()
+            divergences = _stacked_divergence(fam, flogs, glogs).ravel()
+            assert potentials.shape == divergences.shape == (len(rows),)
+            np.testing.assert_allclose(
+                potentials, [composite_potential(fam, f) for f, _ in rows], rtol=1e-15, atol=0)
+            np.testing.assert_allclose(
+                divergences, [divergence(fam, f, g) for f, g in rows], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("route", [
+        state_scores, composite_potential, lambda fam, logs: divergence(fam, logs, logs),
+    ], ids=["state_scores", "composite_potential", "divergence"])
+    def test_public_whole_space_routes_refuse_stacks(self, route):
+        with pytest.raises(InputError, match="shape"):
+            route(pseudo_likelihood(hamming_graph(2, 1)), np.zeros((3, 4)))
 
     def test_kernel_compiled_once_per_family(self, monkeypatch):
         from localscores.estimation import _ScoreKernel

@@ -123,3 +123,34 @@ def test_catch_all_detection():
     )
     handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
     assert [_catch_all(h) for h in handlers] == [True, True, True, False]
+
+
+def _ellipsis_gathers(tree):
+    """Line numbers of subscripts `x[..., i]` with an entry after the Ellipsis
+    that is neither a slice nor a constant (None, an integer): a gather.
+    (An annotation such as `tuple[int, ...]` ends in its Ellipsis.)"""
+    def after_ellipsis(elts):
+        marks = [isinstance(e, ast.Constant) and e.value is Ellipsis for e in elts]
+        return elts[marks.index(True) + 1:] if True in marks else []
+
+    return [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Tuple)
+        and not all(isinstance(e, (ast.Slice, ast.Constant)) for e in after_ellipsis(n.slice.elts))
+    ]
+
+
+def test_the_score_kernel_gathers_with_take():
+    # the kernel's value pass gathers logs along the last axis; on numpy 2.4
+    # `logs[..., idx]` took 108 us where `logs.take(idx, axis=-1)` and the
+    # 1-D `logs[idx]` took about 35 us (703 x 55 positions, pl radius 2)
+    path = SOURCE / "estimation.py"
+    assert _ellipsis_gathers(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_ellipsis_gather_detection():
+    tree = ast.parse(
+        "x[..., idx]\nx[..., None]\nx[..., None, :]\nx[..., 0]\nx[..., self.pos]\nx[idx]\nx[:, idx]\n"
+        "t: tuple[tuple[float, float], ...]\nx[0, ..., idx]\n"
+    )
+    assert _ellipsis_gathers(tree) == [1, 5, 9]
