@@ -21,9 +21,9 @@ offers the same three members, which is all an estimator needs of it:
 
 A conditional model's points are row * L + label: row i of `features`
 holds the label values theta @ x_i, and only conditional models take
-features. A Boltzmann model binds its pair-feature matrix, kept C-ordered:
-its layout sets the summation order of the BLAS products over it, and so
-the last bits of every fit.
+features. A Boltzmann model binds one float64 (D, n) sign matrix S', O(n D)
+memory: log f = y'Wy is a column sum of (W S') * S', as in `log_f_batch`, and
+the pullback of g is twice the strict upper triangle of S' diag(g) S.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InputError, open_text
+from .errors import InputError, checked_count, open_text
 from .potentials import Probability, _logsumexp
-from .spaces import SampleSpace, indices_to_signs, parse_space_spec, signs_to_index
+from .spaces import SampleSpace, _sign_columns, parse_space_spec, signs_to_index
 
 
 def _freeze(arr, dtype=np.float64) -> np.ndarray:
@@ -64,12 +64,19 @@ def _joint(features) -> None:
         raise InputError("only conditional models take features")
 
 
+def _quadratic_forms(signs, w) -> np.ndarray:
+    """y'Wy for each column y of S', summed by a vector-matrix product (faster than np.sum)."""
+    terms = w @ signs
+    return np.ones(len(w)) @ np.multiply(terms, signs, out=terms)
+
+
 @dataclass(frozen=True)
 class BoltzmannModel:
     dim: int
     upper: np.ndarray  # strict upper triangle of W, row-major: (0,1),(0,2),...,(D-2,D-1)
 
     def __post_init__(self):
+        SampleSpace.hypercube(self.dim)  # a dimension of 1..62, as the space's own check
         n = self.dim * (self.dim - 1) // 2
         upper = np.asarray(self.upper, dtype=np.float64)
         if upper.shape != (n,):
@@ -94,12 +101,20 @@ class BoltzmannModel:
         return BoltzmannModel(dim=w.shape[0], upper=w[np.triu_indices(w.shape[0], 1)])
 
     @cached_property
+    def _upper_slots(self) -> np.ndarray:
+        """Flat positions in a C-ordered D x D array of the entries of `upper`."""
+        return np.flatnonzero(np.triu(np.ones((self.dim, self.dim)), 1))
+
+    def _coupling_matrix(self, upper) -> np.ndarray:
+        """The symmetric zero-diagonal W with strict upper triangle `upper`."""
+        w = np.zeros((self.dim, self.dim))
+        w.ravel()[self._upper_slots] = upper
+        return w + w.T
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The symmetric zero-diagonal W (read-only, built once per model)."""
-        rows, cols = np.triu_indices(self.dim, 1)
-        w = np.zeros((self.dim, self.dim))
-        w[rows, cols] = w[cols, rows] = self.upper
-        return _freeze(w)
+        return _freeze(self._coupling_matrix(self.upper))
 
     @property
     def space(self) -> SampleSpace:
@@ -114,22 +129,13 @@ class BoltzmannModel:
 
     def bind(self, points, features=None) -> Bound:
         _joint(features)
-        f = self.pair_features(points)
-        return Bound(lambda x: f @ x, lambda g: f.T @ g)
-
-    def pair_features(self, indices) -> np.ndarray:
-        """Feature rows 2*y_i*y_j for states given by index; log f = F @ upper."""
-        signs = indices_to_signs(indices, self.dim).astype(np.int8)
-        rows, cols = np.triu_indices(self.dim, 1)
-        # int8 sign products are exact and leave one float matrix to allocate;
-        # it is kept C-ordered, because its layout sets the summation order
-        # of the BLAS products over it and so the last bits of every fit
-        return 2.0 * np.multiply(signs[:, rows], signs[:, cols], order="C")
+        signs = _sign_columns(points, self.dim)
+        return Bound(lambda x: _quadratic_forms(signs, self._coupling_matrix(x)),
+                     lambda g: 2.0 * ((signs * g) @ signs.T).take(self._upper_slots))
 
     def log_f_batch(self, indices) -> np.ndarray:
-        """y'Wy per state, from the (n, D) sign matrix: no pair features."""
-        signs = indices_to_signs(indices, self.dim).astype(np.float64)
-        return np.sum((signs @ self.matrix) * signs, axis=1)
+        """y'Wy per state, by the quadratic form that `bind` evaluates."""
+        return _quadratic_forms(_sign_columns(indices, self.dim), self.matrix)
 
 
 @dataclass(frozen=True)
@@ -286,31 +292,20 @@ def model_to_dict(model) -> dict:
     if isinstance(model, BoltzmannModel):
         return {"kind": "boltzmann", "D": model.dim, "upper": model.upper.tolist()}
     if isinstance(model, ConditionalModel):
-        return {
-            "kind": "conditional",
-            "L": model.num_labels,
-            "d": model.feature_dim,
-            "theta": model.theta.tolist(),
-        }
+        return {"kind": "conditional", "L": model.num_labels, "d": model.feature_dim,
+                "theta": model.theta.tolist()}
     if isinstance(model, TabularModel):
-        return {
-            "kind": "tabular",
-            "space": model.space.spec_string(),
-            "eta": model.eta.tolist(),
-        }
+        return {"kind": "tabular", "space": model.space.spec_string(), "eta": model.eta.tolist()}
     raise InputError(f"unknown model type {type(model).__name__}")
 
 
 def model_from_dict(doc: dict):
     kind = doc.get("kind")
     if kind == "boltzmann":
-        return BoltzmannModel(dim=int(doc["D"]), upper=np.array(doc["upper"]))
+        return BoltzmannModel(dim=checked_count("D", doc["D"]), upper=np.array(doc["upper"]))
     if kind == "conditional":
-        return ConditionalModel(
-            num_labels=int(doc["L"]),
-            feature_dim=int(doc["d"]),
-            theta=np.array(doc["theta"]),
-        )
+        return ConditionalModel(checked_count("L", doc["L"]), checked_count("d", doc["d"]),
+                                np.array(doc["theta"]))
     if kind == "tabular":
         return TabularModel(space=parse_space_spec(doc["space"]), eta=np.array(doc["eta"]))
     raise InputError(f"unknown model kind {kind!r}")

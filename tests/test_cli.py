@@ -689,7 +689,17 @@ class TestMalformedModelFiles:
         "[1, 2]",
         '{"kind": "boltzmann", "D": "x", "upper": [0, 0, 0]}',
         '{"kind": "tabular", "space": "labels:4", "eta": "abcd"}',
-    ], ids=["no-upper", "a-list", "D-not-a-number", "eta-a-string"])
+        # counts that `int()` used to truncate or convert: D=2.5 loaded as D=2
+        '{"kind": "boltzmann", "D": 2.5, "upper": [0.1]}',
+        '{"kind": "boltzmann", "D": "2", "upper": [0.1]}',
+        '{"kind": "boltzmann", "D": true, "upper": []}',
+        '{"kind": "conditional", "L": 2.9, "d": 1, "theta": [[1], [2]]}',
+        '{"kind": "conditional", "L": 2, "d": "1", "theta": [[1], [2]]}',
+        # dimensions outside the hypercube rule (1..62)
+        '{"kind": "boltzmann", "D": 0, "upper": []}',
+        '{"kind": "boltzmann", "D": 63, "upper": [%s]}' % ", ".join(["0"] * (63 * 62 // 2)),
+    ], ids=["no-upper", "a-list", "D-not-a-number", "eta-a-string", "D-fractional", "D-a-string",
+            "D-a-bool", "L-fractional", "d-a-string", "D-zero", "D-past-62"])
     def test_eval_exits_2_naming_the_file(self, capsys, tmp_path, content):
         from localscores import SampleSpace, write_samples
 
@@ -702,3 +712,7 @@ class TestMalformedModelFiles:
         code, _, err = run(capsys, "eval", "--model", str(model_path), "--test", str(test))
         assert code == 2
         assert err.startswith(f"error: {model_path}: ")
+        code, _, err = run(capsys, "sample", "--model", str(model_path), "--n", "5",
+                           "--out", str(tmp_path / "out.txt"))
+        assert code == 2 and err.startswith(f"error: {model_path}: ")
+        assert not (tmp_path / "out.txt").exists()

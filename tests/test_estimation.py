@@ -43,6 +43,7 @@ from localscores import (
 )
 from localscores import test_error as error_rate
 from localscores.estimation import _minimize
+from dense_boltzmann import pair_features
 
 
 def seeded_boltzmann(dim, seed, scale=1.0):
@@ -492,7 +493,7 @@ def _per_state_reference(fam, model, samples, features, h=1e-5):
         if isinstance(model, ConditionalModel):
             dj = np.outer(dj, x).ravel()
         elif isinstance(model, BoltzmannModel):
-            dj = model.pair_features(np.arange(len(logs))).T @ dj
+            dj = pair_features(model.dim, np.arange(len(logs))).T @ dj
         grad = grad + count * dj / n
     return value, grad
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from localscores import (
     score,
     signs_to_index,
 )
+from dense_boltzmann import pair_features
 
 
 class TestBoltzmann:
@@ -56,20 +58,33 @@ class TestBoltzmann:
         for dim in range(2, 33):
             model = BoltzmannModel(dim=dim, upper=rng.normal(size=dim * (dim - 1) // 2))
             idx = rng.integers(0, 2 ** dim, size=64)
-            dense = model.pair_features(idx) @ model.upper
+            dense = pair_features(dim, idx) @ model.upper
             np.testing.assert_allclose(model.log_f_batch(idx), dense, rtol=1e-12,
                                        atol=1e-12 * np.abs(model.upper).sum())
 
     def test_pair_features_column_order(self):
-        # reference: one column 2 * y_i * y_j per pair, in upper-triangle order
-        model = BoltzmannModel.zeros(5)
+        # the dense oracle itself: one column 2 * y_i * y_j per pair, in upper-triangle order
         idx = np.arange(32)
         signs = indices_to_signs(idx, 5).astype(float)
         cols = [2.0 * signs[:, i] * signs[:, j] for i in range(5) for j in range(i + 1, 5)]
-        features = model.pair_features(idx)
-        assert np.array_equal(features, np.stack(cols, axis=1))
-        # the memory order decides the summation order of BLAS products
-        assert features.flags.c_contiguous
+        assert np.array_equal(pair_features(5, idx), np.stack(cols, axis=1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: BoltzmannModel(0, []),
+        lambda: BoltzmannModel(-1, [0.0]),
+        lambda: BoltzmannModel.zeros(70),
+        lambda: BoltzmannModel.zeros(63),
+        lambda: BoltzmannModel(2.0, [0.5]),
+        lambda: BoltzmannModel(True, []),
+    ], ids=["zero", "negative", "seventy", "past-62", "a-float", "a-bool"])
+    def test_constructor_checks_the_dimension(self, make):
+        # each of these used to construct and fail only later, at `.space`
+        with pytest.raises(InputError, match="hypercube dimension"):
+            make()
+
+    @pytest.mark.parametrize("dim", [1, 62])
+    def test_dimensions_at_the_bounds_construct(self, dim):
+        assert BoltzmannModel.zeros(dim).space.size == 2 ** dim
 
     def test_matrix_is_cached_and_read_only(self):
         model = BoltzmannModel(dim=3, upper=[0.5, -1.0, 2.0])
@@ -306,6 +321,52 @@ class TestPointRange:
     def test_joint_models_take_no_features(self):
         with pytest.raises(InputError, match="only conditional models take features"):
             log_f(BoltzmannModel.zeros(3), 1, x=np.ones(2))
+
+
+class TestBoltzmannBind:
+    """`bind` and `log_f_batch` evaluate y'Wy from the sign matrix; the dense
+    pair-feature map of `dense_boltzmann` is their oracle."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1))
+    def test_bind_matches_the_dense_map(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        size = 2 ** dim
+        points = rng.choice(size, size=int(rng.integers(1, min(size, 400) + 1)), replace=False)
+        model = BoltzmannModel(dim, rng.normal(size=dim * (dim - 1) // 2))
+        x = rng.normal(size=model.upper.size) * rng.choice([1e-3, 1.0, 1e3])
+        g = rng.normal(size=points.size)
+        bound, dense = model.bind(points), pair_features(dim, points)
+        # tolerances are relative to the sum of the terms' magnitudes: every
+        # entry of the dense map is +-2
+        np.testing.assert_allclose(bound.logs(x), dense @ x, rtol=1e-12,
+                                   atol=2e-12 * np.abs(x).sum())
+        np.testing.assert_allclose(bound.pullback(g), dense.T @ g, rtol=1e-12,
+                                   atol=2e-12 * np.abs(g).sum())
+        np.testing.assert_allclose(model.log_f_batch(points), bound.logs(model.upper),
+                                   rtol=1e-12, atol=2e-12 * np.abs(model.upper).sum())
+        lhs, rhs = g @ bound.logs(x), x @ bound.pullback(g)
+        assert abs(lhs - rhs) <= 2e-12 * (np.abs(g).sum() * np.abs(x).sum())
+
+    def test_bind_memory_is_linear_in_the_points(self):
+        # 10^5 distinct points at D=32: the float64 sign matrix is 25.6 MB,
+        # the dense pair-feature map would be 397 MB
+        rng = np.random.default_rng(3)
+        points = rng.choice(2 ** 32, size=10 ** 5, replace=False)
+        model = BoltzmannModel(32, rng.normal(size=32 * 31 // 2))
+        x, g = rng.normal(size=model.upper.size), rng.normal(size=points.size)
+        sign_bytes = points.size * 32 * 8
+        tracemalloc.start()
+        try:
+            bound = model.bind(points)
+            kept, _ = tracemalloc.get_traced_memory()
+            bound.logs(x)
+            bound.pullback(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.1 * sign_bytes  # the bind keeps one sign matrix
+        assert peak <= 2.5 * sign_bytes, peak / sign_bytes
 
 
 def _protocol_case(kind, seed):

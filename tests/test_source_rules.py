@@ -154,3 +154,33 @@ def test_ellipsis_gather_detection():
         "t: tuple[tuple[float, float], ...]\nx[0, ..., idx]\n"
     )
     assert _ellipsis_gathers(tree) == [1, 5, 9]
+
+
+def _pair_feature_sites(tree):
+    """Line numbers where `pair_features` is defined or named."""
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "pair_features")
+        or (isinstance(n, ast.Name) and n.id == "pair_features")
+        or (isinstance(n, ast.Attribute) and n.attr == "pair_features")
+    )
+
+
+def test_no_dense_pair_features_in_the_library():
+    # a Boltzmann model binds its (D, n) sign matrix; the |U| x D(D-1)/2
+    # pair-feature map (397 MB for 10^5 points at D=32) is only the test
+    # oracle in tests/dense_boltzmann.py
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _pair_feature_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert sites == []
+
+
+def test_pair_feature_detection():
+    tree = ast.parse(
+        "def pair_features(self, i):\n    pass\nf = self.pair_features(p)\ng = pair_features\n"
+        "features = 1\npair_count = 2\n"
+    )
+    assert _pair_feature_sites(tree) == [1, 3, 4]
