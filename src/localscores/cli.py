@@ -104,16 +104,21 @@ def _neighborhood_system(space: SampleSpace, spec: ScoreSpec | None, radius,
 # graph
 
 
+def _indices(flag: str, text: str, what: str) -> list[int]:
+    """The comma-separated integers given to `flag`."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"{flag} takes comma-separated {what} indices, got {text!r}") from exc
+
+
 def cmd_graph(args) -> int:
     space = parse_space_spec(args.space)
     space.require_enumerable("graph")  # before a radius asks for every mask up to it
     spec = parse_score_spec(args.potential) if args.potential else None
     system = _neighborhood_system(space, spec, args.radius, args.blocks)
     graph = materialize(system)
-    try:
-        active = [int(t) for t in args.y0.split(",")] if args.y0 else range(space.size)
-    except ValueError as exc:
-        raise InputError(f"--y0 takes comma-separated point indices, got {args.y0!r}") from exc
+    active = _indices("--y0", args.y0, "point") if args.y0 else range(space.size)
     if args.export:
         write_edge_list(graph, args.export)
     if spec is not None:
@@ -252,6 +257,15 @@ def _apply_overrides(doc: dict, sets: list[str]) -> dict:
     return doc
 
 
+def _samples_on(space: SampleSpace, path) -> np.ndarray:
+    """The indices in a sample file, refused unless its header names `space`."""
+    file_space, idx, _ = read_samples(path)
+    if file_space.spec_string() != space.spec_string():
+        raise InputError(f"{path}: sample file space {file_space.spec_string()} does not match "
+                         f"{space.spec_string()}")
+    return idx
+
+
 def _load_train(cfg: ExperimentConfig, space: SampleSpace):
     """(data, features) to fit: a feature CSV's labels and rows for
     conditional models, sample indices and None otherwise."""
@@ -261,11 +275,7 @@ def _load_train(cfg: ExperimentConfig, space: SampleSpace):
             raise InputError("conditional fits read a feature CSV from `train`")
         features, data = read_feature_csv(cfg.train)
     elif isinstance(cfg.train, str):
-        file_space, data, _ = read_samples(cfg.train)
-        if file_space.spec_string() != space.spec_string():
-            raise InputError(
-                f"sample file space {file_space.spec_string()} does not match {cfg.space}"
-            )
+        data = _samples_on(space, cfg.train)
     else:  # a synthetic source, checked by `ExperimentConfig.from_dict`
         src = cfg.train
         model = load_model(src["model"])
@@ -367,7 +377,7 @@ def _test_metrics(model, path, n=None, log_z=None) -> dict:
         x, y = read_feature_csv(path)
         x, y = x[:n], y[:n]
         return dict(log_loss=negative_log_loss(model, y, features=x), error=test_error(model, x, y))
-    idx = read_samples(path)[1][:n]
+    idx = _samples_on(model.space, path)[:n]
     log_z = exact_log_z(model) if log_z is None else log_z
     return dict(log_loss=negative_log_loss(model, idx, log_z=log_z))
 
@@ -486,7 +496,7 @@ def inject_label_noise(labels, rate: float, rng: RngStream, num_labels: int = 10
 
 
 def cmd_ingest(args) -> int:
-    indices = [int(t) for t in args.features.split(",")] if args.features else list(range(64))
+    indices = _indices("--features", args.features, "feature column") if args.features else list(range(64))
     feats, labels = ingest_optdigits(args.input, indices, args.binarize)
     if args.noise:  # a negative or nan rate is refused, not skipped
         labels = inject_label_noise(labels, args.noise, RngStream(args.seed))

@@ -268,6 +268,8 @@ def grad_log_f(model, y, x=None):
 
 
 def _all_log_f(model) -> np.ndarray:
+    if isinstance(model, ConditionalModel):
+        raise InputError("a conditional model normalizes per feature vector: use its log_z(x)")
     space = model.space
     space.require_enumerable("normalization")
     return model.log_f_batch(np.arange(space.size))

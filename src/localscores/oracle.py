@@ -2,7 +2,11 @@
 
 Every check draws randomized inputs from a seeded stream, measures the worst
 violation of the property it probes, and returns an `OracleReport` with up to
-ten witnesses. A passing coincidence check is evidence, not proof: the graph
+ten witnesses. One `_Tally` keeps that bookkeeping for every check: the
+trials folded in, the worst violation, the witness cap and the report; a
+violation that is not finite fails the check like one above tolerance and is
+kept as a witness. A check supplies only its draws, its routes and what a
+witness holds. A passing coincidence check is evidence, not proof: the graph
 diagnostics carry the actual guarantee, so coincidence reports cross-reference
 them. Wherever `diagnose` denies the guarantee, a coincidence check also
 evaluates the counterexample the graph forces: p against p rescaled on
@@ -13,10 +17,8 @@ A check draws its trials' inputs from its stream in the order a loop running
 one trial at a time would draw them, then evaluates the score kernel and the
 local-Bregman route once per chunk of trials, over the stacked (trials, |Y|)
 logs; a chunk holds `CHUNK_ENTRIES` log values, so memory grows with neither
-the trial count nor |Y|. The
-per-point routes that check the kernel (`generic_score`,
-`named_closed_form_score`) still run one trial at a time. A violation that is
-not finite fails the check like one above tolerance and is kept as a witness.
+the trial count nor |Y|. The per-point routes that check the kernel
+(`generic_score`, `named_closed_form_score`) still run one trial at a time.
 """
 
 from __future__ import annotations
@@ -100,22 +102,51 @@ def _chunk_trials(space) -> int:
     return max(1, CHUNK_ENTRIES // space.size)
 
 
-def _chunks(trials: int, space):
-    """The trial counts of successive chunks: `_chunk_trials` until the last."""
+def _chunks(trials: int, space, limit: int, what: str):
+    """The trial counts of successive chunks, `_chunk_trials` until the last,
+    once `trials` is a count and |Y| is at most `limit` (both checked now,
+    before a check sets up anything for its space)."""
+    checked_count("trials", trials)
+    if space.size > limit:
+        raise InputError(f"{what}; need |Y| <= {limit}")
     step = _chunk_trials(space)
-    for start in range(0, trials, step):
-        yield min(step, trials - start)
+    return (min(step, trials - start) for start in range(0, trials, step))
 
 
-def _fold(worst: float, violations, tolerance: float):
-    """(worst after a chunk of per-trial violations, the chunk's failing
-    trials in order). A violation that is not finite, because a route gave
-    nan or inf, fails like one above tolerance and makes the worst inf:
-    a comparison alone would pass a nan."""
-    violations = np.asarray(violations, dtype=np.float64)
-    finite = np.isfinite(violations)
-    worst = max(worst, float(violations.max())) if finite.all() else math.inf
-    return worst, np.flatnonzero(~finite | (violations > tolerance))
+class _Tally:
+    """What a check reports: the trials folded in, the worst violation and
+    the first `MAX_WITNESSES` witnesses. A violation that is not finite,
+    because a route gave nan or inf, fails like one above tolerance and
+    makes the worst inf: a comparison alone would pass a nan."""
+
+    def __init__(self, tolerance: float):
+        self.tolerance = tolerance
+        self.trials, self.worst, self.witnesses = 0, -math.inf, []
+
+    def fold(self, violations, witnesses_of) -> None:
+        """Fold in a chunk of per-trial violations; `witnesses_of(i)` lists
+        the witnesses of the chunk's failing trial i."""
+        violations = np.asarray(violations, dtype=np.float64)
+        finite = np.isfinite(violations)
+        self.trials += len(violations)
+        self.worst = max(self.worst, float(violations.max())) if finite.all() else math.inf
+        failing = np.flatnonzero(~finite | (violations > self.tolerance))
+        for i in failing[: MAX_WITNESSES - len(self.witnesses)]:
+            self.witnesses += witnesses_of(i)
+        del self.witnesses[MAX_WITNESSES:]
+
+    def report(self, name: str, details: str = "") -> OracleReport:
+        return OracleReport.build(name, self.trials, self.worst, self.witnesses, self.tolerance, details)
+
+
+def _pair_witnesses(pq):
+    """`witnesses_of` for (trials, 2, |Y|) weights: trial i's (p, q)."""
+    return lambda i: [(tuple(pq[i, 0]), tuple(pq[i, 1]))]
+
+
+def _relative_spread(vals) -> np.ndarray:
+    """max - min over max(1, max |v|), per row of (trials, routes) values."""
+    return (vals.max(axis=1) - vals.min(axis=1)) / np.maximum(1.0, np.abs(vals).max(axis=1))
 
 
 def registered_counterexamples(family: LocalPotentialFamily):
@@ -147,21 +178,14 @@ def check_properness(
 ) -> OracleReport:
     """Worst value of S(p,p) - S(p,q) over random pairs; positive means the
     truth failed to minimize the expected score."""
-    checked_count("trials", trials)
     space = family.space
-    if space.size > 16:
-        raise InputError("properness checks enumerate pairs; need |Y| <= 16")
-    gen = rng.generator()
-    worst = -math.inf
-    witnesses = []
-    for count in _chunks(trials, space):
+    chunks = _chunks(trials, space, 16, "properness checks enumerate pairs")
+    gen, tally = rng.generator(), _Tally(PROPERNESS_TOLERANCE)
+    for count in chunks:
         pq = _random_probabilities(gen, count, space.size)
         expected = _rowdot(pq[:, :1], _stacked_state_scores(family, np.log(pq)))
-        worst, bad = _fold(worst, expected[:, 0] - expected[:, 1], PROPERNESS_TOLERANCE)
-        witnesses += [(tuple(p), tuple(q)) for p, q in pq[bad[: MAX_WITNESSES - len(witnesses)]]]
-    return OracleReport.build(
-        f"properness[{family.describe()}]", trials, worst, witnesses, PROPERNESS_TOLERANCE
-    )
+        tally.fold(expected[:, 0] - expected[:, 1], _pair_witnesses(pq))
+    return tally.report(f"properness[{family.describe()}]")
 
 
 def check_coincidence(
@@ -170,47 +194,32 @@ def check_coincidence(
     """Minimum divergence over clearly separated random pairs, plus every
     registered counterexample; a minimum at numerical zero means the
     divergence cannot tell the two distributions apart. A pair closer than
-    0.01 in every weight is drawn, rejected and not counted."""
-    checked_count("trials", trials)
+    0.01 in every weight is drawn, rejected and not counted, so rejections,
+    not `_chunks`, size the chunks."""
     space = family.space
-    if space.size > 16:
-        raise InputError("coincidence checks enumerate pairs; need |Y| <= 16")
-    gen = rng.generator()
-    worst, min_div = -math.inf, math.inf
-    witnesses = []
+    _chunks(trials, space, 16, "coincidence checks enumerate pairs")
+    gen, tally = rng.generator(), _Tally(-COINCIDENCE_MINIMUM)
+    min_div = math.inf
 
-    def tally(pq):
-        """The divergences of (pairs, 2, |Y|) weights, folded into the report."""
-        nonlocal worst, min_div
+    def fold(pq):
+        """The divergences of (pairs, 2, |Y|) weights, folded into the tally."""
+        nonlocal min_div
         logs = np.log(pq)
         divs = _stacked_divergence(family, logs[:, 0], logs[:, 1])
-        worst, bad = _fold(worst, -divs, -COINCIDENCE_MINIMUM)
+        tally.fold(-divs, _pair_witnesses(pq))
         min_div = np.minimum(min_div, divs.min())  # a nan stays
-        witnesses.extend((tuple(p), tuple(q)) for p, q in pq[bad[: MAX_WITNESSES - len(witnesses)]])
         return divs
 
-    count = 0
-    while count < trials:  # each chunk draws only pairs the loop would draw
-        pq = _random_probabilities(gen, min(_chunk_trials(space), trials - count), space.size)
+    while tally.trials < trials:  # each chunk draws only pairs the loop would draw
+        pq = _random_probabilities(gen, min(_chunk_trials(space), trials - tally.trials), space.size)
         pq = pq[np.max(np.abs(pq[:, 0] - pq[:, 1]), axis=-1) >= 0.01]
         if len(pq):
-            count += len(pq)
-            tally(pq)
-    details = []
-    for p, q, label in registered_counterexamples(family):
-        (div,) = tally(np.stack([p.weights, q.weights])[None])
-        count += 1
-        details.append(f"counterexample[{label}]={div:.3g}")
+            fold(pq)
+    details = [f"counterexample[{label}]={fold(np.stack([p.weights, q.weights])[None])[0]:.3g}"
+               for p, q, label in registered_counterexamples(family)]
     diag = diagnose(family.graph, family.active_indices(), family.potential_class)
-    details.append(f"diagnose_guaranteed={diag.guaranteed}")
-    return OracleReport.build(
-        f"coincidence[{family.describe()}]",
-        count,
-        worst,
-        witnesses,
-        -COINCIDENCE_MINIMUM,
-        details=" ".join(details) + f" min_divergence={min_div:.6g}",
-    )
+    details += [f"diagnose_guaranteed={diag.guaranteed}", f"min_divergence={min_div:.6g}"]
+    return tally.report(f"coincidence[{family.describe()}]", " ".join(details))
 
 
 def check_score_paths(
@@ -221,15 +230,11 @@ def check_score_paths(
     generic gradient path, the closed form (when the kind has one), and a
     central finite difference of the composite potential on the log scale.
     The generic route and the closed form run one trial at a time."""
-    checked_count("trials", trials)
     space = family.space
-    if space.size > 256:
-        raise InputError("score path checks enumerate the space; need |Y| <= 256")
-    gen = rng.generator()
-    worst = 0.0
-    witnesses = []
+    chunks = _chunks(trials, space, 256, "score path checks enumerate the space")
+    gen, tally = rng.generator(), _Tally(SCORE_PATH_TOLERANCE)
     step = 1e-5
-    for count in _chunks(trials, space):
+    for count in chunks:
         draws = [(gen.uniform(-3.0, 3.0, size=space.size), int(gen.integers(0, space.size)))
                  for _ in range(count)]
         logs = np.stack([row for row, _ in draws])
@@ -250,13 +255,9 @@ def check_score_paths(
         at_y = np.array([math.exp(v) for v in logs[at]])
         routes["finite_difference"] = -(up - down) / (2.0 * at_y * math.sinh(step))
         vals = np.column_stack(list(routes.values()))
-        spread = (vals.max(axis=1) - vals.min(axis=1)) / np.maximum(1.0, np.abs(vals).max(axis=1))
-        worst, bad = _fold(worst, spread, SCORE_PATH_TOLERANCE)
-        witnesses += [(int(at[1][i]), dict(zip(routes, map(float, vals[i]))))
-                      for i in bad[: MAX_WITNESSES - len(witnesses)]]
-    return OracleReport.build(
-        f"score_paths[{family.describe()}]", trials, worst, witnesses, SCORE_PATH_TOLERANCE
-    )
+        tally.fold(_relative_spread(vals),
+                   lambda i: [(int(at[1][i]), dict(zip(routes, map(float, vals[i]))))])
+    return tally.report(f"score_paths[{family.describe()}]")
 
 
 def check_block_cover_connectivity(
@@ -268,24 +269,14 @@ def check_block_cover_connectivity(
     checked_count("dim_max", dim_max, 2)
     if dim_max > 4:
         raise InputError("block systems are enumerated exhaustively; need D <= 4")
-    gen = rng.generator()
-    worst = 0.0
-    witnesses = []
+    gen, tally = rng.generator(), _Tally(0.0)
     for _ in range(trials):
         dim = int(gen.integers(2, dim_max + 1))
-        m = int(gen.integers(1, dim + 1))
-        blocks = []
-        for _ in range(m):
-            mask = int(gen.integers(1, 2 ** dim))
-            blocks.append({i + 1 for i in range(dim) if (mask >> i) & 1})
-        system = BlockSystem.of(dim, *blocks)
-        if not cl_connectivity_matches_cover(system):
-            worst = 1.0
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append((dim, tuple(tuple(sorted(b)) for b in blocks)))
-    return OracleReport.build(
-        "block_cover_connectivity", trials, worst, witnesses, 0.0
-    )
+        masks = [int(gen.integers(1, 2 ** dim)) for _ in range(int(gen.integers(1, dim + 1)))]
+        blocks = [{i + 1 for i in range(dim) if (mask >> i) & 1} for mask in masks]
+        matches = cl_connectivity_matches_cover(BlockSystem.of(dim, *blocks))
+        tally.fold([0.0 if matches else 1.0], lambda i: [(dim, tuple(tuple(sorted(b)) for b in blocks))])
+    return tally.report("block_cover_connectivity")
 
 
 def check_divergence_identity(
@@ -294,18 +285,14 @@ def check_divergence_identity(
     """divergence(f,g), the batched local-Bregman route, must equal
     f . state_scores(g) + potential(f), the score kernel's route; the
     index-swap identity over random arrays must hold to the digit."""
-    checked_count("trials", trials)
     space = family.space
-    if space.size > 16:
-        raise InputError("divergence identity checks need |Y| <= 16")
-    gen = rng.generator()
-    worst = 0.0
-    witnesses = []
+    chunks = _chunks(trials, space, 16, "divergence identity checks enumerate pairs")
+    gen, tally = rng.generator(), _Tally(DIVERGENCE_IDENTITY_TOLERANCE)
     # the (x, z) entries of every z in b(x): summing a over them and over
     # their swaps must agree exactly (fsum rounds once, in any order)
     rows = np.concatenate([np.full(len(family.neighbors(x)), x) for x in range(space.size)])
     cols = np.concatenate([family.neighbors(x) for x in range(space.size)]).astype(np.int64)
-    for count in _chunks(trials, space):
+    for count in chunks:
         draws = [(gen.uniform(-3.0, 3.0, size=space.size), gen.uniform(-3.0, 3.0, size=space.size),
                   gen.normal(size=(space.size, space.size))) for _ in range(count)]
         flogs, glogs = (np.stack([d[k] for d in draws]) for k in (0, 1))
@@ -314,22 +301,13 @@ def check_divergence_identity(
         lhs = _stacked_divergence(family, flogs, glogs)
         rhs = _rowdot(np.exp(flogs), _stacked_state_scores(family, glogs))
         rhs += _stacked_composite_potential(family, flogs)
-        spread = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        worst, bad = _fold(worst, np.where(swapped, np.maximum(spread, 1.0), spread),
-                           DIVERGENCE_IDENTITY_TOLERANCE)
-        for i in bad:
-            if not spread[i] <= DIVERGENCE_IDENTITY_TOLERANCE:
-                witnesses.append((float(lhs[i]), float(rhs[i])))
-            if swapped[i]:
-                witnesses.append("index swap mismatch")
-        del witnesses[MAX_WITNESSES:]
-    return OracleReport.build(
-        f"divergence_identity[{family.describe()}]",
-        trials,
-        worst,
-        witnesses,
-        DIVERGENCE_IDENTITY_TOLERANCE,
-    )
+        spread = _relative_spread(np.column_stack([lhs, rhs]))
+
+        def witnesses_of(i):  # the two routes if they disagree, a note if the swap did
+            apart = not spread[i] <= DIVERGENCE_IDENTITY_TOLERANCE
+            return [(float(lhs[i]), float(rhs[i]))] * apart + ["index swap mismatch"] * bool(swapped[i])
+        tally.fold(np.where(swapped, np.maximum(spread, 1.0), spread), witnesses_of)
+    return tally.report(f"divergence_identity[{family.describe()}]")
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,6 @@ class Probability:
 class _AdditivePotential:
     """phi_y(g) = sum_z f0(g_z) for a convex scalar f0."""
 
-    additive = True
-
     def __init__(self, f0, f1):
         self.f0, self.f1 = f0, f1
 
@@ -211,8 +209,6 @@ class _AdditivePotential:
 class _PseudoSphericalPotential:
     """phi_y(g) = (sum_z g_z^(1+gamma))^(1/(1+gamma)); convex, 1-homogeneous,
     not strictly convex."""
-
-    additive = False
 
     def __init__(self, gamma: float):
         self.gamma = gamma
@@ -231,8 +227,6 @@ class _PseudoSphericalPotential:
 class _CompositePotential:
     """phi_y(g) = -sum_l log(1 + sum over block l of g); `member` is the
     (..., blocks, width) mask of the neighbors in each block b_l(y)."""
-
-    additive = False
 
     def __init__(self, member: np.ndarray):
         self.member = member  # padding lies in no block, so `valid` is not needed

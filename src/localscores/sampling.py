@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, checked_count, open_text
-from .models import BoltzmannModel
+from .models import BoltzmannModel, _quadratic_forms
 from .potentials import Probability, _logsumexp
 from .spaces import SampleSpace, parse_space_spec, signs_matrix_to_indices
 
@@ -153,7 +153,7 @@ def _ais(model: BoltzmannModel, config: AisConfig, rng: RngStream) -> tuple[floa
     coef = np.hstack([w, -np.eye(dim)])
     log_w = np.zeros(m)
     for k in range(len(betas) - 1):
-        log_w += (betas[k + 1] - betas[k]) * np.einsum("ij,ij->j", w @ states, states)
+        log_w += (betas[k + 1] - betas[k]) * _quadratic_forms(states, w)
         np.multiply(w, 4.0 * betas[k + 1], out=coef[:, :dim])
         for _ in range(config.sweeps_per_temperature):
             u = gen.random((m, dim)).T

@@ -204,6 +204,41 @@ class TestSampleAndEval:
         record = parse_record(out.splitlines()[0])
         assert float(record["log_loss"]) == pytest.approx(8 * math.log(2), rel=1e-9)
 
+    def test_sample_refuses_a_conditional_model(self, capsys, tmp_path):
+        # used to end in a bare AttributeError traceback and exit 1
+        model_path = tmp_path / "cond.json"
+        save_model(ConditionalModel.zeros(3, 2), model_path)
+        code, out, err = run(
+            capsys, "sample", "--model", str(model_path), "--n", "5", "--out", str(tmp_path / "s.txt")
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "per feature vector" in err
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    @pytest.mark.parametrize("command", ["eval", "fit"])
+    def test_test_file_of_another_space_refused(self, capsys, tmp_path, command, dim):
+        # a D=10 model used to score a hypercube:8 file, and a hypercube:12
+        # file holding indices 0-49, as points of its own space, with exit 0
+        from localscores import SampleSpace, write_samples
+
+        test = tmp_path / "test.txt"
+        write_samples(test, SampleSpace.hypercube(dim), np.arange(50), seed=0)
+        model_path = tmp_path / "m.json"
+        save_model(BoltzmannModel.zeros(10), model_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "score": "pl", "space": "hypercube:10", "model": "boltzmann",
+            "train": {"model": str(model_path), "n": 50}, "test": str(test),
+            "fit": {"max_iterations": 2},
+        }))
+        argv = {
+            "eval": ["eval", "--model", str(model_path), "--test", str(test)],
+            "fit": ["fit", "--config", str(cfg_path)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "log_loss" not in out
+        assert err.startswith("error: ") and f"hypercube:{dim} does not match hypercube:10" in err
+
     def test_eval_ais_close_to_exact(self, capsys, tmp_path):
         model = seeded_bm(6, 77)
         model_path = tmp_path / "m.json"
@@ -500,6 +535,18 @@ class TestIngest:
         assert np.count_nonzero(noisy != labels) <= 13
         chosen = inject_label_noise(np.full(1000, -1), 0.25, RngStream(4))
         assert np.count_nonzero(chosen != -1) == 250
+
+    @pytest.mark.parametrize("features", ["a", "0,x", "1,,2"])
+    def test_unparsable_feature_list_exits_2(self, capsys, tmp_path, features):
+        # used to end in a bare ValueError traceback
+        src = tmp_path / "digits.csv"
+        write_digits_csv(src, [[1, 2, 0]])
+        code, out, err = run(
+            capsys, "ingest", "--input", str(src), "--out", str(tmp_path / "o.csv"),
+            "--features", features,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--features takes comma-separated" in err
 
     def test_cli_round_trip(self, capsys, tmp_path):
         src = tmp_path / "digits.csv"

@@ -145,6 +145,12 @@ class TestConditional:
         brute = math.log(sum(math.exp(log_f(model, y, x=x)) for y in range(3)))
         assert model.log_z(x) == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("whole_space", [normalize, exact_log_z])
+    def test_no_normalization_without_features(self, whole_space):
+        # used to end in AttributeError: no attribute 'log_f_batch'
+        with pytest.raises(InputError, match=r"per feature vector: use its log_z\(x\)"):
+            whole_space(ConditionalModel.zeros(3, 2))
+
 
 class TestTabular:
     def test_one_hot_gradient(self):

@@ -184,3 +184,45 @@ def test_pair_feature_detection():
         "features = 1\npair_count = 2\n"
     )
     assert _pair_feature_sites(tree) == [1, 3, 4]
+
+
+def _report_builds(node):
+    """Line numbers of `OracleReport.build(...)` calls under node."""
+    return sorted(
+        n.lineno for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "build"
+        and isinstance(n.func.value, ast.Name) and n.func.value.id == "OracleReport"
+    )
+
+
+def _builds_outside_the_tally(tree):
+    """Line numbers of `OracleReport.build` calls outside the `_Tally` class."""
+    inside = {line for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Tally"
+              for line in _report_builds(node)}
+    return [line for line in _report_builds(tree) if line not in inside]
+
+
+def test_one_tally_reports_every_oracle_check():
+    # every check folds the same non-finite rule and witness cap into its
+    # report only while `_Tally` alone builds reports, and no check keeps a
+    # `_fold` of its own
+    path = SOURCE / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _report_builds(tree) and _builds_outside_the_tally(tree) == []
+    folds = [
+        f"{path.name}:{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name, _ in _functions(ast.parse(path.read_text(), filename=str(path)))
+        if name.rsplit(".", 1)[-1] == "_fold"
+    ]
+    assert folds == []
+
+
+def test_report_build_detection():
+    tree = ast.parse(
+        "class _Tally:\n    def report(self):\n        return OracleReport.build(1)\n"
+        "def check():\n    return OracleReport.build(2)\n"
+        "x = other.build(3)\ny = OracleReport.build(4)\n"
+    )
+    assert _report_builds(tree) == [3, 5, 7]
+    assert _builds_outside_the_tally(tree) == [5, 7]
