@@ -341,6 +341,11 @@ def cmd_fit(args) -> int:
         model0 = BoltzmannModel.zeros(space.dim)
     else:
         model0 = TabularModel.zeros(space)
+    test = None
+    if cfg.test:  # read and checked before the fit, so that a bad test file costs no fit
+        test = _test_data(model0, cfg.test, cfg.n_test)
+        if not isinstance(model0, ConditionalModel):
+            model0.space.require_enumerable("the test log loss's exact log Z")
     if cfg.objective == "mle":
         result = mle_fit(model0, data, fit_config, features=features)
     else:
@@ -352,8 +357,8 @@ def cmd_fit(args) -> int:
     report_lines += result.report_lines() + [summary]
     print(summary)
 
-    if cfg.test:
-        line = format_record(record="test_metrics", **_test_metrics(fitted, cfg.test, cfg.n_test))
+    if test is not None:
+        line = format_record(record="test_metrics", **_test_metrics(fitted, test))
         report_lines.append(line)
         print(line)
 
@@ -369,21 +374,37 @@ def cmd_fit(args) -> int:
 # eval / sample
 
 
-def _test_metrics(model, path, n=None, log_z=None) -> dict:
-    """Log loss on the first n rows of a test file (all rows for None), and
-    the error for a conditional model; an unconditional model's log Z is
-    exact unless given."""
+def _test_data(model, path, n=None):
+    """The first n rows of a test file (all rows for None), checked against
+    the model: a conditional model's (features, labels), else sample indices
+    on the model's space, whose exact log Z the metrics may need."""
     if isinstance(model, ConditionalModel):
         x, y = read_feature_csv(path)
-        x, y = x[:n], y[:n]
-        return dict(log_loss=negative_log_loss(model, y, features=x), error=test_error(model, x, y))
+        try:
+            model.feature_rows(x)
+            model.space.checked_indices(y, "label")
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+        return x[:n], y[:n]
     idx = _samples_on(model.space, path)[:n]
+    if idx.size == 0:
+        raise InputError(f"{path}: no test samples")
+    return idx
+
+
+def _test_metrics(model, test, log_z=None) -> dict:
+    """Log loss on `_test_data`, and the error for a conditional model; an
+    unconditional model's log Z is exact unless given."""
+    if isinstance(model, ConditionalModel):
+        x, y = test
+        return dict(log_loss=negative_log_loss(model, y, features=x), error=test_error(model, x, y))
     log_z = exact_log_z(model) if log_z is None else log_z
-    return dict(log_loss=negative_log_loss(model, idx, log_z=log_z))
+    return dict(log_loss=negative_log_loss(model, test, log_z=log_z))
 
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
+    test = _test_data(model, args.test)
     if isinstance(model, ConditionalModel):
         fields = {}
     elif args.logz == "exact":
@@ -394,7 +415,7 @@ def cmd_eval(args) -> int:
         config = AisConfig(num_temperatures=args.ais_temperatures, num_chains=args.ais_chains)
         log_z, se, ess = _ais(model, config, RngStream(args.seed))
         fields = dict(method="ais", log_z=log_z, log_z_se=se, ais_ess=ess)
-    metrics = _test_metrics(model, args.test, log_z=fields.get("log_z"))
+    metrics = _test_metrics(model, test, log_z=fields.get("log_z"))
     print(format_record(record="eval", **fields, **metrics))
     return 0
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, checked_count, checked_real
+from .errors import InputError, UnsupportedError, checked_count, checked_real
 from .graphs import label_band_graph
 from .models import ConditionalModel, _label_logits
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec, _logsumexp, _masked
@@ -186,6 +186,17 @@ class _Balls:
 # entries), so hypercubes from about D=20 with few samples take the sort.
 _TABLE_RANGE_PER_ENTRY = 32
 
+# About 67M entries: 512 MB as an int64 ball table, beside which the kernel
+# keeps the table's positions in the universe and its mask. A ps:1 radius-2
+# kernel at D=24 on 2000 samples would need 589 618 centers x 300 members.
+MAX_BALL_ENTRIES = 1 << 26
+
+
+def _check_ball_entries(entries: int) -> None:
+    """Refuse a ball table of more than MAX_BALL_ENTRIES entries before it is built."""
+    if entries > MAX_BALL_ENTRIES:
+        raise UnsupportedError(f"ball table needs {entries} entries, above {MAX_BALL_ENTRIES}")
+
 
 def _index_points(arrays, size):
     """(points, pos) for point arrays with entries in [0, size): the sorted
@@ -288,6 +299,7 @@ class _ScoreKernel:
             centers, pos = _index_points(
                 [nbrs if self.nbr_reach is None else nbrs[self.nbr_reach]], self.size
             )
+            _check_ball_entries(len(centers) * nbrs.shape[1])
             members, mvalid = self._batch(fam.neighbor_matrix, centers)
             self.nbr_ids = np.minimum(pos(nbrs), max(len(centers) - 1, 0))
             points = [states, nbrs, members]
@@ -309,7 +321,7 @@ class _ScoreKernel:
         single-block graph."""
         fam, states = self.family, self.states
         own_ids, nbr_ids, nbr_reach, parts = [], [], [], []
-        offset = 0
+        offset = width = 0
         for block in range(fam.num_blocks):
             nbrs, valid = self._batch(fam.block_matrix, states, block)
             if fam.standard_cl:  # the states are sorted and distinct
@@ -322,6 +334,8 @@ class _ScoreKernel:
                 own = pos(states)
                 nbr_ids.append(offset + np.minimum(pos(nbrs), len(centers) - 1))
                 nbr_reach.append(np.ones(nbrs.shape, dtype=bool) if reach is None else reach)
+            width = max(width, nbrs.shape[1] + 1)  # each ball also holds its center
+            _check_ball_entries((offset + len(centers)) * width)
             cm, cvalid = self._batch(fam.block_matrix, centers, block)
             if cvalid is not None:
                 cvalid = np.concatenate([cvalid, np.ones((len(centers), 1), dtype=bool)], axis=1)

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import InputError, checked_count, open_text
 from .potentials import Probability, _logsumexp
-from .spaces import SampleSpace, _sign_columns, parse_space_spec, signs_to_index
+from .spaces import (SampleSpace, _chunk_slices, _hypercube_indices, _sign_columns, parse_space_spec,
+                     signs_to_index)
 
 
 def _freeze(arr, dtype=np.float64) -> np.ndarray:
@@ -134,8 +135,13 @@ class BoltzmannModel:
                      lambda g: 2.0 * ((signs * g) @ signs.T).take(self._upper_slots))
 
     def log_f_batch(self, indices) -> np.ndarray:
-        """y'Wy per state, by the quadratic form that `bind` evaluates."""
-        return _quadratic_forms(_sign_columns(indices, self.dim), self.matrix)
+        """y'Wy per state, by the quadratic form that `bind` evaluates, one
+        chunk of states at a time (`_chunk_slices`)."""
+        idx = _hypercube_indices(indices, self.dim)
+        out = np.empty(idx.size)
+        for part in _chunk_slices(idx.size):
+            out[part] = _quadratic_forms(_sign_columns(idx[part], self.dim), self.matrix)
+        return out
 
 
 @dataclass(frozen=True)

@@ -42,16 +42,13 @@ from .scoring import (
     generic_score,
     named_closed_form_score,
 )
+from .spaces import CHUNK_ENTRIES
 
 MAX_WITNESSES = 10
 PROPERNESS_TOLERANCE = 1e-9
 COINCIDENCE_MINIMUM = 1e-8
 SCORE_PATH_TOLERANCE = 1e-5
 DIVERGENCE_IDENTITY_TOLERANCE = 1e-9
-# A chunk of trials is evaluated as one stack of this many log values (256
-# trials on 16 points), so its memory grows with neither the trial count nor
-# |Y|: 256 trials of pl radius 2 on 256 points, stacked, peaked at 81 MB.
-CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,9 @@ def _random_probabilities(gen, count: int, size: int) -> np.ndarray:
 
 
 def _chunk_trials(space) -> int:
-    """The trials in one chunk on `space`: `CHUNK_ENTRIES` log values."""
+    """The trials in one chunk on `space`: `CHUNK_ENTRIES` log values (256
+    trials on 16 points). 256 trials of pl radius 2 on 256 points, stacked
+    whole, peaked at 81 MB."""
     return max(1, CHUNK_ENTRIES // space.size)
 
 

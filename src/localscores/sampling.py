@@ -11,13 +11,14 @@ inputs and the stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError, checked_count, open_text
 from .models import BoltzmannModel, _quadratic_forms
 from .potentials import Probability, _logsumexp
-from .spaces import SampleSpace, parse_space_spec, signs_matrix_to_indices
+from .spaces import CHUNK_ENTRIES, SampleSpace, _chunk_slices, parse_space_spec, signs_matrix_to_indices
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,9 @@ def gibbs_sample(
     out = []
     total_sweeps = burn_in + n * thinning
     sweeps_done = 0
-    chunk = 4096
+    block_sweeps = max(1, CHUNK_ENTRIES // dim)  # about CHUNK_ENTRIES uniforms a block
     while sweeps_done < total_sweeps:
-        block = min(chunk, total_sweeps - sweeps_done)
+        block = min(block_sweeps, total_sweeps - sweeps_done)
         u = gen.random((block, dim))
         for logit_u in (np.log(u) - np.log1p(-u)).tolist():
             for i, bit, clear, k, table, shift in sites:
@@ -187,37 +188,62 @@ def ais_log_z(
 
 
 def write_samples(path, space: SampleSpace, indices, seed: int) -> None:
-    """Write the indices under the space's header; a seed that is not a count, and
-    indices that are not integral points of the space, are refused before opening."""
+    """Write the indices under the space's header, one chunk of rows at a
+    time (`_chunk_slices`); a seed that is not a count, and indices that are
+    not integral points of the space, are refused before opening."""
     checked_count("seed", seed, 0)
     idx = space.checked_indices(indices) if np.size(indices) else np.empty(0, dtype=np.int64)
     param = space.dim if space.kind == "hypercube" else space.size
-    header = f"# space {space.kind} {param} seed {seed}\n".encode()
-    if space.kind == "hypercube":
-        # one 3-byte cell per coordinate; each row's last space becomes its newline
-        cells = np.array([b"-1 ", b"+1 "])[(idx[:, None] >> np.arange(space.dim)) & 1]
-        rows = cells.view(np.uint8).reshape(idx.size, 3 * space.dim)
-        rows[:, -1] = ord("\n")
-        body = rows.tobytes()
-    else:
-        body = "".join([f"{i}\n" for i in idx.tolist()]).encode()
+    cells = np.array([b"-1 ", b"+1 "])
     with open(path, "wb") as fh:
-        fh.write(header + body)
+        fh.write(f"# space {space.kind} {param} seed {seed}\n".encode())
+        for part in _chunk_slices(idx.size):
+            chunk = idx[part]
+            if space.kind == "hypercube":
+                # one 3-byte cell per coordinate; each row's last space becomes its newline
+                rows = cells[(chunk[:, None] >> np.arange(space.dim)) & 1].view(np.uint8)
+                rows = rows.reshape(chunk.size, 3 * space.dim)
+                rows[:, -1] = ord("\n")
+                fh.write(rows)
+            else:
+                fh.write("".join([f"{i}\n" for i in chunk.tolist()]).encode())
+
+
+@lru_cache
+def _sign_row_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (D, 3) bytes of a `write_samples` row of `+1 ` cells, its last
+    space a newline; the (D, 3) mask of the bits a `-1 ` cell may not change
+    in it; and the bit weight of each coordinate. Built once per D."""
+    pattern = np.tile(np.frombuffer(b"+1 ", dtype=np.uint8), (dim, 1))
+    pattern[-1, -1] = ord("\n")
+    mask = np.tile(np.uint8([0xFD, 0xFF, 0xFF]), (dim, 1))
+    return pattern, mask, 1 << np.arange(dim, dtype=np.int64)
 
 
 def _decode_sign_rows(body: bytes, dim: int) -> np.ndarray | None:
     """Indices of a body in `write_samples`' layout (rows of D cells `+1 ` or
     `-1 `, the last space a newline), else None. Mod 256, a cell minus `+1 `
     is 0 at every byte but the sign byte of `-1 `, which is 2."""
+    pattern, mask, weights = _sign_row_layout(dim)
     raw = np.frombuffer(body, dtype=np.uint8)
     if raw.size % (3 * dim):
         return None
-    pattern = np.tile(np.frombuffer(b"+1 ", dtype=np.uint8), (dim, 1))
-    pattern[-1, -1] = ord("\n")
     diff = raw.reshape(-1, dim, 3) - pattern
-    if (diff & np.tile(np.uint8([0xFD, 0xFF, 0xFF]), (dim, 1))).max():
+    plus = diff[:, :, 0] == 0
+    if np.bitwise_and(diff, mask, out=diff).any():
         return None
-    return (diff[:, :, 0] == 0) @ (1 << np.arange(dim, dtype=np.int64))
+    return plus @ weights
+
+
+def _read_sign_rows(fh, dim: int) -> np.ndarray | None:
+    """The indices in the rest of a text file in `write_samples`' hypercube
+    layout, read and decoded `CHUNK_ENTRIES` rows at a time, else None."""
+    parts = [np.empty(0, dtype=np.int64)]
+    while chunk := fh.read(CHUNK_ENTRIES * 3 * dim):
+        parts.append(_decode_sign_rows(chunk.encode(), dim))
+        if parts[-1] is None:
+            return None
+    return np.concatenate(parts)
 
 
 def _first_bad_line(space: SampleSpace, lines, first_lineno: int) -> tuple[int, str] | None:
@@ -247,31 +273,34 @@ def read_samples(path) -> tuple[SampleSpace, np.ndarray, int]:
     """(space, indices, seed) from a sample file. Hypercube coordinates must
     be +1/-1 and indices must lie in the space; the first malformed line is
     reported as `path:lineno`. A file holding only its header has no samples.
-    A hypercube body in `write_samples`' layout is decoded from its bytes
-    (CRLF arrives as LF in text mode); other layouts go through `np.loadtxt`."""
+    A hypercube body in `write_samples`' layout is decoded from its bytes a
+    chunk of rows at a time (CRLF arrives as LF in text mode); other bodies
+    are read whole and go through `np.loadtxt`."""
     with open_text(path) as fh:
         header, header_lineno = "", 0
         for header_lineno, line in enumerate(iter(fh.readline, ""), start=1):
             if line.strip():
                 header = line.strip()
                 break
+        if not header.startswith("# space "):
+            raise InputError(f"{path}: missing `# space <kind> <param> seed <seed>` header")
+        parts = header.split()
+        try:  # exactly `# space <kind> <param> seed <seed>`, the seed a count
+            if len(parts) != 6 or parts[4] != "seed":
+                raise ValueError("not six fields with `seed` fifth")
+            kind, param, seed = parts[2], int(parts[3]), checked_count("seed", int(parts[5]), 0)
+        except ValueError as exc:  # InputError is a ValueError
+            raise InputError(f"{path}: bad header {header!r}") from exc
+        space = parse_space_spec(f"{kind}:{param}")
+        if space.kind == "hypercube":
+            start = fh.tell()
+            indices = _read_sign_rows(fh, space.dim)
+            if indices is not None:
+                return space, indices, seed
+            fh.seek(start)
         body = fh.read()
-    if not header.startswith("# space "):
-        raise InputError(f"{path}: missing `# space <kind> <param> seed <seed>` header")
-    parts = header.split()
-    try:  # exactly `# space <kind> <param> seed <seed>`, the seed a count
-        if len(parts) != 6 or parts[4] != "seed":
-            raise ValueError("not six fields with `seed` fifth")
-        kind, param, seed = parts[2], int(parts[3]), checked_count("seed", int(parts[5]), 0)
-    except ValueError as exc:  # InputError is a ValueError
-        raise InputError(f"{path}: bad header {header!r}") from exc
-    space = parse_space_spec(f"{kind}:{param}")
     if not body or body.isspace():
         return space, np.empty(0, dtype=np.int64), seed
-    if space.kind == "hypercube":
-        indices = _decode_sign_rows(body.encode(), space.dim)
-        if indices is not None:
-            return space, indices, seed
     width = space.dim if space.kind == "hypercube" else 1
     error = None
     try:

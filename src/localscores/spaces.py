@@ -26,6 +26,11 @@ MAX_HYPERCUBE_DIM = 62
 # Spaces above this size refuse to enumerate (divergences, normalization).
 MAX_ENUMERABLE = 2 ** 16
 
+# Whole-space and whole-file passes (log f over many states, sample files,
+# oracle trials) work on chunks of this many states, rows or log values, so
+# their transient memory is O(output + chunk), not a multiple of the batch.
+CHUNK_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class SampleSpace:
@@ -144,14 +149,30 @@ def index_to_signs(index: int, dim: int) -> np.ndarray:
     return indices_to_signs([index], dim)[0]
 
 
+def _chunk_slices(n: int) -> list[slice]:
+    """range(n) cut into chunks of `CHUNK_ENTRIES`, the last also taking the
+    remainder. No chunk is narrower than that unless n is: BLAS evaluates a
+    narrow product by another route, which can round the last bit otherwise
+    than the whole batch would."""
+    count = max(1, n // CHUNK_ENTRIES)
+    return [slice(k * CHUNK_ENTRIES, n if k == count - 1 else (k + 1) * CHUNK_ENTRIES)
+            for k in range(count)]
+
+
+def _hypercube_indices(indices, dim: int) -> np.ndarray:
+    """Indices as a flat int64 array, checked integral and in 0..2**dim-1
+    (before the cast, so nothing is truncated or wrapped)."""
+    idx = _integral(indices, "hypercube indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= 2 ** dim):
+        raise InputError(f"hypercube indices must lie in 0..{2 ** dim - 1}")
+    return idx.astype(np.int64, copy=False)
+
+
 def _sign_columns(indices, dim: int) -> np.ndarray:
     """Vectorized decoding: (n,) indices in 0..2**dim-1 -> the float64 (dim, n)
     matrix whose column k holds the signs of index k. Built in this layout, it
     takes a quarter of the time of transposing the (n, dim) rows."""
-    idx = _integral(indices, "hypercube indices")
-    if idx.size and (idx.min() < 0 or idx.max() >= 2 ** dim):  # checked before the cast
-        raise InputError(f"hypercube indices must lie in 0..{2 ** dim - 1}")
-    return ((idx.astype(np.int64, copy=False) >> np.arange(dim)[:, None]) & 1) * 2.0 - 1.0
+    return ((_hypercube_indices(indices, dim) >> np.arange(dim)[:, None]) & 1) * 2.0 - 1.0
 
 
 def indices_to_signs(indices, dim: int) -> np.ndarray:

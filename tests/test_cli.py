@@ -386,6 +386,44 @@ class TestFitCommand:
         }))
         return cfg_path
 
+    @pytest.mark.parametrize("case, named", [
+        ("other space", "sample file space hypercube:5 does not match hypercube:4"),
+        ("malformed row", "test.txt:3: "),
+        ("header only", "test.txt: no test samples"),
+        ("not enumerable", "requires an enumerable space"),
+        ("feature width", "test.csv: feature dimension does not match the model"),
+    ])
+    def test_bad_test_file_refused_before_the_fit(self, capsys, tmp_path, case, named):
+        # the test file used to be read after the fit, which was then lost
+        from localscores import SampleSpace, write_samples
+
+        dim = 17 if case == "not enumerable" else 4
+        train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+        write_samples(train, SampleSpace.hypercube(dim), np.arange(16), seed=0)
+        cfg = {"score": "pl", "space": f"hypercube:{dim}", "model": "boltzmann", "train": str(train),
+               "test": str(test), "out_model": str(tmp_path / "out.json"),
+               "report": str(tmp_path / "report.txt"), "fit": {"max_iterations": 2}}
+        if case == "other space":
+            write_samples(test, SampleSpace.hypercube(5), np.arange(20), seed=0)
+        elif case == "malformed row":
+            test.write_text("# space hypercube 4 seed 0\n+1 -1 +1 -1\n+1 -1 +1\n")
+        elif case == "header only":
+            test.write_text("# space hypercube 4 seed 0\n")
+        elif case == "not enumerable":
+            write_samples(test, SampleSpace.hypercube(dim), np.arange(5), seed=0)
+        else:
+            train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+            train.write_text("1.0,2.0,1\n0.5,0.25,0\n")
+            test.write_text("1.0,2.0,3.0,1\n")
+            cfg.update(score="mcl", space="labels:2", model="conditional", train=str(train),
+                       test=str(test))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "fit", "--config", str(cfg_path))
+        assert code == 2 and "record=fit_summary" not in out
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "report.txt").exists()
+
     def test_valid_overrides_fit(self, capsys, tmp_path):
         cfg_path = self.small_fit_config(tmp_path)
         code, out, _ = run(

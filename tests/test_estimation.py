@@ -17,6 +17,7 @@ from localscores import (
     RngStream,
     SampleSpace,
     TabularModel,
+    UnsupportedError,
     bind_spec,
     classify,
     classify_batch,
@@ -42,7 +43,8 @@ from localscores import (
     standard_cl_score,
 )
 from localscores import test_error as error_rate
-from localscores.estimation import _minimize
+from localscores import estimation
+from localscores.estimation import _ScoreKernel, _minimize
 from dense_boltzmann import pair_features
 
 
@@ -893,3 +895,27 @@ class TestFitPreconditions:
         assert negative_log_loss(model, [1.0, 3.0], log_z=0.0) == negative_log_loss(
             model, [1, 3], log_z=0.0
         )
+
+
+class TestBallTableBudget:
+    @pytest.mark.parametrize("spec_text, radius", [
+        ("ps:1", 1), ("ps:1", 2), ("mcl:1,2;3,4;5,6", 1), ("cl:1,2,3;4,5,6", 1), ("mcl:1,2,3,4;5,6", 1),
+    ])
+    def test_refused_above_the_budget_before_it_is_built(self, monkeypatch, spec_text, radius):
+        fam = parse_score_spec(spec_text).family(HypercubeNeighborhood(6, radius))
+        data = np.random.default_rng(0).integers(0, 64, 40)
+        entries = _ScoreKernel(fam, data).balls.members.size
+        config = FitConfig(max_iterations=2)
+        monkeypatch.setattr(estimation, "MAX_BALL_ENTRIES", entries)
+        fit(fam, BoltzmannModel.zeros(6), data, config)
+        monkeypatch.setattr(estimation, "MAX_BALL_ENTRIES", entries - 1)
+        with pytest.raises(UnsupportedError, match=rf"ball table needs {entries} entries, above {entries - 1}"):
+            fit(fam, BoltzmannModel.zeros(6), data, config)
+
+    def test_ps_radius_2_at_d24_refused_with_its_size(self):
+        # 589 618 distinct neighbors x 300 members: numpy's 1.32 GiB
+        # _ArrayMemoryError before the budget
+        fam = parse_score_spec("ps:1").family(HypercubeNeighborhood(24, 2))
+        data = np.random.default_rng(0).integers(0, 2 ** 24, 2000)
+        with pytest.raises(UnsupportedError, match="ball table needs 176885400 entries, above 67108864"):
+            fit(fam, BoltzmannModel.zeros(24), data, FitConfig(max_iterations=2))

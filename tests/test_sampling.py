@@ -23,6 +23,7 @@ from localscores import (
     write_samples,
 )
 from localscores.sampling import _ais, _decode_sign_rows, _sweep_states
+from localscores.spaces import CHUNK_ENTRIES
 
 
 def gibbs_sweep_matrix(model: BoltzmannModel) -> np.ndarray:
@@ -472,6 +473,11 @@ class TestSampleFiles:
             (SampleSpace.label_range(10), [0, 9, 3]),
             (SampleSpace.label_range(1000), np.random.default_rng(5).integers(0, 1000, 300)),
             (SampleSpace.label_range(3), []),
+            # files of one chunk of rows less, one chunk, and one chunk more
+            (SampleSpace.hypercube(1), np.random.default_rng(6).integers(0, 2, CHUNK_ENTRIES - 1)),
+            (SampleSpace.hypercube(16), np.random.default_rng(7).integers(0, 2 ** 16, CHUNK_ENTRIES)),
+            (SampleSpace.hypercube(16), np.random.default_rng(8).integers(0, 2 ** 16, CHUNK_ENTRIES + 1)),
+            (SampleSpace.label_range(7), np.random.default_rng(9).integers(0, 7, CHUNK_ENTRIES + 1)),
         ],
     )
     def test_write_matches_line_formatter(self, tmp_path, space, indices):
@@ -531,6 +537,9 @@ class TestSampleFiles:
             ("+1 -1 +1\n-1 +1 +1\n", 2),
             ("+1 -1\n-1 2\n", 3),
             ("-1 1.0\n", 2),
+            # in the second chunk of rows
+            ("+1 -1\n" * CHUNK_ENTRIES + "-1 2\n", CHUNK_ENTRIES + 2),
+            ("+1 -1\n" * (CHUNK_ENTRIES + 7) + "+1 x\n" + "-1 -1\n" * 5, CHUNK_ENTRIES + 9),
         ],
     )
     def test_bad_hypercube_line_reported(self, tmp_path, body, lineno):
@@ -578,6 +587,13 @@ class TestSampleFileDecoder:
         assert _decode_sign_rows(body, 3) is None
         path = tmp_path / "samples.txt"
         path.write_bytes(b"# space hypercube 3 seed 0\n" + body)
+        assert np.array_equal(read_samples(path)[1], indices)
+
+    def test_crlf_decoded_across_chunks(self, tmp_path):
+        indices = np.arange(CHUNK_ENTRIES + 9) % 8
+        text = reference_sample_text(SampleSpace.hypercube(3), indices, 1)
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
         assert np.array_equal(read_samples(path)[1], indices)
 
     @pytest.mark.parametrize(
