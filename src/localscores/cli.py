@@ -611,10 +611,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except LocalScoresError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LocalScoresError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,3 +49,10 @@ def checked_real(name: str, value, positive: bool = False):
             or (positive and value == 0)):
         raise InputError(f"{name} must be a finite real {'>' if positive else '>='} 0, got {value!r}")
     return value
+
+
+def checked_size(what: str, count: int, budget: int, unit: str = "entries") -> int:
+    """`count`, refused with UnsupportedError above `budget` before `what` is built."""
+    if count > budget:
+        raise UnsupportedError(f"{what} needs {count} {unit}, above {budget}")
+    return count

@@ -51,10 +51,11 @@ the one block holding every other label, so conditional MLE is that kernel too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError, checked_count, checked_real
+from .errors import InputError, checked_count, checked_real, checked_size
 from .graphs import label_band_graph
 from .models import ConditionalModel, _label_logits
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec, _logsumexp, _masked
@@ -127,12 +128,34 @@ class _Objective:
     """An objective over a model's flat parameters, started at `model`.
     `evaluate(x)` returns the value with `gradient()`, which finishes dJ/dx
     from the arrays the value pass kept; `bound` is the model bound at the
-    points whose log f the objective reads."""
+    points whose log f the objective reads. Each objective supplies the data
+    part, `_data_terms(logs) -> (value, finish)`, with finish() returning
+    dJ/d logs; `evaluate` adds the l2 penalty and holds the frozen tail."""
 
-    def __init__(self, model, l2):
+    frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
+
+    def __init__(self, model, bound, l2):
         self.model = model
         self.x0 = model.params
+        self.bound = bound
         self.l2 = l2
+
+    def evaluate(self, x):
+        """(value, gradient) at x."""
+        # exploratory line-search steps overflow by design; non-finite
+        # values are treated as rejections upstream
+        with np.errstate(all="ignore"):
+            value, finish = self._data_terms(self.bound.logs(x))
+            value += self.l2 * float(x @ x)
+
+        def gradient():
+            with np.errstate(all="ignore"):
+                grad = self.bound.pullback(finish()) + 2.0 * self.l2 * x
+            if self.frozen_tail:
+                grad[-self.frozen_tail:] = 0.0
+            return grad
+
+        return value, gradient
 
     def value_and_grad(self, x):
         value, gradient = self.evaluate(x)
@@ -140,6 +163,9 @@ class _Objective:
 
     def value(self, x):
         return self.evaluate(x)[0]
+
+    def offending_sample(self, x) -> int | None:
+        return None
 
 
 class _Balls:
@@ -192,12 +218,6 @@ _TABLE_RANGE_PER_ENTRY = 32
 MAX_BALL_ENTRIES = 1 << 26
 
 
-def _check_ball_entries(entries: int) -> None:
-    """Refuse a ball table of more than MAX_BALL_ENTRIES entries before it is built."""
-    if entries > MAX_BALL_ENTRIES:
-        raise UnsupportedError(f"ball table needs {entries} entries, above {MAX_BALL_ENTRIES}")
-
-
 def _index_points(arrays, size):
     """(points, pos) for point arrays with entries in [0, size): the sorted
     distinct entries, and pos(x), the left np.searchsorted(points, x) for
@@ -218,6 +238,8 @@ def _index_points(arrays, size):
 def _stack_balls(parts):
     """Concatenate per-block (members, valid, centers) row sets, padding every
     row to the widest block with its own center."""
+    if len(parts) == 1:  # nothing to pad: keep the one table, not copies of it
+        return parts[0][:2]
     width = max(m.shape[1] for m, _, _ in parts)
     members, valid = [], []
     for m, v, c in parts:
@@ -285,82 +307,80 @@ class _ScoreKernel:
         return None if mask.all() else mask
 
     def _compile(self):
-        fam = self.family
-        states = self.states
-        if fam.additive:
-            nbrs, valid = self._batch(fam.neighbor_matrix, states)
-            self.edge_mask = self._reach(nbrs, valid)
-            if self.active is not None:
-                self.own_edge = self._reach(np.broadcast_to(states[:, None], nbrs.shape), valid)
-            points = [states, nbrs]
-        elif fam.kind == "ps":
-            nbrs, valid = self._batch(fam.neighbor_matrix, states)
-            self.nbr_reach = self._reach(nbrs, valid)
-            centers, pos = _index_points(
-                [nbrs if self.nbr_reach is None else nbrs[self.nbr_reach]], self.size
-            )
-            _check_ball_entries(len(centers) * nbrs.shape[1])
-            members, mvalid = self._batch(fam.neighbor_matrix, centers)
-            self.nbr_ids = np.minimum(pos(nbrs), max(len(centers) - 1, 0))
-            points = [states, nbrs, members]
-        else:
-            members, mvalid, centers = self._compile_cl()
-            points = [states, members]
-        self.universe, pos = _index_points(points, self.size)
-        self.ypos = pos(states)
-        if fam.additive:
-            self.nbpos = pos(nbrs)
-        else:
-            scale = 1.0 + fam.gamma if fam.kind == "ps" else 1.0
-            self.balls = _Balls(pos(members), mvalid, pos(centers), scale)
-
-    def _compile_cl(self):
-        """Ball table of the n_l(z) a cl score reads; returns its (members,
-        valid, centers) over point indices. Block relations are symmetric
-        (z in b_l(y) iff y in b_l(z)), as on every hypercube block system and
-        single-block graph."""
+        """The additive shape: the padded neighbor matrix and the masked
+        parts of the family's edge-term table; else the ball shape."""
         fam, states = self.family, self.states
-        own_ids, nbr_ids, nbr_reach, parts = [], [], [], []
+        if not fam.additive:
+            return self._compile_balls()
+        nbrs, valid = self._batch(fam.neighbor_matrix, states)
+        own, nbr, whole = fam.edge_terms()
+        nbr_mask = self._reach(nbrs, valid)
+        if self.active is None:
+            self.edge_parts = [(whole, nbr_mask)]
+        else:  # y's own local potential and its active neighbors' potentials
+            own_mask = self._reach(np.broadcast_to(states[:, None], nbrs.shape), valid)
+            self.edge_parts = [(own, own_mask), (nbr, nbr_mask)]
+        self.universe, pos = _index_points([states, nbrs], self.size)
+        self.ypos, self.nbpos = pos(states), pos(nbrs)
+
+    def _compile_balls(self):
+        """The ball shape: the table of the sets a ps or cl score reads, over
+        a universe of the states, their neighbor rows and the members. ps
+        reads b(z) for each active z in b(y), a single block of balls without
+        their centers. cl reads n_l(z) = b_l(z) + {z} per block l for y's own
+        ball and, for mCL, each active z in b_l(y). Block relations are
+        symmetric (z in b_l(y) iff y in b_l(z)), as on every hypercube block
+        system and single-block graph."""
+        fam, states = self.family, self.states
+        cl = fam.kind == "cl"
+        own_ids, nbr_ids, nbr_reach, parts, points = [], [], [], [], [states]
         offset = width = 0
-        for block in range(fam.num_blocks):
+        for block in range(fam.num_blocks):  # ps has the single block b
             nbrs, valid = self._batch(fam.block_matrix, states, block)
+            points.append(nbrs)
             if fam.standard_cl:  # the states are sorted and distinct
                 centers, own = states, np.arange(len(states))
             else:
                 reach = self._reach(nbrs, valid)
-                centers, pos = _index_points(
-                    [states, nbrs if reach is None else nbrs[reach]], self.size
-                )
+                reached = nbrs if reach is None else nbrs[reach]
+                centers, pos = _index_points([states, reached] if cl else [reached], self.size)
                 own = pos(states)
-                nbr_ids.append(offset + np.minimum(pos(nbrs), len(centers) - 1))
+                nbr_ids.append(offset + np.minimum(pos(nbrs), max(len(centers) - 1, 0)))
                 nbr_reach.append(np.ones(nbrs.shape, dtype=bool) if reach is None else reach)
-            width = max(width, nbrs.shape[1] + 1)  # each ball also holds its center
-            _check_ball_entries((offset + len(centers)) * width)
+            width = max(width, nbrs.shape[1] + cl)
+            checked_size("ball table", (offset + len(centers)) * width, MAX_BALL_ENTRIES)
             cm, cvalid = self._batch(fam.block_matrix, centers, block)
-            if cvalid is not None:
-                cvalid = np.concatenate([cvalid, np.ones((len(centers), 1), dtype=bool)], axis=1)
-            parts.append((np.concatenate([cm, centers[:, None]], axis=1), cvalid, centers))
-            own_ids.append(offset + own)
+            if cl:  # each ball also holds its center, and y owns one ball per block
+                own_ids.append(offset + own)
+                cm = np.concatenate([cm, centers[:, None]], axis=1)
+                if cvalid is not None:
+                    cvalid = np.pad(cvalid, ((0, 0), (0, 1)), constant_values=True)
+            parts.append((cm, cvalid, centers))
             offset += len(centers)
-        self.own_ids = np.stack(own_ids, axis=1)
-        own_weights = self.weights
-        self.own_mask = self._reach(states, None)
-        if self.own_mask is not None:
-            own_weights = np.where(self.own_mask, own_weights, 0.0)
-        # per-ball weights of the -log q(y | n_l(y)) terms and of the q terms
-        self.ball_log_weight = np.bincount(
-            self.own_ids.ravel(), weights=np.repeat(own_weights, fam.num_blocks), minlength=offset
-        )
         if not fam.standard_cl:
             self.nbr_ids = np.concatenate(nbr_ids, axis=1)
             reach = np.concatenate(nbr_reach, axis=1)
             self.nbr_reach = None if reach.all() else reach
-            self.ball_q_weight = self.ball_log_weight + np.bincount(
-                self.nbr_ids.ravel(), weights=(reach * self.weights[:, None]).ravel(),
+        if cl:
+            self.own_ids = np.stack(own_ids, axis=1)
+            self.own_mask = self._reach(states, None)
+            own_weights = _masked(self.weights, self.own_mask)
+            # per-ball weights of the -log q(y | n_l(y)) terms and of the q terms
+            self.ball_log_weight = np.bincount(
+                self.own_ids.ravel(), weights=np.repeat(own_weights, fam.num_blocks),
                 minlength=offset,
             )
+            if not fam.standard_cl:
+                self.ball_q_weight = self.ball_log_weight + np.bincount(
+                    self.nbr_ids.ravel(), weights=(reach * self.weights[:, None]).ravel(),
+                    minlength=offset,
+                )
         members, valid = _stack_balls(parts)
-        return members, valid, np.concatenate([c for _, _, c in parts])
+        self.universe, pos = _index_points(points + [members], self.size)
+        self.ypos = pos(states)
+        centers = np.concatenate([c for _, _, c in parts])
+        scale = 1.0 + fam.gamma if fam.kind == "ps" else 1.0
+        self.balls = _Balls(pos(members), valid, pos(centers), scale)
 
     def _score_terms(self, logs):
         """(per-state scores, finish): finish() returns dJ/d logs over the
@@ -374,19 +394,13 @@ class _ScoreKernel:
         return self._cl_terms(logs)
 
     def _additive_terms(self, logs):
-        fam = self.family
         ly = logs.take(self.ypos, axis=-1)
         d = logs.take(self.nbpos, axis=-1) - ly[..., None]
-        if fam.active is None:
-            value_term, grad_term = fam.edge_terms()
-            vals = np.sum(_masked(value_term(d), self.edge_mask), axis=-1)
-            return vals, lambda: self._edge_pullback(_masked(grad_term(d), self.edge_mask))
-        # y's own local potential and its active neighbors' potentials
-        (own, own_grad), (nbr, nbr_grad) = fam.split_edge_terms()
-        vals = np.sum(_masked(own(d), self.own_edge) + _masked(nbr(d), self.edge_mask), axis=-1)
-        return vals, lambda: self._edge_pullback(
-            _masked(own_grad(d), self.own_edge) + _masked(nbr_grad(d), self.edge_mask)
-        )
+
+        def summed(k):  # map k (0 the term, 1 its derivative) of every part, masked
+            return reduce(np.add, (_masked(pair[k](d), mask) for pair, mask in self.edge_parts))
+
+        return np.sum(summed(0), axis=-1), lambda: self._edge_pullback(summed(1))
 
     def _edge_pullback(self, g):
         """dJ/d logs over the universe of per-edge derivatives g with respect
@@ -454,8 +468,6 @@ class _ScoreObjective(_Objective):
     `_ScoreKernel` with the model bound at its universe. A conditional
     model's samples are labels with one feature row each."""
 
-    frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
-
     def __init__(self, family, model, samples, weights=None, l2=0.0, features=None):
         if family.space.spec_string() != model.space.spec_string():
             raise InputError(
@@ -465,28 +477,12 @@ class _ScoreObjective(_Objective):
         kernel = _ScoreKernel(family, samples, weights, features is not None)
         if features is not None and np.shape(features)[:1] != kernel.samples.shape:
             raise InputError("features and labels must align")
-        super().__init__(model, l2)
+        super().__init__(model, model.bind(kernel.universe, features), l2)
         self.kernel = kernel
-        self.bound = model.bind(kernel.universe, features)
 
-    def evaluate(self, x):
-        """(value, gradient) at x; gradient() finishes dJ/dx from the logs
-        and the per-edge or per-ball arrays the value pass computed."""
-        # exploratory line-search steps overflow by design; non-finite
-        # values are treated as rejections upstream
-        with np.errstate(all="ignore"):
-            logs = self.bound.logs(x)
-            vals, finish = self.kernel._score_terms(logs)
-            value = float(vals @ self.kernel.weights) + self.l2 * float(x @ x)
-
-        def gradient():
-            with np.errstate(all="ignore"):
-                grad = self.bound.pullback(finish()) + 2.0 * self.l2 * x
-            if self.frozen_tail:
-                grad[-self.frozen_tail:] = 0.0
-            return grad
-
-        return value, gradient
+    def _data_terms(self, logs):
+        vals, finish = self.kernel._score_terms(logs)
+        return float(vals @ self.kernel.weights), finish
 
     def offending_sample(self, x) -> int | None:
         """Position in the caller's samples of the first sample whose score
@@ -505,24 +501,12 @@ class _MleObjective(_Objective):
         space = model.space
         space.require_enumerable("mle_fit")
         samples = space.checked_indices(samples)
-        super().__init__(model, l2)
-        self.bound = model.bind(np.arange(space.size))
+        super().__init__(model, model.bind(np.arange(space.size)), l2)
         self.emp = np.bincount(samples, minlength=space.size) / samples.size
 
-    def evaluate(self, x):
-        """(value, gradient), as `_ScoreObjective.evaluate`."""
-        logs = self.bound.logs(x)
+    def _data_terms(self, logs):
         lz = float(_logsumexp(logs))
-        value = lz - float(self.emp @ logs) + self.l2 * float(x @ x)
-
-        def gradient():
-            q = np.exp(logs - lz)
-            return self.bound.pullback(q - self.emp) + 2.0 * self.l2 * x
-
-        return value, gradient
-
-    def offending_sample(self, x):
-        return None
+        return lz - float(self.emp @ logs), lambda: np.exp(logs - lz) - self.emp
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,14 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError, checked_count, open_text
-from .spaces import SampleSpace
+from .errors import InputError, checked_count, checked_size, open_text
+from .spaces import SampleSpace, parse_space_spec
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -165,11 +166,22 @@ def graph_from_edges(space: SampleSpace, edges) -> NeighborhoodGraph:
     return NeighborhoodGraph(space=space, adjacency=adjacency)
 
 
+# About 1M masks: every Hamming ball of radius 4 or less at D=62 (597 618
+# masks) is allowed, radius 5 there (7 068 620) is not.
+MAX_XOR_MASKS = 1 << 20
+# About 67M entries, 512 MB as an int64 neighbor table, as the kernels' ball
+# tables: pl radius 3 at D=62 on 2000 samples would need 2000 x 39 773.
+MAX_NEIGHBOR_ENTRIES = 1 << 26
+
+
 def masks_up_to_weight(dim: int, radius: int) -> list[int]:
     """All nonzero bit masks over `dim` bits with at most `radius` set bits,
-    generated combinatorially (dim can be far beyond enumeration size)."""
+    generated combinatorially (dim can be far beyond enumeration size) once
+    their count is known to be within MAX_XOR_MASKS."""
     from itertools import combinations
 
+    count = sum(math.comb(dim, k) for k in range(1, radius + 1))
+    checked_size(f"radius-{radius} neighborhood at D={dim}", count, MAX_XOR_MASKS, "masks")
     out = []
     for weight in range(1, radius + 1):
         for bits in combinations(range(dim), weight):
@@ -189,8 +201,11 @@ class _XorNeighborhood:
         return np.sort(int(i) ^ self._masks)
 
     def neighbor_matrix(self, points) -> tuple[np.ndarray, None]:
-        """Rows sorted(y ^ masks) for a batch of points y."""
-        return np.sort(np.asarray(points, dtype=np.int64)[:, None] ^ self._masks, axis=1), None
+        """Rows sorted(y ^ masks) for a batch of points y, refused above
+        MAX_NEIGHBOR_ENTRIES entries."""
+        points = np.asarray(points, dtype=np.int64)
+        checked_size("neighbor table", points.size * self._masks.size, MAX_NEIGHBOR_ENTRIES)
+        return np.sort(points[:, None] ^ self._masks, axis=1), None
 
 
 class HypercubeNeighborhood(_XorNeighborhood):
@@ -390,11 +405,8 @@ def _shared_member_rows(graph, verts: np.ndarray, mode: str) -> tuple[np.ndarray
     owner, member = owner[order], member[order]
     starts = np.flatnonzero(np.diff(member, prepend=-1))
     sizes = np.diff(starts, append=len(member))
-    pairs = int(sizes @ sizes)
-    if pairs > MAX_SHARED_PAIRS:
-        raise UnsupportedError(
-            f"derived graph needs {pairs} neighborhood-member pairs, above {MAX_SHARED_PAIRS}"
-        )
+    pairs = checked_size("derived graph", int(sizes @ sizes), MAX_SHARED_PAIRS,
+                         "neighborhood-member pairs")
     # incidence i pairs with the reach[i] incidences of its group from
     # first[i] on: slot sum(reach[:i]) + t reads incidence first[i] + t
     reach = np.repeat(sizes, sizes)
@@ -475,6 +487,8 @@ class BlockNeighborhood(_XorNeighborhood):
     the b_l(y)."""
 
     def __init__(self, system: BlockSystem):
+        count = sum((1 << bin(m).count("1")) - 1 for m in system.masks)
+        checked_size(f"block system {system.spec_string()}", count, MAX_XOR_MASKS, "masks")
         self._blocks = tuple(_XorNeighborhood(system.dim, _nonzero_submasks(m)) for m in system.masks)
         super().__init__(system.dim, np.unique(np.concatenate([b._masks for b in self._blocks])))
         self.system = system
@@ -574,17 +588,9 @@ def read_edge_list(path) -> NeighborhoodGraph:
         raise InputError(f"{path}: missing `space <kind> <param>` header")
     try:
         _, kind, param = header.split()
-        param = int(param)
-    except ValueError as exc:
+        space = parse_space_spec(f"{kind}:{param}")
+    except ValueError as exc:  # InputError is a ValueError
         raise InputError(f"{path}: bad header {header!r}") from exc
-    if kind == "hypercube":
-        space = SampleSpace.hypercube(param)
-    elif kind == "labels":
-        space = SampleSpace.label_range(param)
-    elif kind == "enumerated":
-        space = SampleSpace.enumerated([f"p{i}" for i in range(param)])
-    else:
-        raise InputError(f"{path}: unknown space kind {kind!r}")
     edges = []
     for lineno, line in raw[1:]:
         try:

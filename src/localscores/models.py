@@ -262,7 +262,8 @@ def _bind_point(model, y, x) -> Bound:
 
 def log_f(model, y, x=None) -> float:
     """Log unnormalized value at a point (hypercube points may be given as
-    sign vectors). Conditional models need the feature vector x."""
+    sign vectors). Conditional models need the feature vector x. A Boltzmann
+    value may differ in the last bit from `log_f_batch`'s for the same state."""
     return float(_bind_point(model, y, x).logs(model.params)[0])
 
 

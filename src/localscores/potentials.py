@@ -23,6 +23,7 @@ the implicit XOR neighborhoods of `graphs` (`HypercubeNeighborhood`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,6 +246,25 @@ class _CompositePotential:
         return -self._per_block(1.0 / (1.0 + self._sums(v)))
 
 
+class EdgeTerms(NamedTuple):
+    """An additive family's score as per-edge maps of float arrays on the
+    log-ratio scale d = log f_z - log f_y, each a (map, derivative in d)
+    pair. With r = e^d, an active y's own potential gives
+    own(d) = r phi'(r) - phi(r) per z in b(y), an active z's potential gives
+    nbr(d) = -phi'(1/r), and `whole` is their sum, the whole-space term
+    psi(r) = r phi'(r) - phi(r) - phi'(1/r).
+
+    pl's and rm's maps reduce to softplus and sigmoids, with `whole` fused
+    (softplus(d), sigmoid(d)^2) rather than summed, and stay finite for any
+    d. A sigmoid's exp overflows where |d| exceeds about 709, which gives the
+    right limit; callers that mind the warning run under np.errstate. dp's
+    exponentials overflow to a clean inf; custom kinds are formed from r."""
+
+    own: tuple
+    nbr: tuple
+    whole: tuple
+
+
 def _scalar_pair(kind: str, gamma: float | None):
     if kind == "pl":
         return lambda t: -np.log1p(t), lambda t: -1.0 / (1.0 + t)
@@ -361,9 +381,9 @@ class LocalPotentialFamily:
 
     @property
     def _block_graphs(self) -> tuple:
-        """The neighborhood system of each block l, b_l; the graph itself,
-        as the single block b, when the family has no block structure."""
-        return (self.graph,) if self.blocks is None else self.graph._blocks
+        """The neighborhood system of each block l, b_l, of a cl family on a
+        block system; else the graph itself, as the single block b."""
+        return (self.graph,) if self.kind != "cl" or self.blocks is None else self.graph._blocks
 
     @property
     def num_blocks(self) -> int:
@@ -427,71 +447,32 @@ class LocalPotentialFamily:
             )
         return _scalar_pair(self.kind, self.gamma)
 
-    def edge_terms(self):
-        """Stable per-edge maps of float arrays on the log-ratio scale for
-        whole-space additive scoring: d = log f_z - log f_y gives the score
-        term psi(e^d) and its derivative with respect to log f_z.
-
-        pl/rm reduce to softplus and sigmoids and stay finite for any d; dp
-        and custom kinds sum their `split_edge_terms`, and dp genuinely grows
-        like exp((1+gamma)d), overflowing to a clean inf.
-        A sigmoid's exp overflows where |d| exceeds about 709, which gives
-        the right limit; callers that mind the warning run under np.errstate.
-        """
+    def edge_terms(self) -> EdgeTerms:
+        """The additive score's per-edge maps as an `EdgeTerms` table."""
         if not self.additive:
             raise InputError(f"kind {self.kind!r} is not additive")
         if self.kind == "pl":
-            return _softplus, _sigmoid
-        if self.kind == "rm":
-            return _rm_value, _rm_grad
-        (own, own_grad), (nbr, nbr_grad) = self.split_edge_terms()
-        return lambda d: own(d) + nbr(d), lambda d: own_grad(d) + nbr_grad(d)
-
-    def split_edge_terms(self):
-        """`edge_terms` split by whose potential a term comes from, for
-        scoring on an active subset: ((own, own_grad), (nbr, nbr_grad)) on
-        d = log f_z - log f_y. An active y's own potential gives own(d) per
-        z in b(y), an active z's potential gives nbr(d); own + nbr is the
-        whole-space term. pl (own softplus(d) - sigmoid(d), nbr sigmoid(d))
-        and rm (each sigmoid(d)^2 / 2) stay finite for any d, as in
-        `edge_terms`; dp's exponentials overflow to a clean inf; custom kinds
-        are formed from the ratio r = e^d."""
-        if not self.additive:
-            raise InputError(f"kind {self.kind!r} is not additive")
-        if self.kind == "pl":
-            return (
+            return EdgeTerms(
                 (lambda d: _softplus(d) - _sigmoid(d), _rm_value),  # d/dd is sigmoid(d)^2
                 (_sigmoid, lambda d: _sigmoid(d) * _sigmoid(-d)),
+                (_softplus, _sigmoid),
             )
         if self.kind == "rm":
             half = lambda d: 0.5 * _rm_value(d), lambda d: 0.5 * _rm_grad(d)
-            return half, half
+            return EdgeTerms(half, half, (_rm_value, _rm_grad))
         if self.kind == "dp":
             g = self.gamma
-            return (
-                (lambda d: g / (1.0 + g) * np.exp((1.0 + g) * d),
-                 lambda d: g * np.exp((1.0 + g) * d)),
-                (lambda d: -np.exp(-g * d), lambda d: g * np.exp(-g * d)),
-            )
-        f0, f1 = self.scalar_terms()
-        f2 = np.vectorize(self.d2phi, otypes=[float])
-
-        def own(d):
-            r = np.exp(d)
-            return r * f1(r) - f0(r)
-
-        def own_grad(d):
-            r = np.exp(d)
-            return r * r * f2(r)
-
-        def nbr(d):
-            return -f1(np.exp(-d))
-
-        def nbr_grad(d):
-            s = np.exp(-d)
-            return s * f2(s)
-
-        return (own, own_grad), (nbr, nbr_grad)
+            own = (lambda d: g / (1.0 + g) * np.exp((1.0 + g) * d),
+                   lambda d: g * np.exp((1.0 + g) * d))
+            nbr = lambda d: -np.exp(-g * d), lambda d: g * np.exp(-g * d)
+        else:
+            f0, f1 = self.scalar_terms()
+            f2 = np.vectorize(self.d2phi, otypes=[float])
+            at = lambda term, sign: lambda d: term(np.exp(sign * d))  # term read at e^(sign d)
+            own = at(lambda r: r * f1(r) - f0(r), 1.0), at(lambda r: r * r * f2(r), 1.0)
+            nbr = at(lambda s: -f1(s), -1.0), at(lambda s: s * f2(s), -1.0)
+        return EdgeTerms(own, nbr, (lambda d: own[0](d) + nbr[0](d),
+                                    lambda d: own[1](d) + nbr[1](d)))
 
     def _validate_active_neighborhoods(self) -> None:
         # Implicit hypercube neighborhoods always have nonempty b(y).

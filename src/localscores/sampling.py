@@ -119,13 +119,15 @@ def gibbs_sample(
     # rows[k]: table k's row at the state's k-th byte
     rows = [table[(idx >> (8 * k)) & 255] for k, table in enumerate(tables)]
     sites = [(i, 1 << i, ~(1 << i), i >> 3, tables[i >> 3], 8 * (i >> 3)) for i in range(dim)]
-    out = []
+    out = np.empty(n, dtype=np.int64)
+    recorded = 0
     total_sweeps = burn_in + n * thinning
     sweeps_done = 0
     block_sweeps = max(1, CHUNK_ENTRIES // dim)  # about CHUNK_ENTRIES uniforms a block
     while sweeps_done < total_sweeps:
         block = min(block_sweeps, total_sweeps - sweeps_done)
         u = gen.random((block, dim))
+        states = []  # the block's recorded states, as Python ints until it ends
         for logit_u in (np.log(u) - np.log1p(-u)).tolist():
             for i, bit, clear, k, table, shift in sites:
                 threshold = 0.0
@@ -138,8 +140,10 @@ def gibbs_sample(
                 rows[k] = table[(idx >> shift) & 255]
             sweeps_done += 1
             if sweeps_done > burn_in and (sweeps_done - burn_in) % thinning == 0:
-                out.append(idx)
-    return np.array(out, dtype=np.int64)
+                states.append(idx)
+        out[recorded:recorded + len(states)] = states
+        recorded += len(states)
+    return out
 
 
 def _ais(model: BoltzmannModel, config: AisConfig, rng: RngStream) -> tuple[float, float, float]:

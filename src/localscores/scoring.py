@@ -306,14 +306,10 @@ def cl_score(system: BlockSystem, y: int, log_f) -> float:
 
 def additive_score_term(family: LocalPotentialFamily):
     """The one-dimensional map psi with score(y) = sum_z psi(f_z / f_y)
-    for additive whole-space families: psi(r) = r phi'(r) - phi(r) - phi'(1/r)."""
-    f0, f1 = family.scalar_terms()
-
-    def psi(r):
-        r = np.asarray(r, dtype=np.float64)
-        return r * f1(r) - f0(r) - f1(1.0 / r)
-
-    return psi
+    for additive whole-space families: the family's whole-space edge term
+    (`EdgeTerms.whole`) read at log r."""
+    whole = family.edge_terms().whole[0]
+    return lambda r: whole(np.log(np.asarray(r, dtype=np.float64)).reshape(-1)).reshape(np.shape(r))
 
 
 # ---------------------------------------------------------------------------

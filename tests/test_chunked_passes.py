@@ -142,3 +142,14 @@ class TestPassMemory:
         # (1.8 MB before); a 20k-state chain runs for 1 s under tracing
         model = seeded_model(8)
         assert traced_peak_mb(lambda: gibbs_sample(model, 6000, burn_in=100, rng=RngStream(2))) <= 1.0
+
+    def test_gibbs_d16_100k_states(self):
+        # states kept as Python ints until the end cost 41 traced bytes each
+        # at D=16 (4.87 MB for 100k states). A 100k chain takes 16 s under
+        # tracing, so its peak is extrapolated from chains of 2000 and 6000
+        # states, which each state grows by its 8 output bytes: 1.24 MB, as
+        # the traced 100k chain gives
+        model = seeded_model(16)
+        small, large = (traced_peak_mb(lambda: gibbs_sample(model, n, burn_in=0, rng=RngStream(2)))
+                        for n in (2000, 6000))
+        assert large + (large - small) * (100_000 - 6000) / 4000 <= 1.5

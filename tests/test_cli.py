@@ -424,6 +424,22 @@ class TestFitCommand:
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ("radius=10", "radius-10 neighborhood at D=62 needs 131746962837 masks"),
+        ("score=cl:1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21", "needs 2097151 masks"),
+    ])
+    def test_neighborhood_too_large_exits_2(self, capsys, tmp_path, override, named):
+        from localscores import SampleSpace, write_samples
+
+        train = tmp_path / "train.txt"
+        write_samples(train, SampleSpace.hypercube(62), np.arange(16), seed=0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"score": "pl", "space": "hypercube:62", "model": "boltzmann",
+                                        "train": str(train), "fit": {"max_iterations": 2}}))
+        code, out, err = run(capsys, "fit", "--config", str(cfg_path), "--set", override)
+        assert code == 2 and "record=fit_summary" not in out
+        assert err.startswith("error: ") and named in err
+
     def test_valid_overrides_fit(self, capsys, tmp_path):
         cfg_path = self.small_fit_config(tmp_path)
         code, out, _ = run(

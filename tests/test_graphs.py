@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import deque
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from localscores import (
     UnsupportedError,
     VertexGraph,
 )
+from localscores import graphs
 from localscores.graphs import MAX_SHARED_PAIRS, materialize
 
 
@@ -143,6 +145,41 @@ class TestHammingGraph:
             hamming_graph(3, 0)
         with pytest.raises(InputError):
             hamming_graph(3, 4)
+
+
+class TestXorTableBudgets:
+    def test_masks_counted_before_they_are_generated(self, monkeypatch):
+        # 8 + 28 masks at radius 2
+        monkeypatch.setattr(graphs, "MAX_XOR_MASKS", 36)
+        assert len(HypercubeNeighborhood(8, 2).neighbors(0)) == 36
+        monkeypatch.setattr(graphs, "MAX_XOR_MASKS", 35)
+        with pytest.raises(UnsupportedError, match="radius-2 neighborhood at D=8 needs 36 masks, above 35"):
+            HypercubeNeighborhood(8, 2)
+        # blocks {1,2,3} and {4,5} have 7 + 3 nonzero submasks
+        monkeypatch.setattr(graphs, "MAX_XOR_MASKS", 9)
+        with pytest.raises(UnsupportedError, match="block system 1,2,3;4,5 needs 10 masks, above 9"):
+            BlockNeighborhood(parse_blocks("1,2,3;4,5", 8))
+
+    def test_neighbor_table_refused_before_it_is_built(self, monkeypatch):
+        system = HypercubeNeighborhood(8, 2)
+        points = np.arange(10)
+        monkeypatch.setattr(graphs, "MAX_NEIGHBOR_ENTRIES", 360)
+        assert system.neighbor_matrix(points)[0].shape == (10, 36)
+        monkeypatch.setattr(graphs, "MAX_NEIGHBOR_ENTRIES", 359)
+        with pytest.raises(UnsupportedError, match="neighbor table needs 360 entries, above 359"):
+            system.neighbor_matrix(points)
+        with pytest.raises(UnsupportedError, match="neighbor table needs 9216 entries"):
+            materialize(system)
+
+    def test_radius_10_at_d62_refused_at_once(self):
+        # sum_k C(62, k) for k <= 10 masks; generating them would not end
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedError, match="needs 131746962837 masks"):
+            HypercubeNeighborhood(62, 10)
+        assert time.perf_counter() - start < 0.1
+
+    def test_radius_4_at_d62_allowed(self):
+        assert len(HypercubeNeighborhood(62, 4).neighbors(0)) == 597618
 
 
 class TestLabelBandGraph:
@@ -605,6 +642,15 @@ class TestEdgeListIO:
         path = tmp_path / "bad.txt"
         path.write_text("0 1\n")
         with pytest.raises(InputError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("header", [
+        "space cube 3", "space labels x", "space labels 3 4", "space hypercube 0",
+    ])
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n0 1\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}: bad header {header!r}")):
             read_edge_list(path)
 
     @pytest.mark.parametrize("text, message", [

@@ -350,7 +350,7 @@ class TestEdgeTerms:
         g = hamming_graph(2, 1)
         for fam in (pseudo_likelihood(g), ratio_matching(g), density_power(g, 1.4)):
             f0, f1 = fam.scalar_terms()
-            value_term, grad_term = fam.edge_terms()
+            value_term, grad_term = fam.edge_terms().whole
             for d in np.linspace(-4, 4, 33):
                 r = math.exp(d)
                 psi = r * float(f1(np.array([r]))[0]) - float(f0(np.array([r]))[0]) - float(
@@ -386,7 +386,8 @@ class TestEdgeTerms:
         g = hamming_graph(2, 1)
         with np.errstate(over="ignore"):
             got = np.stack(
-                [t(d) for t in pseudo_likelihood(g).edge_terms() + ratio_matching(g).edge_terms()],
+                [t(d) for t in pseudo_likelihood(g).edge_terms().whole
+                 + ratio_matching(g).edge_terms().whole],
                 axis=1,
             )
         err = np.abs(got - ref)
@@ -400,13 +401,37 @@ class TestEdgeTerms:
         g = hamming_graph(2, 1)
         d = np.array([-800.0, 800.0])
         for fam in (pseudo_likelihood(g), ratio_matching(g)):
-            value_term, grad_term = fam.edge_terms()
-            with np.errstate(over="ignore"):  # as the edge_terms docstring asks
+            value_term, grad_term = fam.edge_terms().whole
+            with np.errstate(over="ignore"):  # as the EdgeTerms docstring asks
                 values, grads = value_term(d), grad_term(d)
             assert np.all(np.isfinite(values))
             assert np.all(np.isfinite(grads))
 
-    def test_split_terms_sum_to_edge_terms(self):
+    @pytest.mark.parametrize("kind", ["pl", "rm", "dp"])
+    def test_table_entries_follow_from_phi(self, kind):
+        # with r = e^d: own(d) = r phi'(r) - phi(r), nbr(d) = -phi'(1/r) and
+        # whole = own + nbr, and each derivative in d, derived from phi
+        sympy = pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
+        t, d = sympy.Symbol("t", positive=True), sympy.Symbol("d", real=True)
+        gamma = sympy.Rational(7, 5)
+        phi = {
+            "pl": -sympy.log(1 + t), "rm": -t / (2 * (1 + t)), "dp": t ** (1 + gamma) / (1 + gamma),
+        }[kind]
+        dphi = sympy.diff(phi, t)
+        own = (t * dphi - phi).subs(t, sympy.exp(d))
+        nbr = -dphi.subs(t, sympy.exp(-d))
+        fam = LocalPotentialFamily(kind, hamming_graph(2, 1), gamma=1.4 if kind == "dp" else None)
+        grid = np.linspace(-6.0, 6.0, 25)
+        with mpmath.workdps(40):
+            for pair, expr in zip(fam.edge_terms(), (own, nbr, own + nbr)):
+                for term, exact in zip(pair, (expr, sympy.diff(expr, d))):
+                    ref = sympy.lambdify(d, exact, "mpmath")
+                    np.testing.assert_allclose(
+                        term(grid), [float(ref(x)) for x in grid], rtol=1e-11
+                    )
+
+    def test_own_and_nbr_terms_sum_to_whole(self):
         # own + neighbor terms make the whole-space term, their derivatives
         # match finite differences, and pl/rm stay finite at any ratio
         g = hamming_graph(2, 1)
@@ -419,8 +444,7 @@ class TestEdgeTerms:
         d = np.linspace(-4, 4, 33)
         h = 1e-6
         for fam in families:
-            value_term, grad_term = fam.edge_terms()
-            (own, own_grad), (nbr, nbr_grad) = fam.split_edge_terms()
+            (own, own_grad), (nbr, nbr_grad), (value_term, grad_term) = fam.edge_terms()
             np.testing.assert_allclose(own(d) + nbr(d), value_term(d), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(own_grad(d) + nbr_grad(d), grad_term(d), rtol=1e-12)
             for term, grad in ((own, own_grad), (nbr, nbr_grad)):
@@ -428,7 +452,7 @@ class TestEdgeTerms:
                 np.testing.assert_allclose(grad(d), fd, rtol=1e-6, atol=1e-9)
         with np.errstate(over="ignore"):
             for fam in families[:2]:
-                for term in (t for pair in fam.split_edge_terms() for t in pair):
+                for term in (t for pair in fam.edge_terms() for t in pair):
                     assert np.all(np.isfinite(term(np.array([-800.0, 800.0])))), fam.kind
 
 

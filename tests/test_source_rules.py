@@ -226,3 +226,28 @@ def test_report_build_detection():
     )
     assert _report_builds(tree) == [3, 5, 7]
     assert _builds_outside_the_tally(tree) == [5, 7]
+
+
+def _attribute_readers(tree, attr):
+    """Qualified names of the functions under tree that read `.attr`."""
+    return [
+        name for name, fn in _functions(tree)
+        if any(isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)
+               for n in ast.walk(fn))
+    ]
+
+
+def test_the_l2_penalty_is_written_once():
+    # every objective pays the same penalty only while `_Objective.evaluate`
+    # alone adds its value and gradient terms
+    path = SOURCE / "estimation.py"
+    readers = _attribute_readers(ast.parse(path.read_text(), filename=str(path)), "l2")
+    assert readers == ["_Objective.evaluate", "_Objective.evaluate.gradient"]
+
+
+def test_attribute_reader_detection():
+    tree = ast.parse(
+        "class A:\n    def f(self):\n        self.l2 = 1\n    def g(self):\n        return self.l2\n"
+        "def h(x):\n    def inner():\n        return x.l2\n    return inner\n"
+    )
+    assert _attribute_readers(tree, "l2") == ["A.g", "h", "h.inner"]
