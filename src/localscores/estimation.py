@@ -22,6 +22,22 @@ n_l(z) = b_l(z) + {z} per block for cl). Each ball's log-normalizer and
 softmax are computed once per evaluation, states gather from the table, and
 gradients accumulate per ball.
 
+The field route skips the universe where the model gives the log-ratios
+d = log f(y ^ m) - log f(y) itself: an additive score (pl, rm, dp, custom)
+on the whole space of an XOR neighborhood whose masks flip one or two bits,
+with a model that offers `bind_flips` (a `BoltzmannModel`). The kernel then
+keeps only the aggregated states and the `whole` edge terms, which read the
+model's (masks, states) array d directly, and the bound pullback takes
+dJ/dd to the parameters: no gather or bincount over a universe. These
+inputs alone choose the route. ps and cl keep the universe, since they read
+normalizers over balls of neighbors' neighbors (at D=10, radius 1, a field
+table would hold about n D^2 = 70k entries against about 10k in the ball
+table; estimated, not built); so do active subsets, whose terms depend on
+which neighbors are active, and tabular and conditional models. The
+universe kernel is the field route's independent check. Either route's
+model array, the universe's sign matrix or the field's log-ratios, is
+refused with its size above `models.MAX_BOUND_ENTRIES` entries.
+
 The value pass (`_score_terms`) reads logs along the last axis, so one call
 scores a single log f or a (..., universe) stack of them, each row exactly as
 alone; it gathers with `take(idx, axis=-1)`, since `x[..., idx]` runs about
@@ -57,7 +73,7 @@ import numpy as np
 
 from .errors import InputError, checked_count, checked_real, checked_size
 from .graphs import label_band_graph
-from .models import ConditionalModel, _label_logits
+from .models import ConditionalModel, _label_logits, _one_or_two_bits
 from .potentials import LocalPotentialFamily, Probability, ScoreSpec, _logsumexp, _masked
 from .reports import format_record
 
@@ -127,10 +143,11 @@ def bind_spec(spec: ScoreSpec, graph):
 class _Objective:
     """An objective over a model's flat parameters, started at `model`.
     `evaluate(x)` returns the value with `gradient()`, which finishes dJ/dx
-    from the arrays the value pass kept; `bound` is the model bound at the
-    points whose log f the objective reads. Each objective supplies the data
-    part, `_data_terms(logs) -> (value, finish)`, with finish() returning
-    dJ/d logs; `evaluate` adds the l2 penalty and holds the frozen tail."""
+    from the arrays the value pass kept; `bound` is the model bound at what
+    the objective reads (log f at points, or the field route's log-ratios).
+    Each objective supplies the data part, `_data_terms(logs) -> (value,
+    finish)`, with finish() returning dJ/d logs; `evaluate` adds the l2
+    penalty and holds the frozen tail."""
 
     frozen_tail = 0  # trailing parameters held at their start (a conditional gauge)
 
@@ -266,9 +283,11 @@ class _ScoreKernel:
     kernel; `_index_points` indexes every point set over that range, by a
     sort only where size exceeds `_TABLE_RANGE_PER_ENTRY` times its entries.
     `weights`, when given, belong to `samples` as sorted distinct states.
+    With `field` an additive kernel compiles no universe and scores the
+    (masks, states) log-ratios a model's `bind_flips` gives.
     """
 
-    def __init__(self, family, samples, weights=None, conditional=False):
+    def __init__(self, family, samples, weights=None, conditional=False, field=False):
         samples = family.space.checked_indices(samples)
         size = family.space.size
         if conditional:  # label y on feature row i is the point i * L + y
@@ -288,7 +307,10 @@ class _ScoreKernel:
         self.weights = w
         self.period = family.space.size
         self.active = None if family.active is None else family.active_indices()
-        self._compile()
+        if field:  # the model gives d itself: only the whole edge terms remain
+            self.universe, self.edge_parts = None, [(family.edge_terms().whole, None)]
+        else:
+            self._compile()
 
     def _batch(self, matrix, points, *block):
         """A family batch map (`neighbor_matrix`, `block_matrix`) on points:
@@ -394,6 +416,15 @@ class _ScoreKernel:
         return self._cl_terms(logs)
 
     def _additive_terms(self, logs):
+        if self.universe is None:  # the field route: logs are the (masks, states) log-ratios d
+            (value, slope), _ = self.edge_parts[0]
+
+            def finish():
+                g = slope(logs)
+                g *= self.weights
+                return g
+
+            return value(logs).sum(axis=0), finish
         ly = logs.take(self.ypos, axis=-1)
         d = logs.take(self.nbpos, axis=-1) - ly[..., None]
 
@@ -463,10 +494,23 @@ class _ScoreKernel:
         return vals, finish
 
 
+def _field_masks(family, model, features):
+    """The XOR masks along which the model gives the log-ratios itself (the
+    field route), or None where the kernel reads log f at a universe: scores
+    that are not additive, active subsets, graphs that are not XOR systems,
+    masks of more than two bits, and models without `bind_flips`."""
+    masks = getattr(family.graph, "masks", None)
+    if (masks is None or features is not None or not family.additive or family.active is not None
+            or not hasattr(model, "bind_flips") or not _one_or_two_bits(masks)):
+        return None
+    return masks
+
+
 class _ScoreObjective(_Objective):
     """Mean score over sampled states, aggregated by state frequency: a
-    `_ScoreKernel` with the model bound at its universe. A conditional
-    model's samples are labels with one feature row each."""
+    `_ScoreKernel` with the model bound at its universe, or on the field
+    route at the states along the graph's masks. A conditional model's
+    samples are labels with one feature row each."""
 
     def __init__(self, family, model, samples, weights=None, l2=0.0, features=None):
         if family.space.spec_string() != model.space.spec_string():
@@ -474,10 +518,15 @@ class _ScoreObjective(_Objective):
                 f"score family lives on {family.space.spec_string()}, "
                 f"model on {model.space.spec_string()}"
             )
-        kernel = _ScoreKernel(family, samples, weights, features is not None)
+        masks = _field_masks(family, model, features)
+        kernel = _ScoreKernel(family, samples, weights, features is not None, masks is not None)
         if features is not None and np.shape(features)[:1] != kernel.samples.shape:
             raise InputError("features and labels must align")
-        super().__init__(model, model.bind(kernel.universe, features), l2)
+        if masks is None:
+            bound = model.bind(kernel.universe, features)
+        else:
+            bound = model.bind_flips(kernel.states, masks)
+        super().__init__(model, bound, l2)
         self.kernel = kernel
 
     def _data_terms(self, logs):

@@ -195,17 +195,17 @@ class _XorNeighborhood:
 
     def __init__(self, dim: int, masks):
         self.space = SampleSpace.hypercube(dim)
-        self._masks = np.asarray(masks, dtype=np.int64)
+        self.masks = np.asarray(masks, dtype=np.int64)
 
     def neighbors(self, i: int) -> np.ndarray:
-        return np.sort(int(i) ^ self._masks)
+        return np.sort(int(i) ^ self.masks)
 
     def neighbor_matrix(self, points) -> tuple[np.ndarray, None]:
         """Rows sorted(y ^ masks) for a batch of points y, refused above
         MAX_NEIGHBOR_ENTRIES entries."""
         points = np.asarray(points, dtype=np.int64)
-        checked_size("neighbor table", points.size * self._masks.size, MAX_NEIGHBOR_ENTRIES)
-        return np.sort(points[:, None] ^ self._masks, axis=1), None
+        checked_size("neighbor table", points.size * self.masks.size, MAX_NEIGHBOR_ENTRIES)
+        return np.sort(points[:, None] ^ self.masks, axis=1), None
 
 
 class HypercubeNeighborhood(_XorNeighborhood):
@@ -490,7 +490,7 @@ class BlockNeighborhood(_XorNeighborhood):
         count = sum((1 << bin(m).count("1")) - 1 for m in system.masks)
         checked_size(f"block system {system.spec_string()}", count, MAX_XOR_MASKS, "masks")
         self._blocks = tuple(_XorNeighborhood(system.dim, _nonzero_submasks(m)) for m in system.masks)
-        super().__init__(system.dim, np.unique(np.concatenate([b._masks for b in self._blocks])))
+        super().__init__(system.dim, np.unique(np.concatenate([b.masks for b in self._blocks])))
         self.system = system
 
     def block_neighbors(self, i: int) -> list[np.ndarray]:

@@ -563,10 +563,15 @@ class TestIndexPoints:
 
 class TestSortPathFits:
     """Hypercubes too large for a mark table over their points index the
-    universe by sorting; the fitted objective must still be the mean score."""
+    universe by sorting; the fitted objective must still be the mean score.
+    Additive scores keep a universe on an active subset; on the whole space
+    they take the field route, which indexes only the samples."""
 
-    @pytest.mark.parametrize("spec, count", [("pl", 200), ("rm", 200), ("ps:1", 30)])
-    def test_objective_is_mean_point_score(self, monkeypatch, spec, count):
+    @pytest.mark.parametrize("kind, count, active", [
+        pytest.param("pl", 200, True, id="pl-200"), pytest.param("rm", 200, True, id="rm-200"),
+        pytest.param("ps", 30, False, id="ps:1-30"), pytest.param("pl", 200, False, id="pl-field-200"),
+    ])
+    def test_objective_is_mean_point_score(self, monkeypatch, kind, count, active):
         from localscores import estimation
 
         paths = []
@@ -581,10 +586,13 @@ class TestSortPathFits:
         dim, l2 = 22, 0.01
         rng = np.random.default_rng(22)
         samples = rng.integers(0, 2 ** dim, size=count, dtype=np.int64)
-        family, _ = bind_spec(parse_score_spec(spec), HypercubeNeighborhood(dim, 1))
+        family = LocalPotentialFamily(kind, HypercubeNeighborhood(dim, 1), gamma=1.0 if kind == "ps" else None,
+                                      active=set(samples[::2].tolist()) if active else None)
         start = seeded_boltzmann(dim, 5, scale=0.05)
         res = fit(family, start, samples, FitConfig(max_iterations=3, l2_penalty=l2))
         assert paths and all(paths)
+        if family.additive and not active:  # the field route indexes the samples alone
+            assert len(paths) == 1
         model = res.parameters
         cache = {}
 
@@ -626,16 +634,16 @@ class TestScaleGauge:
     def test_fit_invariant_to_constant_log_shift(self):
         # homogeneous objectives cannot see a constant added to log f, which
         # is what a diagonal shift of W produces
-        from localscores.estimation import _build_objective
-
+        # the universe route, built explicitly: the field route reads
+        # log-ratios, which no shift of log f reaches
         model = seeded_boltzmann(3, 8)
         samples = exact_sample(normalize(model), 400, RngStream(8))
         fam = pseudo_likelihood(HypercubeNeighborhood(3, 1))
-        obj = _build_objective(fam, BoltzmannModel.zeros(3), samples, None)
+        kernel = _ScoreKernel(fam, samples)
         x = np.array([0.3, -0.2, 0.1])
-        base_logs = obj.bound.logs(x)
-        vals1, finish1 = obj.kernel._score_terms(base_logs)
-        vals2, finish2 = obj.kernel._score_terms(base_logs + 3.7)
+        base_logs = BoltzmannModel.zeros(3).bind(kernel.universe).logs(x)
+        vals1, finish1 = kernel._score_terms(base_logs)
+        vals2, finish2 = kernel._score_terms(base_logs + 3.7)
         assert np.allclose(vals1, vals2, rtol=1e-9)
         assert np.allclose(finish1(), finish2(), rtol=1e-9, atol=1e-12)
 
